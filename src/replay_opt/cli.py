@@ -153,6 +153,18 @@ def cmd_compare(args) -> int:
             config.config_id = f"{sampler}-{config.env}"
             configs.append(config)
 
+    # An invalid setting shared by the whole grid fails every config: that is
+    # a config error, reported before any run starts. An invalid grid entry
+    # among valid ones (an unknown sampler name) fails alone in run_suite.
+    errors = []
+    for config in configs:
+        try:
+            config.validate()
+        except ConfigError as exc:
+            errors.append(exc)
+    if len(errors) == len(configs):
+        raise errors[0]
+
     out_dir = Path(args.out or configs[0].out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -265,8 +265,35 @@ class SumTree:
         while self._leaves < capacity:
             self._leaves *= 2
         self.nodes = np.zeros(2 * self._leaves - 1)
+        # right shifts taking a 1-based heap number to each of its ancestors
+        self._shifts = np.arange(1, self._leaves.bit_length())[:, None]
 
-    def set(self, idx: int, mass: float) -> None:
+    def set(self, idx, mass) -> None:
+        """Write leaf mass(es) and propagate the change to every ancestor.
+
+        ``idx`` and ``mass`` are either one leaf index and one mass, or two
+        1-D arrays of equal length. An array write gives the same bits in
+        ``nodes`` as the same scalar writes made one by one in array order:
+        each leaf's delta is taken against the mass the previous write to
+        that leaf left, the last write to a leaf wins, and every internal
+        node adds its deltas in array order (one ``np.add.at`` over the
+        ancestors, level by level, each level in array order). Deltas are
+        added rather than parents recomputed from their children, so the
+        sums drift exactly as the scalar walk's do.
+
+        An array write validates the whole batch before writing anything: a
+        negative, non-finite or out-of-range entry raises and leaves
+        ``nodes`` untouched.
+
+        Callers compute leaf masses ``(|td| + eps) ** alpha`` with scalar
+        (Python float) ``**``: numpy's vectorized ``**`` may use a different
+        pow kernel (e.g. AVX-512) whose results differ from the scalar one
+        in the last bit, which would change which leaf a draw lands on.
+        """
+        # one leaf (a store) walks in Python: cheaper than the array path's fixed cost
+        if not np.isscalar(idx):
+            self._set_many(idx, mass)
+            return
         if mass < 0 or not np.isfinite(mass):
             raise ContractViolation(f"leaf mass must be finite and non-negative, got {mass}")
         if not 0 <= idx < self.capacity:
@@ -277,6 +304,41 @@ class SumTree:
         while node > 0:
             node = (node - 1) // 2
             self.nodes[node] += delta
+
+    def _set_many(self, idx, mass) -> None:
+        indices = np.asarray(idx)
+        masses = np.asarray(mass, dtype=np.float64)
+        if indices.ndim != 1 or masses.shape != indices.shape:
+            raise ContractViolation(
+                f"leaf indices {indices.shape} and masses {masses.shape} must be equal-length 1-D arrays"
+            )
+        if len(indices) == 0:
+            return
+        if indices.dtype.kind not in "iu":
+            raise ContractViolation(f"leaf indices must be integers, got dtype {indices.dtype}")
+        bad = ~np.isfinite(masses) | (masses < 0)
+        if bad.any():
+            raise ContractViolation(
+                f"leaf mass must be finite and non-negative, got {masses[bad][0]}"
+            )
+        out = (indices < 0) | (indices >= self.capacity)
+        if out.any():
+            raise ContractViolation(
+                f"leaf index {indices[out][0]} out of range for capacity {self.capacity}"
+            )
+        nodes = indices.astype(np.int64) + (self._leaves - 1)
+        # a repeated leaf's delta starts from the mass its previous write left
+        prev = self.nodes[nodes]
+        order = np.argsort(indices, kind="stable")
+        repeat = nodes[order[1:]] == nodes[order[:-1]]
+        prev[order[1:][repeat]] = masses[order[:-1][repeat]]
+        deltas = masses - prev
+        last = np.ones(len(nodes), dtype=bool)
+        last[order[:-1][repeat]] = False
+        self.nodes[nodes[last]] = masses[last]
+        # ancestors level by level, each level in array order
+        ancestors = ((nodes + 1)[None, :] >> self._shifts) - 1
+        np.add.at(self.nodes, ancestors.ravel(), np.tile(deltas, len(self._shifts)))
 
     def get(self, idx: int) -> float:
         return float(self.nodes[idx + self._leaves - 1])
@@ -391,11 +453,11 @@ class PerProportionalSampler:
     def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
         ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
         indices = np.asarray(indices, dtype=np.int64)[ok]
-        td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
-        for idx, td in zip(indices, td_errors):
-            raw = abs(float(td)) + self.config.epsilon
-            self.buffer.per_priorities[idx] = raw
-            self.tree.set(int(idx), raw ** self.config.alpha)
+        raw = np.abs(np.asarray(td_errors, dtype=np.float64)[ok]) + self.config.epsilon
+        # scalar pow per element: see SumTree.set
+        alpha = self.config.alpha
+        self.tree.set(indices, np.array([r**alpha for r in raw.tolist()]))
+        self.buffer.per_priorities[indices] = raw
 
 
 class PerRankSampler:
@@ -528,6 +590,10 @@ def load_snapshot(path) -> tuple[dict, list[Transition]]:
     """Read a snapshot back as (header metadata, transitions oldest-first)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) != _HEADER.size:
+            raise ContractViolation(
+                f"snapshot {path} is truncated: header needs {_HEADER.size} bytes, got {len(raw)}"
+            )
         magic, version, capacity, size, obs_dim, act_dim = _HEADER.unpack(raw)
         if magic != _SNAPSHOT_MAGIC:
             raise ContractViolation(f"bad snapshot magic {magic!r}")
@@ -542,8 +608,14 @@ def load_snapshot(path) -> tuple[dict, list[Transition]]:
         }
         rec = _record_struct(obs_dim, act_dim)
         transitions = []
-        for _ in range(size):
-            fields = rec.unpack(fh.read(rec.size))
+        for i in range(size):
+            chunk = fh.read(rec.size)
+            if len(chunk) != rec.size:
+                raise ContractViolation(
+                    f"snapshot {path} is truncated: record {i} of {size} needs "
+                    f"{rec.size} bytes, got {len(chunk)}"
+                )
+            fields = rec.unpack(chunk)
             state = np.array(fields[:obs_dim])
             action = np.array(fields[obs_dim : obs_dim + act_dim])
             pos = obs_dim + act_dim

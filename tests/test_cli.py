@@ -141,6 +141,19 @@ class TestCompareCommand:
         assert "FAILED bogus-pendulum" in captured.err
         assert "uniform-pendulum" in captured.out  # the good run still summarized
 
+    def test_invalid_shared_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def no_runs(configs, jobs=1):
+            raise AssertionError("run_suite started despite an invalid config")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        cfg = write_config(tmp_path, name="cmp.cfg")
+        with open(cfg, "a") as fh:
+            fh.write("samplers = uniform, per_prop\nseeds = 0, 1\n")
+        code = cli.main(["compare", "--config", str(cfg), "--set", "env=bogus", "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown env 'bogus'" in err and "FAILED" not in err
+
     def test_repeat_invocation_identical_summary_modulo_walltime(self, tmp_path):
         cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)
         with open(cfg, "a") as fh:

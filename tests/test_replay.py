@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replay_opt.errors import (
     ContractViolation,
@@ -36,6 +38,17 @@ def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float
         done=(i % 7 == 0),
         insert_timestep=i + 1,
     )
+
+
+def reference_update_priorities(sampler, indices, td_errors, expected_insert_steps=None) -> None:
+    """The per-leaf loop that the batched priority write replaced."""
+    ok = sampler.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
+    indices = np.asarray(indices, dtype=np.int64)[ok]
+    td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
+    for idx, td in zip(indices, td_errors):
+        raw = abs(float(td)) + sampler.config.epsilon
+        sampler.buffer.per_priorities[idx] = raw
+        sampler.tree.set(int(idx), raw ** sampler.config.alpha)
 
 
 def filled_buffer(n: int, capacity: int = 64, **kwargs) -> ReplayBuffer:
@@ -157,6 +170,71 @@ class TestSumTree:
         with pytest.raises(ContractViolation):
             tree.set(0, -1.0)
 
+    @pytest.mark.parametrize(
+        "indices, masses",
+        [
+            ([0, 1, 2], [1.0, -1.0, 2.0]),
+            ([0, 1, 2], [1.0, np.nan, 2.0]),
+            ([0, 1, 2], [1.0, np.inf, 2.0]),
+            ([0, 5, 2], [1.0, 1.0, 2.0]),
+            ([0, -1, 2], [1.0, 1.0, 2.0]),
+            ([0, 1], [1.0, 1.0, 2.0]),
+        ],
+    )
+    def test_bad_array_write_rejected_before_writing(self, indices, masses):
+        tree = SumTree(5)
+        tree.set(np.arange(5), np.arange(1.0, 6.0))
+        before = tree.nodes.copy()
+        with pytest.raises(ContractViolation):
+            tree.set(np.array(indices), np.array(masses))
+        assert np.array_equal(tree.nodes, before)
+
+    def test_array_write_equals_scalar_writes_in_order(self):
+        rng = np.random.default_rng(8)
+        batched, scalar = SumTree(1000), SumTree(1000)
+        for _ in range(200):
+            # a narrow index range makes repeated leaves common
+            high = 40 if rng.random() < 0.5 else 1000
+            indices = rng.integers(0, high, size=int(rng.integers(0, 80)))
+            masses = rng.random(len(indices)) * 10.0 ** rng.uniform(-6, 6)
+            batched.set(indices, masses)
+            for idx, mass in zip(indices, masses):
+                scalar.set(int(idx), float(mass))
+            assert np.array_equal(batched.nodes, scalar.nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 40),
+        writes=st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 39), st.integers(0, 12)),
+                st.lists(st.tuples(st.integers(0, 39), st.integers(0, 12)), max_size=12),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_interleaved_scalar_and_array_writes(self, capacity, writes):
+        # quarter-integer masses keep every sum exact, so the descent must
+        # agree with the prefix-sum oracle at every value, boundaries included
+        tree, reference = SumTree(capacity), SumTree(capacity)
+        for write in writes:
+            if isinstance(write, tuple):
+                idx, mass = write[0] % capacity, write[1] / 4
+                tree.set(idx, mass)
+                reference.set(idx, mass)
+            else:
+                indices = np.array([i % capacity for i, _ in write], dtype=np.int64)
+                masses = np.array([m / 4 for _, m in write])
+                tree.set(indices, masses)
+                for idx, mass in zip(indices, masses):
+                    reference.set(int(idx), float(mass))
+            assert np.array_equal(tree.nodes, reference.nodes)
+        leaves = tree.leaf_masses()
+        if tree.total() > 0:
+            values = np.concatenate([np.arange(4 * int(tree.total())) / 4, [tree.total() / 3]])
+            via_prefix = np.searchsorted(np.cumsum(leaves), values, side="right")
+            assert np.array_equal(tree.find(values), via_prefix)
+
 
 class TestPerProportional:
     def sampler_with_priorities(self, priorities, alpha=1.0, beta0=1.0, seed=0):
@@ -247,6 +325,61 @@ class TestPerProportional:
         idx = buf.store(make_transition(1))
         s.on_store(idx)
         assert s.tree.get(idx) == pytest.approx(2.5)
+
+
+class TestBatchedPriorityWrite:
+    """``update_priorities`` against the per-leaf loop, bit for bit."""
+
+    def twin_samplers(self, capacity=256, stores=300):
+        twins = []
+        for _ in range(2):
+            buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+            s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.01), np.random.default_rng(0))
+            for i in range(stores):
+                s.on_store(buf.store(make_transition(i)))
+            twins.append(s)
+        return twins
+
+    def assert_same_state(self, a, b):
+        assert np.array_equal(a.tree.nodes, b.tree.nodes)
+        assert np.array_equal(a.buffer.per_priorities, b.buffer.per_priorities)
+        assert np.array_equal(a.buffer.td_errors, b.buffer.td_errors)
+
+    def test_random_batches_with_repeats_and_stale_slots(self):
+        batched, reference = self.twin_samplers()
+        rng = np.random.default_rng(13)
+        step = 300
+        for round_ in range(150):
+            size = 0 if round_ % 25 == 0 else 64
+            high = 16 if round_ % 3 == 0 else batched.buffer.size
+            indices = rng.integers(0, high, size=size)
+            td = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+            expected = batched.buffer.insert_timesteps[indices].copy()
+            # stores between sampling and write-back evict some sampled slots
+            for _ in range(int(rng.integers(0, 20))):
+                for s in (batched, reference):
+                    s.on_store(s.buffer.store(make_transition(step)))
+                step += 1
+            batched.update_priorities(indices, td, expected)
+            reference_update_priorities(reference, indices, td, expected)
+            self.assert_same_state(batched, reference)
+        assert batched.buffer.stale_updates == reference.buffer.stale_updates > 0
+
+    def test_repeated_leaf_last_write_wins(self):
+        batched, reference = self.twin_samplers(capacity=8, stores=8)
+        indices = np.array([3, 5, 3, 3, 5])
+        td = np.array([1.0, -2.0, 0.5, 4.0, 0.0])
+        batched.update_priorities(indices, td)
+        reference_update_priorities(reference, indices, td)
+        self.assert_same_state(batched, reference)
+        assert batched.buffer.per_priorities[3] == 4.0 + 0.01
+
+    def test_non_finite_td_leaves_tree_untouched(self):
+        s, _ = self.twin_samplers(capacity=8, stores=8)
+        before = s.tree.nodes.copy()
+        with pytest.raises(ContractViolation):
+            s.update_priorities(np.array([1, 2]), np.array([1.0, np.nan]))
+        assert np.array_equal(s.tree.nodes, before)
 
 
 class TestPerRank:
@@ -391,6 +524,22 @@ class TestSnapshot:
         # oldest first
         steps = [t.insert_timestep for t in transitions]
         assert steps == sorted(steps)
+
+    @pytest.mark.parametrize("cut, record", [(None, 0), (5, 7)])
+    def test_truncated_file_names_the_record(self, tmp_path, cut, record):
+        path = tmp_path / "buffer.erpb"
+        save_snapshot(filled_buffer(8, capacity=8), path)
+        data = path.read_bytes()
+        header_size = 4 + 4 + 8 + 8 + 4 + 4
+        path.write_bytes(data[:header_size] if cut is None else data[:-cut])
+        with pytest.raises(ContractViolation, match=f"record {record} of 8"):
+            load_snapshot(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "buffer.erpb"
+        path.write_bytes(b"ERPB\1\0")
+        with pytest.raises(ContractViolation, match="header"):
+            load_snapshot(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
