@@ -28,7 +28,7 @@ def loss_fn(y):
 err = grad_check(small, loss_fn, rng.normal(size=(4, 3)))
 print(f"max relative error vs central differences: {err:.2e}")
 
-print("\n== Adam on a 1-parameter regression: w -> 2.0 ==")
+print("\n== Adam on a one-input regression: w * 1 + b -> 2.0 ==")
 toy = mlp_init([1, 1], ["linear"], seed=2)
 toy.weights[0][0, 0] = 0.0
 toy.biases[0][0] = 0.0
@@ -40,7 +40,8 @@ for step in range(1, 101):
     tape = toy.backward(cache, 2.0 * diff)
     adam_step(toy, tape, state)
     if step in (1, 10, 100):
-        print(f"step {step:3d}: w = {toy.weights[0][0, 0]:+.4f}  loss = {float(diff**2):.5f}")
+        w, b = toy.params
+        print(f"step {step:3d}: w = {w:+.4f}  b = {b:+.4f}  loss = {float(diff[0, 0] ** 2):.5f}")
 
 print("\nzero gradients leave parameters untouched on the first step:")
 fresh = mlp_init([1, 1], ["linear"], seed=3)

@@ -158,10 +158,7 @@ class DdpgAgent:
         """Blend targets toward online nets: target <- tau*online + (1-tau)*target."""
         tau = self.tau
         for target, online in ((self.target_actor, self.actor), (self.target_critic, self.critic)):
-            for t, o in zip(target.weights, online.weights):
-                t[:] = tau * o + (1.0 - tau) * t
-            for t, o in zip(target.biases, online.biases):
-                t[:] = tau * o + (1.0 - tau) * t
+            target.params[:] = tau * online.params + (1.0 - tau) * target.params
 
     def train_step(self, sampler, batch_size: int):
         """Sample, update critic and actor, blend targets.

@@ -87,8 +87,8 @@ def check_actor_chain(corrupt: bool = False) -> float:
         agent = _small_agent(trial + 10)
         # the near-zero head init would push chain gradients under the
         # finite-difference noise floor; give the check net a full-scale head
-        agent.actor.weights[-1] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
-        agent.actor.biases[-1] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
+        agent.actor.weights[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
+        agent.actor.biases[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
         states = _states_away_from_kinks(agent, rng)
         n = len(states)
 

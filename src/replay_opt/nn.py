@@ -9,8 +9,6 @@ scoring network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericFault
@@ -43,62 +41,90 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # derivative wrt the pre-activation, reusing the forward output where cheaper
+def _pre_activation_grad(name: str, dh: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Chain ``dh`` = d(loss)/d(out) through the activation to d(loss)/d(z).
+
+    Reuses the forward output where cheaper. The relu mask multiplies as
+    booleans and a linear layer passes ``dh`` through: the same bits as
+    multiplying by a float 1.0/0.0 array, without building one.
+    """
     if name == "tanh":
-        return 1.0 - out * out
+        return dh * (1.0 - out * out)
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return dh * (z > 0.0)
     if name == "sigmoid":
-        return out * (1.0 - out)
-    return np.ones_like(z)
+        return dh * (out * (1.0 - out))
+    return dh
 
 
-@dataclass
+def _param_count(layer_sizes) -> int:
+    return sum((i + 1) * o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Split a flat parameter-shaped vector into per-layer weight and bias views.
+
+    The layout is ``[W0 (row-major), b0, W1, b1, ...]``, the order in which
+    ``mlp_init`` draws the parameters.
+    """
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
 class GradTape:
-    """Per-parameter gradient accumulator for one Mlp, plus the input gradient."""
+    """Gradient accumulator for one Mlp, plus the input gradient.
 
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
-    input_grad: np.ndarray | None = None
+    ``grads`` is one float64 vector laid out like ``Mlp.params``;
+    ``weight_grads`` and ``bias_grads`` are per-layer views into it.
+    """
+
+    def __init__(self, grads: np.ndarray, layer_sizes) -> None:
+        self.grads = grads
+        self.weight_grads, self.bias_grads = _layer_views(grads, layer_sizes)
+        self.input_grad: np.ndarray | None = None
 
     @classmethod
     def zeros_like(cls, net: "Mlp") -> "GradTape":
-        return cls(
-            weight_grads=[np.zeros_like(w) for w in net.weights],
-            bias_grads=[np.zeros_like(b) for b in net.biases],
-        )
+        return cls(np.zeros_like(net.params), net.layer_sizes)
 
     def add_(self, other: "GradTape") -> None:
-        for g, o in zip(self.weight_grads, other.weight_grads):
-            g += o
-        for g, o in zip(self.bias_grads, other.bias_grads):
-            g += o
-
-    def scale_(self, factor: float) -> None:
-        for g in self.weight_grads:
-            g *= factor
-        for g in self.bias_grads:
-            g *= factor
+        self.grads += other.grads
 
 
-@dataclass
 class Mlp:
     """Fully connected network with per-layer activation tags.
 
     ``layer_sizes`` lists the input width followed by every layer's output
     width; ``activations`` holds one tag per non-input layer, drawn from
-    ``ACTIVATIONS``. Parameters are float64 throughout.
+    ``ACTIVATIONS``. All parameters live in one float64 vector ``params``
+    laid out as ``[W0 (row-major), b0, W1, b1, ...]``; ``weights`` and
+    ``biases`` are per-layer views into it. Write a layer in place
+    (``net.weights[i][...] = x``): reassigning a list element detaches that
+    layer from ``params``, so ``adam_step``, ``copy`` and target blending
+    would no longer see it.
     """
 
-    layer_sizes: list[int]
-    activations: list[str]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, layer_sizes, activations, params: np.ndarray) -> None:
+        self.layer_sizes = list(layer_sizes)
+        self.activations = list(activations)
+        expected = _param_count(self.layer_sizes)
+        if params.shape != (expected,) or params.dtype != np.float64:
+            raise ContractViolation(
+                f"layer sizes {self.layer_sizes} need a float64 vector of {expected} "
+                f"parameters, got {params.dtype} of shape {params.shape}"
+            )
+        self.params = params
+        self.weights, self.biases = _layer_views(params, self.layer_sizes)
 
     @property
     def param_count(self) -> int:
-        return sum((i + 1) * o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        return self.params.size
 
     @property
     def input_dim(self) -> int:
@@ -109,12 +135,7 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_sizes=list(self.layer_sizes),
-            activations=list(self.activations),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Mlp(self.layer_sizes, self.activations, self.params.copy())
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -154,13 +175,13 @@ class Mlp:
                 f"output_grad shape {output_grad.shape} does not match "
                 f"forward output {cache[-1][2].shape}"
             )
-        tape = GradTape(weight_grads=[None] * len(self.weights), bias_grads=[None] * len(self.biases))
+        tape = GradTape(np.empty_like(self.params), self.layer_sizes)
         dh = output_grad
         for layer in range(len(self.weights) - 1, -1, -1):
             h_in, z, out = cache[layer]
-            dz = dh * _activation_grad(self.activations[layer], z, out)
-            tape.weight_grads[layer] = h_in.T @ dz
-            tape.bias_grads[layer] = dz.sum(axis=0)
+            dz = _pre_activation_grad(self.activations[layer], dh, z, out)
+            np.matmul(h_in.T, dz, out=tape.weight_grads[layer])
+            dz.sum(axis=0, out=tape.bias_grads[layer])
             dh = dz @ self.weights[layer].T
         tape.input_grad = dh
         return tape
@@ -190,59 +211,70 @@ def mlp_init(layer_sizes, activations, seed, output_scale: float | None = None) 
             raise ConfigError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
 
     rng = as_generator(seed)
-    weights, biases = [], []
+    net = Mlp(layer_sizes, activations, np.empty(_param_count(layer_sizes)))
     last = len(layer_sizes) - 2
-    for layer, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-        bound = 1.0 / np.sqrt(fan_in)
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        bound = 1.0 / np.sqrt(w.shape[0])
         if output_scale is not None and layer == last:
             bound = output_scale
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return Mlp(layer_sizes=layer_sizes, activations=activations, weights=weights, biases=biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return net
 
 
-@dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one Mlp's parameters."""
+    """Adam moments and hyperparameters for one Mlp's parameters.
 
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    ``m`` and ``v`` are float64 vectors laid out like ``Mlp.params``;
+    ``m_w``/``m_b`` and ``v_w``/``v_b`` are per-layer views into them.
+    """
+
+    def __init__(
+        self,
+        layer_sizes,
+        learning_rate: float,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        epsilon: float = 1e-8,
+    ) -> None:
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.step_count = 0
+        self.m = np.zeros(_param_count(layer_sizes))
+        self.v = np.zeros_like(self.m)
+        self.m_w, self.m_b = _layer_views(self.m, layer_sizes)
+        self.v_w, self.v_b = _layer_views(self.v, layer_sizes)
 
     @classmethod
     def for_net(cls, net: Mlp, learning_rate: float, **kwargs) -> "AdamState":
-        state = cls(learning_rate=learning_rate, **kwargs)
-        state.m_w = [np.zeros_like(w) for w in net.weights]
-        state.v_w = [np.zeros_like(w) for w in net.weights]
-        state.m_b = [np.zeros_like(b) for b in net.biases]
-        state.v_b = [np.zeros_like(b) for b in net.biases]
-        return state
+        return cls(net.layer_sizes, learning_rate, **kwargs)
 
 
 def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
     """Apply one bias-corrected Adam update to ``net`` in place."""
-    for layer, g in enumerate(tape.weight_grads):
-        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(tape.bias_grads[layer])):
-            raise NumericFault(f"non-finite gradient in layer {layer}")
+    p, g, m, v = net.params, tape.grads, state.m, state.v
+    if not p.size == g.size == m.size == v.size:
+        raise ContractViolation(
+            f"net has {p.size} parameters but the tape has {g.size} gradients "
+            f"and the Adam state {m.size}/{v.size} moments"
+        )
+    if not np.isfinite(g).all():
+        first_bad = np.flatnonzero(~np.isfinite(g))[0]
+        layer_ends = np.cumsum([w.size + b.size for w, b in zip(net.weights, net.biases)])
+        layer = int(np.searchsorted(layer_ends, first_bad, side="right"))
+        raise NumericFault(f"non-finite gradient in layer {layer}")
     state.step_count += 1
     t = state.step_count
     b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    params = list(zip(net.weights, tape.weight_grads, state.m_w, state.v_w))
-    params += list(zip(net.biases, tape.bias_grads, state.m_b, state.v_b))
-    for p, g, m, v in params:
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def grad_check(net: Mlp, loss_fn, x: np.ndarray, step: float = 1e-5) -> float:

@@ -13,6 +13,7 @@ Storage is struct-of-arrays so batch gathers are single fancy-index reads.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -85,6 +86,20 @@ class PerConfig:
         return self.beta0 + (1.0 - self.beta0) * frac
 
 
+def _mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """Zero-filled array on its own anonymous memory map.
+
+    The kernel maps a page only when it is first written, so the rows of a
+    ring buffer that a run never reaches cost no resident memory. ``np.zeros``
+    does not promise that: once a freed buffer has raised the allocator's
+    mmap threshold (a second run in the same process), ``calloc`` serves the
+    next buffer from a heap and clears, so touches, every page of it.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
 class ReplayBuffer:
     """Fixed-capacity ring store of transitions with per-slot caches.
 
@@ -103,16 +118,16 @@ class ReplayBuffer:
         self.action_dim = action_dim
         self.subset_strict = subset_strict
 
-        self.states = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros((capacity, action_dim))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, obs_dim))
-        self.dones = np.zeros(capacity, dtype=bool)
-        self.insert_timesteps = np.zeros(capacity, dtype=np.int64)
-        self.td_errors = np.zeros(capacity)
+        self.states = _mapped_zeros((capacity, obs_dim))
+        self.actions = _mapped_zeros((capacity, action_dim))
+        self.rewards = _mapped_zeros(capacity)
+        self.next_states = _mapped_zeros((capacity, obs_dim))
+        self.dones = _mapped_zeros(capacity, dtype=bool)
+        self.insert_timesteps = _mapped_zeros(capacity, dtype=np.int64)
+        self.td_errors = _mapped_zeros(capacity)
         self.priority_scores = np.full(capacity, 0.5)
-        self.per_priorities = np.zeros(capacity)
-        self.in_subset = np.zeros(capacity, dtype=bool)
+        self.per_priorities = _mapped_zeros(capacity)
+        self.in_subset = _mapped_zeros(capacity, dtype=bool)
         self.mask_drawn = np.full(capacity, MASK_UNDRAWN, dtype=np.int8)
 
         self.size = 0

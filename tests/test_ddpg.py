@@ -28,6 +28,16 @@ def zero_net(net):
         b[:] = 0.0
 
 
+def reference_soft_update(targets, onlines, tau):
+    """Per-layer target blend kept as the reference for the flat blend.
+
+    ``targets`` and ``onlines`` are matching lists of per-layer arrays; each
+    target array is updated in place.
+    """
+    for t, o in zip(targets, onlines):
+        t[:] = tau * o + (1.0 - tau) * t
+
+
 def random_batch(n, obs_dim=3, action_dim=1, seed=0):
     rng = np.random.default_rng(seed)
     return (
@@ -273,6 +283,32 @@ class TestSoftUpdate:
             errors.append(np.abs(agent.actor.weights[0] - agent.target_actor.weights[0]).max())
         for k, e in enumerate(errors, start=1):
             assert e == pytest.approx(err0 * 0.9**k, rel=1e-9)
+
+    def test_flat_blend_bit_equal_to_per_layer_loop(self):
+        agent = make_agent(tau=0.005, hidden_sizes=(64, 64))
+        rng = np.random.default_rng(91)
+        pairs = [(agent.target_actor, agent.actor), (agent.target_critic, agent.critic)]
+        refs = [[a.copy() for a in target.weights + target.biases] for target, _ in pairs]
+        for step in range(200):
+            agent.tau = 1.0 if step == 150 else 0.005
+            for _, online in pairs:
+                online.params += rng.normal(scale=1e-2, size=online.params.size)
+            agent.soft_update()
+            for ref, (target, online) in zip(refs, pairs):
+                reference_soft_update(ref, online.weights + online.biases, agent.tau)
+                layers = target.weights + target.biases
+                assert all(np.array_equal(r, t) for r, t in zip(ref, layers))
+            if step == 150:
+                for target, online in pairs:
+                    assert np.array_equal(target.params, online.params)
+
+    def test_targets_share_no_memory_with_online_nets(self):
+        agent = make_agent()
+        pairs = ((agent.target_actor, agent.actor), (agent.target_critic, agent.critic))
+        for target, online in pairs:
+            assert not np.shares_memory(target.params, online.params)
+            agent.soft_update()
+            assert all(np.shares_memory(w, target.params) for w in target.weights + target.biases)
 
 
 class TestTrainStep:

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from replay_opt.errors import ConfigError, ContractViolation, NumericFault
-from replay_opt.nn import AdamState, GradTape, Mlp, adam_step, grad_check, mlp_init
+from replay_opt.nn import (
+    AdamState,
+    GradTape,
+    Mlp,
+    _activate,
+    _pre_activation_grad,
+    adam_step,
+    grad_check,
+    mlp_init,
+)
 
 
 def finite_diff_tape(net: Mlp, loss_of_output, x: np.ndarray, h: float = 1e-5) -> GradTape:
@@ -25,6 +34,26 @@ def finite_diff_tape(net: Mlp, loss_of_output, x: np.ndarray, h: float = 1e-5) -
             param[idx] = orig
             grad[idx] = (plus - minus) / (2.0 * h)
     return tape
+
+
+def reference_adam_step(
+    weights, biases, weight_grads, bias_grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8
+):
+    """Per-layer Adam loop kept as the reference for the flat update.
+
+    ``moments`` is ``(m_w, v_w, m_b, v_b)``, lists of per-layer arrays
+    updated in place along with ``weights`` and ``biases``.
+    """
+    m_w, v_w, m_b, v_b = moments
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    params = list(zip(weights, weight_grads, m_w, v_w)) + list(zip(biases, bias_grads, m_b, v_b))
+    for p, g, m, v in params:
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -179,6 +208,27 @@ class TestBackward:
         for a, b in zip(whole.weight_grads + whole.bias_grads, total.weight_grads + total.bias_grads):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "linear"])
+    def test_chain_step_bit_equal_to_float_derivative(self, act):
+        # reference: build the derivative as a float array, then multiply
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(64, 8))
+        z[0, :3] = 0.0
+        dh = rng.normal(size=(64, 8))
+        dh[1, :2] = (-0.0, np.inf)
+        out = _activate(act, z)
+        derivative = {
+            "tanh": 1.0 - out * out,
+            "relu": (z > 0.0).astype(z.dtype),
+            "sigmoid": out * (1.0 - out),
+            "linear": np.ones_like(z),
+        }[act]
+        with np.errstate(invalid="ignore"):  # inf * 0 where relu is off
+            expected = dh * derivative
+            got = _pre_activation_grad(act, dh, z, out)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     def test_output_grad_shape_contract(self):
         net = mlp_init([3, 4, 2], ["relu", "linear"], seed=0)
         _, cache = net.forward_cached(np.zeros((5, 3)))
@@ -255,6 +305,133 @@ class TestAdam:
         tape.weight_grads[1][0, 0] = np.nan
         with pytest.raises(NumericFault, match="layer 1"):
             adam_step(net, tape, state)
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_non_finite_gradient_names_each_layer(self, layer, part):
+        net = mlp_init([2, 4, 3, 1], ["tanh", "relu", "linear"], seed=0)
+        state = AdamState.for_net(net, learning_rate=0.1)
+        before = net.params.copy()
+        tape = GradTape.zeros_like(net)
+        grads = tape.weight_grads if part == "weight" else tape.bias_grads
+        grads[layer].flat[-1] = np.inf
+        with pytest.raises(NumericFault, match=f"layer {layer}"):
+            adam_step(net, tape, state)
+        assert state.step_count == 0
+        assert np.array_equal(net.params, before)
+
+    def test_state_cannot_be_built_without_moments(self):
+        # a state without moments used to make adam_step a silent no-op
+        with pytest.raises(TypeError):
+            AdamState(learning_rate=0.1)
+
+    def test_state_for_another_net_is_rejected(self):
+        small = mlp_init([2, 3, 1], ["tanh", "linear"], seed=0)
+        big = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
+        state = AdamState.for_net(small, learning_rate=0.1)
+        before = big.params.copy()
+        with pytest.raises(ContractViolation, match=r"17 parameters.*13/13 moments"):
+            adam_step(big, GradTape.zeros_like(big), state)
+        assert state.step_count == 0
+        assert np.array_equal(big.params, before)
+
+    def test_tape_for_another_net_is_rejected(self):
+        small = mlp_init([2, 3, 1], ["tanh", "linear"], seed=0)
+        big = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
+        with pytest.raises(ContractViolation, match=r"17 parameters but the tape has 13"):
+            adam_step(big, GradTape.zeros_like(small), AdamState.for_net(big, learning_rate=0.1))
+
+    @pytest.mark.parametrize(
+        "sizes,acts",
+        [([3, 8, 2], ["tanh", "linear"]), ([4, 64, 64, 1], ["relu", "relu", "linear"])],
+    )
+    def test_flat_update_bit_equal_to_per_layer_loop(self, sizes, acts):
+        rng = np.random.default_rng(71)
+        net = mlp_init(sizes, acts, seed=72)
+        state = AdamState.for_net(net, learning_rate=1e-3)
+        weights = [w.copy() for w in net.weights]
+        biases = [b.copy() for b in net.biases]
+        moments = tuple(
+            [np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases)
+        )
+        for t in range(1, 201):
+            tape = GradTape.zeros_like(net)
+            tape.grads[:] = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=tape.grads.size)
+            adam_step(net, tape, state)
+            reference_adam_step(
+                weights, biases, tape.weight_grads, tape.bias_grads, moments, t, lr=1e-3
+            )
+            for flat, ref in zip(
+                (net.weights + net.biases, state.m_w + state.m_b, state.v_w + state.v_b),
+                (weights + biases, moments[0] + moments[2], moments[1] + moments[3]),
+            ):
+                assert all(np.array_equal(a, b) for a, b in zip(flat, ref))
+
+
+class TestFlatStorage:
+    def test_layout_is_init_draw_order(self):
+        net = mlp_init([3, 5, 2], ["relu", "linear"], seed=11)
+        expected = np.concatenate(
+            [net.weights[0].ravel(), net.biases[0], net.weights[1].ravel(), net.biases[1]]
+        )
+        assert np.array_equal(net.params, expected)
+        rng = np.random.default_rng(11)
+        draws = [
+            rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=n)
+            for fan_in, n in ((3, 15), (3, 5), (5, 10), (5, 2))
+        ]
+        assert np.array_equal(net.params, np.concatenate(draws))
+
+    def test_every_view_lies_inside_its_vector(self):
+        net = mlp_init([3, 8, 8, 2], ["relu", "relu", "tanh"], seed=1)
+        _, cache = net.forward_cached(np.ones((4, 3)))
+        state = AdamState.for_net(net, learning_rate=0.1)
+        owners = [
+            (net.params, net.weights + net.biases),
+            (state.m, state.m_w + state.m_b),
+            (state.v, state.v_w + state.v_b),
+        ]
+        for tape in (GradTape.zeros_like(net), net.backward(cache, np.ones((4, 2)))):
+            owners.append((tape.grads, tape.weight_grads + tape.bias_grads))
+        for flat, views in owners:
+            assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+            assert flat.size == net.param_count
+            for view in views:
+                assert np.shares_memory(view, flat)
+        assert sum(v.size for v in net.weights + net.biases) == net.params.size
+
+    def test_backward_fills_the_whole_tape(self):
+        net = mlp_init([3, 6, 2], ["tanh", "linear"], seed=4)
+        x = np.random.default_rng(2).normal(size=(5, 3))
+        y, cache = net.forward_cached(x)
+        tape = net.backward(cache, np.ones_like(y))
+        h1 = np.tanh(x @ net.weights[0] + net.biases[0])
+        dz0 = (np.ones_like(y) @ net.weights[1].T) * (1.0 - h1 * h1)
+        expected = np.concatenate(
+            [(x.T @ dz0).ravel(), dz0.sum(axis=0), (h1.T @ np.ones_like(y)).ravel(), np.full(2, 5.0)]
+        )
+        assert np.allclose(tape.grads, expected, rtol=1e-12, atol=0)
+
+    def test_copy_shares_no_memory(self):
+        net = mlp_init([3, 8, 2], ["relu", "linear"], seed=2)
+        twin = net.copy()
+        assert np.array_equal(twin.params, net.params)
+        for a in [twin.params] + twin.weights + twin.biases:
+            for b in [net.params] + net.weights + net.biases:
+                assert not np.shares_memory(a, b)
+        twin.weights[0][0, 0] += 1.0
+        assert twin.params[0] != net.params[0]
+
+    def test_in_place_layer_write_reaches_params(self):
+        net = mlp_init([2, 3, 1], ["relu", "linear"], seed=5)
+        net.weights[1][...] = 7.0
+        net.biases[0][...] = -1.0
+        assert np.array_equal(net.params[9:12], np.full(3, 7.0))
+        assert np.array_equal(net.params[6:9], np.full(3, -1.0))
+
+    def test_wrong_parameter_vector_rejected(self):
+        with pytest.raises(ContractViolation, match="13 parameters"):
+            Mlp([2, 3, 1], ["tanh", "linear"], np.zeros(12))
 
 
 class TestGradCheck:

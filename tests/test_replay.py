@@ -80,6 +80,18 @@ class TestRingStorage:
         rewards = [buf.get(i).reward for i in buf.live_order()]
         assert rewards == [float(i) for i in range(13, 21)]
 
+    def test_fresh_columns_are_zeroed_writable_and_separate(self):
+        buf = ReplayBuffer(3000, obs_dim=2, action_dim=1)
+        names = ("states", "actions", "rewards", "next_states", "dones", "insert_timesteps",
+                 "td_errors", "per_priorities", "in_subset")
+        columns = [getattr(buf, name) for name in names]
+        for col in columns:
+            assert len(col) == 3000 and col.flags.writeable and not col.any()
+        for i, a in enumerate(columns):
+            assert not any(np.shares_memory(a, b) for b in columns[i + 1 :])
+        buf.store(make_transition(5))
+        assert buf.get(0).reward == 5.0 and not buf.rewards[1:].any()
+
     def test_dim_mismatch_rejected(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         bad = make_transition(0, obs_dim=3)
