@@ -11,7 +11,9 @@ from replay_opt import EroPolicy, ReplayBuffer, ReplayRewardTracker, Transition
 
 rng = np.random.default_rng(0)
 buf = ReplayBuffer(64, obs_dim=2, action_dim=1)
-policy = EroPolicy(init_seed=0, draw_rng=np.random.default_rng(1))
+# lazy_refresh keeps per-slot scores in buf.priority_scores (scored at store
+# time, rescored when replayed), which is what this demo prints
+policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=np.random.default_rng(1))
 
 print("== Store transitions; each gets scored as it arrives ==")
 for i in range(32):

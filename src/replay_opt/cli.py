@@ -12,10 +12,8 @@ Exit codes: 0 success, 1 partial compare failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-import typing
 from pathlib import Path
 
 from . import gradchecks, harness
@@ -51,34 +49,9 @@ def load_config_file(path: str) -> dict[str, str]:
     return parse_config_text(p.read_text(), source=path)
 
 
-def _field_types() -> dict[str, type]:
-    hints = typing.get_type_hints(harness.RunConfig)
-    return {f.name: hints[f.name] for f in dataclasses.fields(harness.RunConfig)}
-
-
-def _convert(key: str, value: str, typ) -> object:
-    try:
-        if typ is bool:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(value)
-        if typ is int:
-            return int(value)
-        if typ is float:
-            return float(value)
-        if typ is tuple:
-            return tuple(int(part) for part in value.split(",") if part.strip())
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key} = {value!r} as {typ.__name__}") from exc
-
-
 def build_run_config(mapping: dict[str, str], overrides: dict[str, str]) -> harness.RunConfig:
     """Type-checked RunConfig from file contents plus --set overrides."""
-    types = _field_types()
+    types = harness.field_types(harness.RunConfig)
     merged = dict(mapping)
     merged.update(overrides)
     values: dict[str, object] = {}
@@ -86,9 +59,9 @@ def build_run_config(mapping: dict[str, str], overrides: dict[str, str]) -> harn
         name = key.replace(".", "_")
         if name not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        values[name] = _convert(name, value, types[name])
+        values[name] = harness.parse_field(name, value, types[name])
     if "seed" not in values and os.environ.get("REPLAY_OPT_SEED"):
-        values["seed"] = _convert("seed", os.environ["REPLAY_OPT_SEED"], int)
+        values["seed"] = harness.parse_field("seed", os.environ["REPLAY_OPT_SEED"], int)
     return harness.RunConfig(**values)
 
 
@@ -194,20 +167,7 @@ def cmd_trace(args) -> int:
     path = Path(args.input)
     if not path.is_file():
         raise ConfigError(f"trace file not found: {args.input}")
-    try:
-        records = harness.read_trace_csv(path)
-    except (ValueError, KeyError) as exc:
-        # locate the offending line for the error message
-        lines = path.read_text().splitlines()
-        bad = 0
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            try:
-                int(parts[0]), [float(p) for p in parts[1:]]
-            except (ValueError, IndexError):
-                bad = lineno
-                break
-        raise ConfigError(f"malformed trace CSV at {args.input}:{bad or '?'}: {exc}") from exc
+    records = harness.read_trace_csv(path)
 
     window = max(1, args.window)
     smoothed = []
@@ -226,11 +186,7 @@ def cmd_trace(args) -> int:
     out_path = Path(args.out) / "trace_smoothed.csv" if args.out else None
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        harness.write_trace_csv(smoothed, out_path)
-    else:
-        print(",".join(harness.TRACE_HEADER))
-        for r in smoothed:
-            print(f"{r.global_step},{r.mean_abs_td!r},{r.mean_step_diff!r},{r.mean_reward!r}")
+    harness.write_trace_csv(smoothed, out_path or sys.stdout)
 
     for name in ("mean_abs_td", "mean_step_diff", "mean_reward"):
         series = [getattr(r, name) for r in smoothed]

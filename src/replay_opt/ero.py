@@ -147,18 +147,18 @@ class EroPolicy:
 
     # ------------------------------------------------------------- store hooks
 
-    def observe_store(self, buffer: ReplayBuffer, idx: int, current_step: int) -> float:
-        """Update feature statistics and score the freshly stored slot."""
+    def observe_store(self, buffer: ReplayBuffer, idx: int, current_step: int) -> None:
+        """Update feature statistics; in lazy mode also score the freshly stored slot."""
         raw = self.raw_features(buffer, np.array([idx]), current_step)
         self.normalizer.update(raw[0, :2])
-        score = float(self.score(self.features(buffer, np.array([idx]), current_step))[0])
-        buffer.priority_scores[idx] = score
-        return score
+        if self.lazy_refresh:
+            feats = self.features(buffer, np.array([idx]), current_step)
+            buffer.priority_scores[idx] = self.score(feats)[0]
 
     def refresh_scores(self, buffer: ReplayBuffer, indices: np.ndarray, current_step: int) -> None:
-        """Lazily rescore only the replayed slots."""
+        """In lazy mode, rescore only the replayed slots; otherwise nothing reads the cache."""
         indices = np.asarray(indices, dtype=np.int64)
-        if len(indices) == 0:
+        if not self.lazy_refresh or len(indices) == 0:
             return
         indices = np.unique(indices[indices < buffer.size])
         buffer.priority_scores[indices] = self.score(self.features(buffer, indices, current_step))
@@ -169,7 +169,8 @@ class EroPolicy:
         """Draw a fresh Bernoulli mask over every live slot; returns subset size.
 
         Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
-        set, in which case the cached (lazily updated) scores are used as-is.
+        set, in which case the cached (lazily updated) scores are used as-is;
+        only lazy mode keeps ``buffer.priority_scores``.
         """
         n = len(buffer)
         if n == 0:
@@ -179,7 +180,6 @@ class EroPolicy:
             scores = buffer.priority_scores[:n]
         else:
             scores = self.score(self.features(buffer, np.arange(n), current_step))
-            buffer.priority_scores[:n] = scores
         bits = draw_mask(scores, rng)
         buffer.set_subset_mask(bits)
         self.last_refresh_step = current_step

@@ -10,8 +10,11 @@ written with full round-trip float precision.
 from __future__ import annotations
 
 import csv
+import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -383,19 +386,47 @@ def summarize(results: list[SuiteResult]) -> list[SummaryRow]:
 
 # ----------------------------------------------------------------- CSV layer
 
-EPISODE_HEADER = [
-    "episode",
-    "global_step",
-    "return",
-    "length",
-    "rc_window",
-    "replay_reward",
-    "subset_size",
-    "subset_fallbacks",
-]
-TRACE_HEADER = ["global_step", "mean_abs_td", "mean_step_diff", "mean_reward"]
-SUMMARY_HEADER = ["config_id", "sampler", "env", "seed_count", "final_mean", "final_std", "wall_seconds"]
-EVAL_HEADER = ["global_step", "eval_return", "length"]
+# CSV columns are the record's dataclass fields, in order, under these names.
+_COLUMN_NAMES = {"episode_return": "return"}
+
+
+def field_types(record_type) -> dict[str, object]:
+    """Declared type of each field of a dataclass, in field order."""
+    hints = typing.get_type_hints(record_type)
+    return {f.name: hints[f.name] for f in fields(record_type)}
+
+
+def parse_field(name: str, value: str, typ) -> object:
+    """Parse a config value or CSV cell as its field's declared type.
+
+    An empty string in an optional (``X | None``) field reads as None.
+    """
+    args = typing.get_args(typ)
+    if type(None) in args:
+        if value == "":
+            return None
+        (typ,) = [a for a in args if a is not type(None)]
+    try:
+        if typ is bool:
+            lowered = value.lower()
+            if lowered in ("true", "1", "yes", "on"):
+                return True
+            if lowered in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(value)
+        if typ is int:
+            return int(value)
+        if typ is float:
+            return float(value)
+        if typ is tuple:
+            return tuple(int(part) for part in value.split(",") if part.strip())
+        return value
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {name} = {value!r} as {typ.__name__}") from exc
+
+
+def _header(record_type) -> list[str]:
+    return [_COLUMN_NAMES.get(f.name, f.name) for f in fields(record_type)]
 
 
 def _fmt(value) -> str:
@@ -408,92 +439,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def write_csv(record_type, records, out) -> None:
+    """Write a header and one row per record; ``out`` is a path or an open text stream."""
+    names = [f.name for f in fields(record_type)]
+    is_path = isinstance(out, (str, os.PathLike))
+    with open(out, "w", newline="") if is_path else nullcontext(out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(_header(record_type))
+        w.writerows([_fmt(getattr(r, name)) for name in names] for r in records)
 
 
-def write_episode_csv(records: list[EpisodeRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(EPISODE_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    _fmt(r.episode),
-                    _fmt(r.global_step),
-                    _fmt(r.episode_return),
-                    _fmt(r.length),
-                    _fmt(r.rc_window),
-                    _fmt(r.replay_reward),
-                    _fmt(r.subset_size),
-                    _fmt(r.subset_fallbacks),
-                ]
-            )
+def read_csv(record_type, path) -> list:
+    """Read a file written by ``write_csv`` back into records; blank lines are skipped.
+
+    Raises ConfigError naming ``path:line`` when the header is not the
+    record type's, a row has the wrong width, or a cell does not parse.
+    """
+    types = field_types(record_type)
+    header = _header(record_type)
+    records = []
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        got = next(rows, [])
+        if got != header:
+            raise ConfigError(f"{path}:1: header {','.join(got)!r} is not {','.join(header)!r}")
+        for row in filter(None, rows):
+            try:
+                if len(row) != len(header):
+                    raise ConfigError(f"expected {len(header)} columns, got {len(row)}")
+                records.append(record_type(*map(parse_field, types, row, types.values())))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{rows.line_num}: {exc}") from exc
+    return records
+
+
+def write_episode_csv(records: list[EpisodeRecord], out) -> None:
+    write_csv(EpisodeRecord, records, out)
+
+
+def write_trace_csv(records: list[TraceRecord], out) -> None:
+    write_csv(TraceRecord, records, out)
+
+
+def write_summary_csv(rows: list[SummaryRow], out) -> None:
+    write_csv(SummaryRow, rows, out)
+
+
+def write_eval_csv(records: list[EvalRecord], out) -> None:
+    write_csv(EvalRecord, records, out)
 
 
 def read_episode_csv(path) -> list[EpisodeRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                EpisodeRecord(
-                    episode=int(row["episode"]),
-                    global_step=int(row["global_step"]),
-                    episode_return=float(row["return"]),
-                    length=int(row["length"]),
-                    rc_window=float(row["rc_window"]),
-                    replay_reward=float(row["replay_reward"]) if row["replay_reward"] else None,
-                    subset_size=int(row["subset_size"]) if row["subset_size"] else None,
-                    subset_fallbacks=int(row["subset_fallbacks"]) if row["subset_fallbacks"] else None,
-                )
-            )
-    return records
-
-
-def write_trace_csv(records: list[TraceRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(TRACE_HEADER)
-        for r in records:
-            w.writerow([_fmt(r.global_step), _fmt(r.mean_abs_td), _fmt(r.mean_step_diff), _fmt(r.mean_reward)])
+    return read_csv(EpisodeRecord, path)
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                TraceRecord(
-                    global_step=int(row["global_step"]),
-                    mean_abs_td=float(row["mean_abs_td"]),
-                    mean_step_diff=float(row["mean_step_diff"]),
-                    mean_reward=float(row["mean_reward"]),
-                )
-            )
-    return records
-
-
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(SUMMARY_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.config_id,
-                    r.sampler,
-                    r.env,
-                    _fmt(r.seed_count),
-                    _fmt(r.final_mean),
-                    _fmt(r.final_std),
-                    _fmt(r.wall_seconds),
-                ]
-            )
-
-
-def write_eval_csv(records: list[EvalRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(EVAL_HEADER)
-        for r in records:
-            w.writerow([_fmt(r.global_step), _fmt(r.eval_return), _fmt(r.length)])
+    return read_csv(TraceRecord, path)

@@ -141,14 +141,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def store(self, transition: Transition, priority_score: float | None = None) -> int:
+    def store(self, transition: Transition) -> int:
         """Insert a transition, evicting the oldest slot when full.
 
         The TD cache starts at the current maximum live |TD| (1 when empty)
         and the raw priority at the current maximum live priority (1 when
         empty), so fresh transitions are replayed at least as eagerly as any
-        existing one. ``priority_score`` comes from one scoring-network pass
-        when the learned replay policy is active, else defaults to 0.5.
+        existing one. The priority score starts at 0.5.
         """
         state = np.asarray(transition.state, dtype=np.float64).reshape(-1)
         action = np.asarray(transition.action, dtype=np.float64).reshape(-1)
@@ -177,7 +176,7 @@ class ReplayBuffer:
         self.insert_timesteps[idx] = transition.insert_timestep
         self.td_errors[idx] = td_init
         self.per_priorities[idx] = per_init
-        self.priority_scores[idx] = 0.5 if priority_score is None else float(priority_score)
+        self.priority_scores[idx] = 0.5
         # new transitions join the active subset immediately unless strict
         # masking is on and a drawn mask already exists
         self.in_subset[idx] = not (self.subset_strict and self._has_refreshed)
@@ -188,21 +187,6 @@ class ReplayBuffer:
         self.store_count += 1
         self._subset_cache = None
         return idx
-
-    def get(self, idx: int) -> Transition:
-        if not 0 <= idx < self.size:
-            raise ContractViolation(f"slot {idx} is not live (size {self.size})")
-        return Transition(
-            state=self.states[idx].copy(),
-            action=self.actions[idx].copy(),
-            reward=float(self.rewards[idx]),
-            next_state=self.next_states[idx].copy(),
-            done=bool(self.dones[idx]),
-            insert_timestep=int(self.insert_timesteps[idx]),
-            td_error=float(self.td_errors[idx]),
-            priority_score=float(self.priority_scores[idx]),
-            per_priority=float(self.per_priorities[idx]),
-        )
 
     def live_order(self) -> np.ndarray:
         """Live slot indices from oldest to newest insertion."""

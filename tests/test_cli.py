@@ -6,7 +6,7 @@ import pytest
 
 from replay_opt import cli
 from replay_opt.errors import ConfigError
-from replay_opt.harness import read_episode_csv, read_trace_csv
+from replay_opt.harness import EvalRecord, read_csv, read_episode_csv, read_trace_csv
 
 
 def write_config(tmp_path, name="run.cfg", **kwargs):
@@ -169,6 +169,19 @@ class TestCompareCommand:
         assert strip_wall(out_a / "summary.csv") == strip_wall(out_b / "summary.csv")
 
 
+class TestEvalOutput:
+    def test_eval_every_writes_one_row_per_eval(self, tmp_path):
+        cfg = write_config(tmp_path, total_timesteps=1000)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--eval-every", "2"]) == 0
+        assert (out / "evals.csv").read_text().splitlines()[0] == "global_step,eval_return,length"
+        episodes = read_episode_csv(out / "episodes.csv")
+        evals = read_csv(EvalRecord, out / "evals.csv")
+        assert len(episodes) == 5
+        assert [e.global_step for e in evals] == [episodes[1].global_step, episodes[3].global_step]
+        assert all(e.length == 200 for e in evals)
+
+
 class TestTraceCommand:
     def run_for_trace(self, tmp_path):
         cfg = write_config(tmp_path, sampler="ero")
@@ -211,6 +224,31 @@ class TestTraceCommand:
 
     def test_missing_trace_exit_2(self, tmp_path):
         assert cli.main(["trace", str(tmp_path / "none.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("short.csv", "global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0\n"),
+            ("long.csv", "global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0,9\n"),
+            ("hdr.csv", "global_step,td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0\n"),
+        ],
+    )
+    def test_wrong_width_or_header_exit_2_with_line_number(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["trace", str(path)]) == 2
+        line = 1 if name == "hdr.csv" else 2
+        assert f"{name}:{line}:" in capsys.readouterr().err
+
+    def test_stdout_rows_are_the_csv_format(self, tmp_path, capsys):
+        text = (
+            "global_step,mean_abs_td,mean_step_diff,mean_reward\n"
+            "100,0.1,5.0,-2.0\n200,0.30000000000000004,6.0,-2.0\n"
+        )
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        assert cli.main(["trace", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(text)
 
 
 class TestGradcheckCommand:

@@ -12,6 +12,7 @@ from replay_opt.ero import (
     RunningNorm,
     draw_mask,
 )
+from replay_opt.harness import RunConfig, run
 from replay_opt.nn import grad_check, mlp_init
 from replay_opt.replay import ReplayBuffer, Transition
 
@@ -146,6 +147,69 @@ class TestScore:
         lo = policy.score(np.array([[0.1, 0.0, 0.0]]))[0]
         hi = policy.score(np.array([[2.0, 0.0, 0.0]]))[0]
         assert hi > lo
+
+
+class TestStoreScoring:
+    """Cached scores are kept only in lazy mode, the only mode that reads them."""
+
+    @staticmethod
+    def no_scoring(monkeypatch, policy):
+        def fail(features):
+            raise AssertionError("score net called")
+
+        monkeypatch.setattr(policy, "score", fail)
+
+    def test_eager_store_updates_norm_without_scoring(self, monkeypatch):
+        buf = make_buffer(12)
+        policy = fresh_policy()
+        self.no_scoring(monkeypatch, policy)
+        expected = RunningNorm(2)
+        for i in range(12):
+            expected.update(np.array([buf.rewards[i], buf.td_errors[i]]))
+            policy.observe_store(buf, i, i + 1)
+        assert policy.normalizer.count == expected.count == 12
+        assert np.array_equal(policy.normalizer.mean, expected.mean)
+        assert np.array_equal(policy.normalizer.variance, expected.variance)
+        assert np.all(buf.priority_scores == 0.5)
+
+    def test_eager_refresh_scores_and_subset_leave_cache(self, monkeypatch):
+        buf = make_buffer(20)
+        policy = fresh_policy()
+        policy.refresh_subset(buf, current_step=20)
+        self.no_scoring(monkeypatch, policy)
+        policy.refresh_scores(buf, np.arange(20), current_step=20)
+        assert np.all(buf.priority_scores == 0.5)
+
+    def test_lazy_store_scores_the_new_slot(self):
+        buf = make_buffer(5)
+        policy = fresh_policy(lazy_refresh=True)
+        policy.observe_store(buf, 4, current_step=5)
+        expected = policy.score(policy.features(buf, np.array([4]), current_step=5))[0]
+        assert buf.priority_scores[4] == expected
+        assert np.all(buf.priority_scores[:4] == 0.5)
+
+    def test_lazy_refresh_scores_writes_exactly_the_live_replayed_slots(self):
+        buf = make_buffer(20)
+        policy = fresh_policy(lazy_refresh=True)
+        for i in range(20):
+            policy.observe_store(buf, i, i + 1)
+        buf.priority_scores[:] = -1.0
+        policy.refresh_scores(buf, np.array([7, 3, 7, 25]), current_step=20)  # 25 is not live
+        replayed = np.array([3, 7])
+        fresh = policy.score(policy.features(buf, replayed, current_step=20))
+        assert np.array_equal(buf.priority_scores[replayed], fresh)
+        others = np.setdiff1d(np.arange(buf.capacity), replayed)
+        assert np.all(buf.priority_scores[others] == -1.0)
+
+    def test_lazy_harness_run_is_deterministic(self):
+        def once():
+            return run(RunConfig(sampler="ero", lazy_refresh=True, total_timesteps=1500))
+
+        a, b = once(), once()
+        assert a.total_steps == 1500 and a.train_steps > 0
+        assert a.episodes and all(e.subset_size is not None for e in a.episodes)
+        assert a.episodes == b.episodes
+        assert a.traces == b.traces
 
 
 class TestMaskDraws:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ import pytest
 from replay_opt.errors import ConfigError
 from replay_opt.harness import (
     EpisodeRecord,
+    EvalRecord,
     RunConfig,
+    SummaryRow,
     TraceRecord,
+    read_csv,
     read_episode_csv,
     read_trace_csv,
     run,
     run_suite,
     summarize,
     write_episode_csv,
+    write_eval_csv,
+    write_summary_csv,
     write_trace_csv,
 )
 
@@ -210,3 +216,27 @@ class TestCsv:
         path = tmp_path / "episodes.csv"
         write_episode_csv([EpisodeRecord(0, 1, 0.5, 1, 0.5)], path)
         assert b"\r" not in path.read_bytes()
+
+    def test_summary_and_eval_round_trip(self, tmp_path):
+        rows = [SummaryRow("ero-pendulum", "ero", "pendulum", 3, -150.25, 0.1, 12.5)]
+        write_summary_csv(rows, tmp_path / "summary.csv")
+        assert read_csv(SummaryRow, tmp_path / "summary.csv") == rows
+        evals = [EvalRecord(400, -970.8708896669552, 200), EvalRecord(800, -1.0, 57)]
+        write_eval_csv(evals, tmp_path / "evals.csv")
+        assert read_csv(EvalRecord, tmp_path / "evals.csv") == evals
+
+    def test_readme_schemas_are_the_written_headers(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### CSV schemas", 1)[1].split("```")[1]
+        documented = dict(line.split() for line in block.strip().splitlines())
+        writers = {
+            "episodes.csv": write_episode_csv,
+            "trace.csv": write_trace_csv,
+            "summary.csv": write_summary_csv,
+            "evals.csv": write_eval_csv,
+        }
+        written = {}
+        for name, write in writers.items():
+            write([], tmp_path / name)
+            written[name] = (tmp_path / name).read_text().rstrip("\n")
+        assert documented == written

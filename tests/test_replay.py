@@ -71,13 +71,13 @@ class TestRingStorage:
         assert idx == 0
         assert len(buf) == 4
         # slot 0 now holds transition 4
-        assert buf.get(0).reward == 4.0
+        assert buf.rewards[0] == 4.0
 
     def test_live_transitions_are_exactly_the_last_capacity_in_order(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         for i in range(21):
             buf.store(make_transition(i))
-        rewards = [buf.get(i).reward for i in buf.live_order()]
+        rewards = [float(buf.rewards[i]) for i in buf.live_order()]
         assert rewards == [float(i) for i in range(13, 21)]
 
     def test_fresh_columns_are_zeroed_writable_and_separate(self):
@@ -90,7 +90,7 @@ class TestRingStorage:
         for i, a in enumerate(columns):
             assert not any(np.shares_memory(a, b) for b in columns[i + 1 :])
         buf.store(make_transition(5))
-        assert buf.get(0).reward == 5.0 and not buf.rewards[1:].any()
+        assert buf.rewards[0] == 5.0 and not buf.rewards[1:].any()
 
     def test_dim_mismatch_rejected(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
@@ -101,13 +101,13 @@ class TestRingStorage:
     def test_td_and_priority_init_track_live_maximum(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         buf.store(make_transition(0))
-        assert buf.get(0).td_error == 1.0
-        assert buf.get(0).per_priority == 1.0
+        assert buf.td_errors[0] == 1.0
+        assert buf.per_priorities[0] == 1.0
         buf.update_td_errors(np.array([0]), np.array([-3.0]))
         buf.per_priorities[0] = 2.5
         idx = buf.store(make_transition(1))
-        assert buf.get(idx).td_error == 3.0
-        assert buf.get(idx).per_priority == 2.5
+        assert buf.td_errors[idx] == 3.0
+        assert buf.per_priorities[idx] == 2.5
 
 
 class TestUniformSampler:
@@ -523,16 +523,15 @@ class TestSnapshot:
         assert len(transitions) == 8
         expected_order = buf.live_order()
         for t, idx in zip(transitions, expected_order):
-            orig = buf.get(int(idx))
-            assert np.array_equal(t.state, orig.state)
-            assert np.array_equal(t.action, orig.action)
-            assert np.array_equal(t.next_state, orig.next_state)
-            assert t.reward == orig.reward
-            assert t.done == orig.done
-            assert t.insert_timestep == orig.insert_timestep
-            assert t.td_error == orig.td_error
-            assert t.priority_score == orig.priority_score
-            assert t.per_priority == orig.per_priority
+            assert np.array_equal(t.state, buf.states[idx])
+            assert np.array_equal(t.action, buf.actions[idx])
+            assert np.array_equal(t.next_state, buf.next_states[idx])
+            assert t.reward == buf.rewards[idx]
+            assert t.done == buf.dones[idx]
+            assert t.insert_timestep == buf.insert_timesteps[idx]
+            assert t.td_error == buf.td_errors[idx]
+            assert t.priority_score == buf.priority_scores[idx]
+            assert t.per_priority == buf.per_priorities[idx]
         # oldest first
         steps = [t.insert_timestep for t in transitions]
         assert steps == sorted(steps)
