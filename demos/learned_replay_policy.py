@@ -11,7 +11,7 @@ from replay_opt import EroPolicy, ReplayBuffer, ReplayRewardTracker, Transition
 
 rng = np.random.default_rng(0)
 buf = ReplayBuffer(64, obs_dim=2, action_dim=1)
-# lazy_refresh keeps per-slot scores in buf.priority_scores (scored at store
+# lazy_refresh keeps per-slot scores in policy.priority_scores (scored at store
 # time, rescored when replayed), which is what this demo prints
 policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=np.random.default_rng(1))
 
@@ -28,7 +28,7 @@ for i in range(32):
         )
     )
     policy.observe_store(buf, idx, current_step=i + 1)
-scores = buf.priority_scores[:32]
+scores = policy.priority_scores[:32]
 print(f"initial scores hover near 0.5: min={scores.min():.3f} max={scores.max():.3f}")
 
 print("\n== Draw a Bernoulli mask over the whole buffer ==")
@@ -46,11 +46,11 @@ for ret in (-1500.0, -1400.0, -1300.0):
 
 print("\n== Policy-gradient steps with a positive replay reward ==")
 selected = buf.mask_drawn[:32] == 1
-before = buf.priority_scores[:32].copy()
+before = policy.priority_scores[:32].copy()
 
 
 def mask_log_likelihood() -> float:
-    phi = np.clip(buf.priority_scores[:32], 1e-8, 1 - 1e-8)
+    phi = np.clip(policy.priority_scores[:32], 1e-8, 1 - 1e-8)
     bits = buf.mask_drawn[:32]
     return float(np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi)))
 
@@ -59,7 +59,7 @@ log_lik_before = mask_log_likelihood()
 for _ in range(200):
     policy.update_policy(buf, replay_reward=25.0, current_step=32)
 policy.refresh_scores(buf, np.arange(32), current_step=32)
-after = buf.priority_scores[:32]
+after = policy.priority_scores[:32]
 
 print(f"log-likelihood of the drawn mask: {log_lik_before:.3f} -> {mask_log_likelihood():.3f}")
 print(f"mean score of selected slots:   {before[selected].mean():.4f} -> {after[selected].mean():.4f}")

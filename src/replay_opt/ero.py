@@ -119,6 +119,7 @@ class EroPolicy:
         self.lazy_refresh = lazy_refresh
         self.refresh_always = refresh_always
         self._rng = as_generator(draw_rng)
+        self.priority_scores: np.ndarray | None = None  # lazy mode only, see cached_scores
 
         self.last_refresh_step: int | None = None
         self.last_replay_reward: float | None = None
@@ -147,13 +148,18 @@ class EroPolicy:
 
     # ------------------------------------------------------------- store hooks
 
+    def cached_scores(self, buffer: ReplayBuffer) -> np.ndarray:
+        """Lazy mode's per-slot scores (0.5 until scored), allocated at ``buffer``'s capacity on first use."""
+        if self.priority_scores is None:
+            self.priority_scores = np.full(buffer.capacity, 0.5)
+        return self.priority_scores
+
     def observe_store(self, buffer: ReplayBuffer, idx: int, current_step: int) -> None:
         """Update feature statistics; in lazy mode also score the freshly stored slot."""
-        raw = self.raw_features(buffer, np.array([idx]), current_step)
-        self.normalizer.update(raw[0, :2])
+        self.normalizer.update((buffer.rewards[idx], buffer.td_errors[idx]))
         if self.lazy_refresh:
             feats = self.features(buffer, np.array([idx]), current_step)
-            buffer.priority_scores[idx] = self.score(feats)[0]
+            self.cached_scores(buffer)[idx] = self.score(feats)[0]
 
     def refresh_scores(self, buffer: ReplayBuffer, indices: np.ndarray, current_step: int) -> None:
         """In lazy mode, rescore only the replayed slots; otherwise nothing reads the cache."""
@@ -161,7 +167,7 @@ class EroPolicy:
         if not self.lazy_refresh or len(indices) == 0:
             return
         indices = np.unique(indices[indices < buffer.size])
-        buffer.priority_scores[indices] = self.score(self.features(buffer, indices, current_step))
+        self.cached_scores(buffer)[indices] = self.score(self.features(buffer, indices, current_step))
 
     # ---------------------------------------------------------- episode hooks
 
@@ -169,15 +175,14 @@ class EroPolicy:
         """Draw a fresh Bernoulli mask over every live slot; returns subset size.
 
         Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
-        set, in which case the cached (lazily updated) scores are used as-is;
-        only lazy mode keeps ``buffer.priority_scores``.
+        set, in which case the cached (lazily updated) scores are used as-is.
         """
         n = len(buffer)
         if n == 0:
             return 0
         rng = self._rng if rng is None else rng
         if self.lazy_refresh:
-            scores = buffer.priority_scores[:n]
+            scores = self.cached_scores(buffer)[:n]
         else:
             scores = self.score(self.features(buffer, np.arange(n), current_step))
         bits = draw_mask(scores, rng)

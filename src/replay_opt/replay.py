@@ -33,8 +33,7 @@ class Transition:
     """One stored experience plus its bookkeeping.
 
     ``done`` marks a genuine terminal state, never a time-limit truncation.
-    ``td_error`` and ``priority_score`` are caches refreshed lazily, only
-    when the transition is replayed or rescored.
+    ``td_error`` is a cache refreshed lazily, only when the transition is replayed.
     """
 
     state: np.ndarray
@@ -44,8 +43,6 @@ class Transition:
     done: bool
     insert_timestep: int
     td_error: float = 0.0
-    priority_score: float = 0.5
-    per_priority: float = 0.0
 
 
 @dataclass
@@ -104,10 +101,9 @@ class ReplayBuffer:
     """Fixed-capacity ring store of transitions with per-slot caches.
 
     Slot ``i`` for ``i < size`` is always live; once full, new stores
-    overwrite the oldest slot. Per-slot state beyond the transition itself:
-    a cached TD error, a priority score in (0, 1), a raw priority for
-    proportional sampling, the subset-membership bit, and the most recently
-    drawn mask bit (or ``MASK_UNDRAWN``).
+    overwrite the oldest slot. Per-slot state beyond the transition itself
+    is only what more than one component reads: a cached TD error and the
+    most recently drawn mask bit (or ``MASK_UNDRAWN``).
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int, subset_strict: bool = False):
@@ -125,9 +121,6 @@ class ReplayBuffer:
         self.dones = _mapped_zeros(capacity, dtype=bool)
         self.insert_timesteps = _mapped_zeros(capacity, dtype=np.int64)
         self.td_errors = _mapped_zeros(capacity)
-        self.priority_scores = np.full(capacity, 0.5)
-        self.per_priorities = _mapped_zeros(capacity)
-        self.in_subset = _mapped_zeros(capacity, dtype=bool)
         self.mask_drawn = np.full(capacity, MASK_UNDRAWN, dtype=np.int8)
 
         self.size = 0
@@ -144,10 +137,9 @@ class ReplayBuffer:
     def store(self, transition: Transition) -> int:
         """Insert a transition, evicting the oldest slot when full.
 
-        The TD cache starts at the current maximum live |TD| (1 when empty)
-        and the raw priority at the current maximum live priority (1 when
-        empty), so fresh transitions are replayed at least as eagerly as any
-        existing one. The priority score starts at 0.5.
+        The TD cache starts at the current maximum live |TD| (1 when empty),
+        so fresh transitions are replayed at least as eagerly as any
+        existing one.
         """
         state = np.asarray(transition.state, dtype=np.float64).reshape(-1)
         action = np.asarray(transition.action, dtype=np.float64).reshape(-1)
@@ -163,9 +155,8 @@ class ReplayBuffer:
 
         if self.size > 0:
             td_init = float(np.max(np.abs(self.td_errors[: self.size])))
-            per_init = float(np.max(self.per_priorities[: self.size]))
         else:
-            td_init, per_init = 1.0, 1.0
+            td_init = 1.0
 
         idx = self.cursor
         self.states[idx] = state
@@ -175,11 +166,6 @@ class ReplayBuffer:
         self.dones[idx] = transition.done
         self.insert_timesteps[idx] = transition.insert_timestep
         self.td_errors[idx] = td_init
-        self.per_priorities[idx] = per_init
-        self.priority_scores[idx] = 0.5
-        # new transitions join the active subset immediately unless strict
-        # masking is on and a drawn mask already exists
-        self.in_subset[idx] = not (self.subset_strict and self._has_refreshed)
         self.mask_drawn[idx] = MASK_UNDRAWN
 
         self.cursor = (self.cursor + 1) % self.capacity
@@ -208,9 +194,12 @@ class ReplayBuffer:
         )
 
     def subset_indices(self) -> np.ndarray:
-        """Live slots currently inside the active subset."""
+        """Live slots inside the active subset: drawn bit 1, or no bit yet
+        (``MASK_UNDRAWN``) unless ``subset_strict`` is set and a mask was drawn."""
         if self._subset_cache is None:
-            self._subset_cache = np.flatnonzero(self.in_subset[: self.size])
+            drawn = self.mask_drawn[: self.size]
+            inside = drawn == 1 if self.subset_strict and self._has_refreshed else drawn != 0
+            self._subset_cache = np.flatnonzero(inside)
         return self._subset_cache
 
     def set_subset_mask(self, bits: np.ndarray) -> None:
@@ -218,7 +207,6 @@ class ReplayBuffer:
         bits = np.asarray(bits, dtype=bool)
         if bits.shape != (self.size,):
             raise ContractViolation(f"mask shape {bits.shape} does not match size {self.size}")
-        self.in_subset[: self.size] = bits
         self.mask_drawn[: self.size] = bits.astype(np.int8)
         self._has_refreshed = True
         self._subset_cache = None
@@ -424,10 +412,14 @@ class PerProportionalSampler:
         self.config = config
         self.rng = rng
         self.tree = SumTree(buffer.capacity)
+        self.priorities = _mapped_zeros(buffer.capacity)  # raw |TD| + eps per slot
         self.sample_calls = 0
 
     def on_store(self, idx: int) -> None:
-        self.tree.set(idx, self.buffer.per_priorities[idx] ** self.config.alpha)
+        """Start the stored slot at the largest priority live before the store (1 when none)."""
+        live_before = min(self.buffer.store_count - 1, self.buffer.capacity)
+        self.priorities[idx] = self.priorities[:live_before].max() if live_before else 1.0
+        self.tree.set(idx, self.priorities[idx] ** self.config.alpha)
 
     def sample(self, batch_size: int) -> Batch:
         n = len(self.buffer)
@@ -456,7 +448,7 @@ class PerProportionalSampler:
         # scalar pow per element: see SumTree.set
         alpha = self.config.alpha
         self.tree.set(indices, np.array([r**alpha for r in raw.tolist()]))
-        self.buffer.per_priorities[indices] = raw
+        self.priorities[indices] = raw
 
 
 class PerRankSampler:
@@ -542,15 +534,14 @@ def make_sampler(kind: str, buffer: ReplayBuffer, rng: np.random.Generator, conf
 #           obs_dim u32, act_dim u32
 #   then one fixed-width record per live slot, oldest insertion first:
 #           state f64*obs, action f64*act, reward f64, next_state f64*obs,
-#           done u8, in_subset u8, mask_drawn i8, insert_timestep u64,
-#           td_error f64, priority_score f64, per_priority f64
+#           done u8, insert_timestep u64, td_error f64
 _SNAPSHOT_MAGIC = b"ERPB"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sIQQII")
 
 
 def _record_struct(obs_dim: int, act_dim: int) -> struct.Struct:
-    return struct.Struct(f"<{obs_dim}d{act_dim}dd{obs_dim}dBBbQddd")
+    return struct.Struct(f"<{obs_dim}d{act_dim}dd{obs_dim}dBQd")
 
 
 def save_snapshot(buffer: ReplayBuffer, path) -> None:
@@ -575,12 +566,8 @@ def save_snapshot(buffer: ReplayBuffer, path) -> None:
                     buffer.rewards[idx],
                     *buffer.next_states[idx],
                     int(buffer.dones[idx]),
-                    int(buffer.in_subset[idx]),
-                    int(buffer.mask_drawn[idx]),
                     int(buffer.insert_timesteps[idx]),
                     buffer.td_errors[idx],
-                    buffer.priority_scores[idx],
-                    buffer.per_priorities[idx],
                 )
             )
 
@@ -621,7 +608,7 @@ def load_snapshot(path) -> tuple[dict, list[Transition]]:
             reward = fields[pos]
             next_state = np.array(fields[pos + 1 : pos + 1 + obs_dim])
             pos = pos + 1 + obs_dim
-            done, in_subset, mask_drawn, insert_ts, td, score, per_prio = fields[pos : pos + 7]
+            done, insert_ts, td = fields[pos : pos + 3]
             transitions.append(
                 Transition(
                     state=state,
@@ -631,8 +618,6 @@ def load_snapshot(path) -> tuple[dict, list[Transition]]:
                     done=bool(done),
                     insert_timestep=int(insert_ts),
                     td_error=td,
-                    priority_score=score,
-                    per_priority=per_prio,
                 )
             )
     return meta, transitions

@@ -160,14 +160,14 @@ def test_c03_bernoulli_mask_statistics():
     n = 10_000
     buf = random_buffer(n, seed=3)
     policy = EroPolicy(lazy_refresh=True, init_seed=3, draw_rng=np.random.default_rng(33))
-    buf.priority_scores[:n] = 0.5  # lambda fixed at one half
+    policy.cached_scores(buf)[:n] = 0.5  # lambda fixed at one half
 
     refreshes = 200
     sizes = np.zeros(refreshes)
     inclusion = np.zeros(n)
     for k in range(refreshes):
         sizes[k] = policy.refresh_subset(buf, current_step=n)
-        inclusion += buf.in_subset[:n]
+        inclusion += buf.mask_drawn[:n]
 
     mean_bound = 3 * (50 / np.sqrt(refreshes))
     assert abs(sizes.mean() - 5000) <= mean_bound, f"mean {sizes.mean()} outside {mean_bound}"
@@ -245,7 +245,7 @@ def test_c05_sum_tree_oracle_equivalence():
                 )
             )
             sampler.on_store(idx)
-            brute[idx] = buf.per_priorities[idx] ** cfg.alpha
+            brute[idx] = sampler.priorities[idx] ** cfg.alpha
         else:
             idx = int(rng.integers(0, buf.size))
             td = float(rng.normal() * 3)

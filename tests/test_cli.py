@@ -98,6 +98,14 @@ class TestRunCommand:
         cfg = write_config(tmp_path, sampler="magic")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_per_epsilon_exits_2_before_training(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sampler="per_prop")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg), "--set", "per_epsilon=-1", "--out", str(out)])
+        assert code == 2
+        assert "per_epsilon must be >= 0" in capsys.readouterr().err
+        assert not (out / "episodes.csv").exists()
+
     def test_numeric_fault_exits_3(self, tmp_path, monkeypatch, capsys):
         from replay_opt.errors import NumericFault
 
@@ -153,6 +161,19 @@ class TestCompareCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown env 'bogus'" in err and "FAILED" not in err
+
+    def test_negative_per_epsilon_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def no_runs(configs, jobs=1):
+            raise AssertionError("run_suite started despite an invalid config")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        cfg = write_config(tmp_path, name="cmp.cfg")
+        with open(cfg, "a") as fh:
+            fh.write("samplers = uniform, per_prop\nseeds = 0\n")
+        code = cli.main(["compare", "--config", str(cfg), "--set", "per_epsilon=-1", "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "per_epsilon must be >= 0" in err and "FAILED" not in err
 
     def test_repeat_invocation_identical_summary_modulo_walltime(self, tmp_path):
         cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)

@@ -170,7 +170,7 @@ class TestStoreScoring:
         assert policy.normalizer.count == expected.count == 12
         assert np.array_equal(policy.normalizer.mean, expected.mean)
         assert np.array_equal(policy.normalizer.variance, expected.variance)
-        assert np.all(buf.priority_scores == 0.5)
+        assert policy.priority_scores is None
 
     def test_eager_refresh_scores_and_subset_leave_cache(self, monkeypatch):
         buf = make_buffer(20)
@@ -178,28 +178,28 @@ class TestStoreScoring:
         policy.refresh_subset(buf, current_step=20)
         self.no_scoring(monkeypatch, policy)
         policy.refresh_scores(buf, np.arange(20), current_step=20)
-        assert np.all(buf.priority_scores == 0.5)
+        assert policy.priority_scores is None
 
     def test_lazy_store_scores_the_new_slot(self):
         buf = make_buffer(5)
         policy = fresh_policy(lazy_refresh=True)
         policy.observe_store(buf, 4, current_step=5)
         expected = policy.score(policy.features(buf, np.array([4]), current_step=5))[0]
-        assert buf.priority_scores[4] == expected
-        assert np.all(buf.priority_scores[:4] == 0.5)
+        assert policy.priority_scores[4] == expected
+        assert np.all(policy.priority_scores[:4] == 0.5)
 
     def test_lazy_refresh_scores_writes_exactly_the_live_replayed_slots(self):
         buf = make_buffer(20)
         policy = fresh_policy(lazy_refresh=True)
         for i in range(20):
             policy.observe_store(buf, i, i + 1)
-        buf.priority_scores[:] = -1.0
+        policy.priority_scores[:] = -1.0
         policy.refresh_scores(buf, np.array([7, 3, 7, 25]), current_step=20)  # 25 is not live
         replayed = np.array([3, 7])
         fresh = policy.score(policy.features(buf, replayed, current_step=20))
-        assert np.array_equal(buf.priority_scores[replayed], fresh)
+        assert np.array_equal(policy.priority_scores[replayed], fresh)
         others = np.setdiff1d(np.arange(buf.capacity), replayed)
-        assert np.all(buf.priority_scores[others] == -1.0)
+        assert np.all(policy.priority_scores[others] == -1.0)
 
     def test_lazy_harness_run_is_deterministic(self):
         def once():
@@ -216,7 +216,7 @@ class TestMaskDraws:
     def test_saturated_scores_select_everything(self):
         buf = make_buffer(50)
         policy = fresh_policy(lazy_refresh=True)
-        buf.priority_scores[:50] = 1.0 - 1e-15
+        policy.cached_scores(buf)[:50] = 1.0 - 1e-15
         size = policy.refresh_subset(buf, current_step=50)
         assert size == 50
         assert len(buf.subset_indices()) == 50
@@ -233,9 +233,9 @@ class TestMaskDraws:
         buf = make_buffer(100)
         policy = fresh_policy()
         a = policy.refresh_subset(buf, current_step=100, rng=np.random.default_rng(5))
-        mask_a = buf.in_subset[:100].copy()
+        mask_a = buf.subset_indices().copy()
         b = policy.refresh_subset(buf, current_step=100, rng=np.random.default_rng(5))
-        mask_b = buf.in_subset[:100].copy()
+        mask_b = buf.subset_indices().copy()
         assert a == b
         assert np.array_equal(mask_a, mask_b)
 

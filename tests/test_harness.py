@@ -73,6 +73,24 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(quick_config(rollout_steps=0))
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"per_epsilon": -1.0}, "per_epsilon must be >= 0"),
+            ({"per_alpha": -0.5}, "per_alpha must be >= 0"),
+            ({"per_alpha": float("nan")}, "per_alpha must be >= 0"),
+            ({"per_beta0": -0.1}, r"per_beta0 must be in \[0, 1\]"),
+            ({"per_beta0": 1.5}, r"per_beta0 must be in \[0, 1\]"),
+        ],
+    )
+    def test_invalid_per_settings_rejected(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            quick_config(sampler="per_prop", **setting).validate()
+
+    def test_per_setting_bounds_accepted(self):
+        quick_config(per_epsilon=0.0, per_alpha=0.0, per_beta0=0.0).validate()
+        quick_config(per_beta0=1.0).validate()
+
     @pytest.mark.parametrize("sampler", ["uniform", "per_prop", "per_rank", "ero"])
     def test_each_sampler_runs_and_repeats_identically(self, sampler):
         a = run(quick_config(sampler=sampler))

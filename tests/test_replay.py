@@ -47,7 +47,7 @@ def reference_update_priorities(sampler, indices, td_errors, expected_insert_ste
     td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
     for idx, td in zip(indices, td_errors):
         raw = abs(float(td)) + sampler.config.epsilon
-        sampler.buffer.per_priorities[idx] = raw
+        sampler.priorities[idx] = raw
         sampler.tree.set(int(idx), raw ** sampler.config.alpha)
 
 
@@ -83,8 +83,9 @@ class TestRingStorage:
     def test_fresh_columns_are_zeroed_writable_and_separate(self):
         buf = ReplayBuffer(3000, obs_dim=2, action_dim=1)
         names = ("states", "actions", "rewards", "next_states", "dones", "insert_timesteps",
-                 "td_errors", "per_priorities", "in_subset")
-        columns = [getattr(buf, name) for name in names]
+                 "td_errors")
+        sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(0))
+        columns = [getattr(buf, name) for name in names] + [sampler.priorities]
         for col in columns:
             assert len(col) == 3000 and col.flags.writeable and not col.any()
         for i, a in enumerate(columns):
@@ -100,14 +101,16 @@ class TestRingStorage:
 
     def test_td_and_priority_init_track_live_maximum(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
-        buf.store(make_transition(0))
+        sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(0))
+        sampler.on_store(buf.store(make_transition(0)))
         assert buf.td_errors[0] == 1.0
-        assert buf.per_priorities[0] == 1.0
+        assert sampler.priorities[0] == 1.0
         buf.update_td_errors(np.array([0]), np.array([-3.0]))
-        buf.per_priorities[0] = 2.5
+        sampler.priorities[0] = 2.5
         idx = buf.store(make_transition(1))
+        sampler.on_store(idx)
         assert buf.td_errors[idx] == 3.0
-        assert buf.per_priorities[idx] == 2.5
+        assert sampler.priorities[idx] == 2.5
 
 
 class TestUniformSampler:
@@ -254,9 +257,20 @@ class TestPerProportional:
         cfg = PerConfig(alpha=alpha, beta0=beta0, epsilon=0.0)
         s = PerProportionalSampler(buf, cfg, np.random.default_rng(seed))
         for i, p in enumerate(priorities):
-            buf.per_priorities[i] = p
+            s.priorities[i] = p
             s.tree.set(i, p**alpha)
         return s
+
+    def test_store_starts_at_max_live_priority_evicted_slot_included(self):
+        buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
+        s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
+        for i in range(4):
+            s.on_store(buf.store(make_transition(i)))
+        s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]))
+        idx = buf.store(make_transition(4))  # evicts slot 0, the largest priority
+        s.on_store(idx)
+        assert idx == 0 and s.priorities[0] == 5.0
+        assert s.tree.get(0) == 5.0**0.6
 
     def test_point_mass_always_sampled(self):
         s = self.sampler_with_priorities([1.0, 0.0, 0.0, 0.0])
@@ -354,7 +368,7 @@ class TestBatchedPriorityWrite:
 
     def assert_same_state(self, a, b):
         assert np.array_equal(a.tree.nodes, b.tree.nodes)
-        assert np.array_equal(a.buffer.per_priorities, b.buffer.per_priorities)
+        assert np.array_equal(a.priorities, b.priorities)
         assert np.array_equal(a.buffer.td_errors, b.buffer.td_errors)
 
     def test_random_batches_with_repeats_and_stale_slots(self):
@@ -384,7 +398,7 @@ class TestBatchedPriorityWrite:
         batched.update_priorities(indices, td)
         reference_update_priorities(reference, indices, td)
         self.assert_same_state(batched, reference)
-        assert batched.buffer.per_priorities[3] == 4.0 + 0.01
+        assert batched.priorities[3] == 4.0 + 0.01
 
     def test_non_finite_td_leaves_tree_untouched(self):
         s, _ = self.twin_samplers(capacity=8, stores=8)
@@ -481,7 +495,7 @@ class TestSubsetSampler:
             buf.store(make_transition(i))
         buf.set_subset_mask(np.array([True, True, False, False]))
         buf.store(make_transition(10))  # evicts slot 0
-        assert not buf.in_subset[0]
+        assert 0 not in buf.subset_indices()
         assert buf.mask_drawn[0] == MASK_UNDRAWN
         assert np.array_equal(buf.subset_indices(), [1])
 
@@ -489,16 +503,82 @@ class TestSubsetSampler:
         buf = filled_buffer(4)
         buf.set_subset_mask(np.zeros(4, dtype=bool))
         idx = buf.store(make_transition(9))
-        assert buf.in_subset[idx]
         assert idx in buf.subset_indices()
 
     def test_strict_mode_defers_membership_until_refresh(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1, subset_strict=True)
         idx = buf.store(make_transition(0))
-        assert buf.in_subset[idx]  # no draw yet, default mask is all ones
+        assert idx in buf.subset_indices()  # no draw yet, default mask is all ones
         buf.set_subset_mask(np.array([True]))
         idx2 = buf.store(make_transition(1))
-        assert not buf.in_subset[idx2]
+        assert idx2 not in buf.subset_indices()
+
+
+class OldMembership:
+    """The two per-slot columns that once held subset membership, in plain Python.
+
+    ``in_subset`` was written at store time (1 unless strict masking is on
+    and a mask was drawn) and overwritten by every mask; ``mask`` is the
+    drawn bit or ``MASK_UNDRAWN``.
+    """
+
+    def __init__(self, capacity: int, strict: bool):
+        self.capacity, self.strict = capacity, strict
+        self.in_subset = [False] * capacity
+        self.mask = [MASK_UNDRAWN] * capacity
+        self.refreshed = False
+        self.cursor = self.size = 0
+
+    def store(self) -> None:
+        self.in_subset[self.cursor] = not (self.strict and self.refreshed)
+        self.mask[self.cursor] = MASK_UNDRAWN
+        self.cursor = (self.cursor + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def set_mask(self, bits: list[bool]) -> None:
+        for i, bit in enumerate(bits):
+            self.in_subset[i], self.mask[i] = bit, int(bit)
+        self.refreshed = True
+
+    def subset(self) -> list[int]:
+        return [i for i in range(self.size) if self.in_subset[i]]
+
+
+class TestMembershipFromMaskBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        strict=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_the_two_column_model(self, capacity, strict, seed, data):
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1, subset_strict=strict)
+        sampler = SubsetSampler(buf, np.random.default_rng(seed))
+        model_rng = np.random.default_rng(seed)
+        model = OldMembership(capacity, strict)
+        fallbacks = 0
+        ops = data.draw(st.lists(st.sampled_from(["store", "mask", "sample"]), max_size=40))
+        for step, op in enumerate(ops):
+            if op == "store":
+                buf.store(make_transition(step))
+                model.store()
+            elif op == "mask":
+                bits = data.draw(st.lists(st.booleans(), min_size=model.size, max_size=model.size))
+                buf.set_subset_mask(np.array(bits, dtype=bool))
+                model.set_mask(bits)
+            elif model.size > 0:
+                batch = sampler.sample(8)
+                subset = model.subset()
+                if subset:
+                    expected = np.array(subset)[model_rng.integers(0, len(subset), size=8)]
+                else:
+                    fallbacks += 1
+                    expected = model_rng.integers(0, model.size, size=8)
+                assert np.array_equal(batch.indices, expected)
+            assert buf.subset_indices().tolist() == model.subset()
+            assert buf.mask_drawn[: buf.size].tolist() == model.mask[: model.size]
+            assert buf.subset_fallbacks == fallbacks
 
 
 class TestMakeSampler:
@@ -518,6 +598,7 @@ class TestSnapshot:
         path = tmp_path / "buffer.erpb"
         save_snapshot(buf, path)
         meta, transitions = load_snapshot(path)
+        assert meta["version"] == 2
         assert meta["capacity"] == 8 and meta["size"] == 8
         assert meta["obs_dim"] == 2 and meta["act_dim"] == 1
         assert len(transitions) == 8
@@ -530,8 +611,6 @@ class TestSnapshot:
             assert t.done == buf.dones[idx]
             assert t.insert_timestep == buf.insert_timesteps[idx]
             assert t.td_error == buf.td_errors[idx]
-            assert t.priority_score == buf.priority_scores[idx]
-            assert t.per_priority == buf.per_priorities[idx]
         # oldest first
         steps = [t.insert_timestep for t in transitions]
         assert steps == sorted(steps)
