@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, NumericFault
-from .nn import AdamState, Mlp, adam_step, mlp_init
+from .nn import AdamState, GradTape, Mlp, adam_step, mlp_init
 from .seeding import as_generator
 
 
@@ -42,7 +42,14 @@ class OuNoise:
 
 
 class DdpgAgent:
-    """Actor, critic, their targets, and the optimizer plumbing."""
+    """Actor, critic, their targets, and the optimizer plumbing.
+
+    The learning methods work in arrays the agent owns and reuses from call
+    to call: the critic's concatenated (state, action) input, the actor's
+    and the critic's forward caches, one gradient tape per online net, and
+    the target blend's scratch vector. A tape that ``critic_gradients`` or
+    ``actor_gradients`` returns is therefore overwritten by the next call.
+    """
 
     def __init__(
         self,
@@ -80,6 +87,12 @@ class DdpgAgent:
         self.target_critic = self.critic.copy()
         self.actor_adam = AdamState.for_net(self.actor, learning_rate=actor_lr)
         self.critic_adam = AdamState.for_net(self.critic, learning_rate=critic_lr)
+        self._actor_tape = GradTape.zeros_like(self.actor)
+        self._critic_tape = GradTape.zeros_like(self.critic)
+        self._actor_cache: list | None = None
+        self._critic_cache: list | None = None
+        self._critic_in: np.ndarray | None = None
+        self._blend = np.empty(max(self.actor.param_count, self.critic.param_count))
 
     # ----------------------------------------------------------------- acting
 
@@ -95,6 +108,15 @@ class DdpgAgent:
 
     # --------------------------------------------------------------- learning
 
+    def _critic_input(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """``np.hstack([states, actions])``, written into the agent's reused input buffer."""
+        x = self._critic_in
+        if x is None or len(x) != len(states):
+            x = self._critic_in = np.empty((len(states), self.obs_dim + self.action_dim))
+        x[:, : self.obs_dim] = states
+        x[:, self.obs_dim :] = actions
+        return x
+
     def critic_targets(self, rewards, next_states, dones) -> np.ndarray:
         """Bootstrap targets from the target networks, masked at terminals.
 
@@ -102,14 +124,16 @@ class DdpgAgent:
         like any other step.
         """
         next_actions = self.actions_for(next_states, net=self.target_actor)
-        next_q = self.target_critic.forward(np.hstack([next_states, next_actions]))[:, 0]
+        next_q = self.target_critic.forward(self._critic_input(next_states, next_actions))[:, 0]
         return rewards + self.gamma * (1.0 - dones.astype(np.float64)) * next_q
 
     def critic_gradients(self, states, actions, rewards, next_states, dones, is_weights=None):
         """Loss, parameter tape, and per-sample TD errors without updating."""
         n = len(states)
         targets = self.critic_targets(rewards, next_states, dones)
-        q, cache = self.critic.forward_cached(np.hstack([states, actions]))
+        q, self._critic_cache = self.critic.forward_cached(
+            self._critic_input(states, actions), self._critic_cache
+        )
         td_errors = targets - q[:, 0]
         weights = np.ones(n) if is_weights is None else np.asarray(is_weights, dtype=np.float64)
         loss = float(np.mean(weights * td_errors**2))
@@ -119,7 +143,7 @@ class DdpgAgent:
                 f"max|target|={np.max(np.abs(targets))})"
             )
         dloss_dq = (-2.0 * weights * td_errors / n)[:, None]
-        tape = self.critic.backward(cache, dloss_dq)
+        tape = self.critic.backward(self._critic_cache, dloss_dq, self._critic_tape)
         return loss, tape, td_errors
 
     def critic_update(self, states, actions, rewards, next_states, dones, is_weights=None):
@@ -137,14 +161,16 @@ class DdpgAgent:
         through the action scaling into the actor.
         """
         n = len(states)
-        head, actor_cache = self.actor.forward_cached(states)
+        head, self._actor_cache = self.actor.forward_cached(states, self._actor_cache)
         actions = self.action_high * head
-        q, critic_cache = self.critic.forward_cached(np.hstack([states, actions]))
+        q, self._critic_cache = self.critic.forward_cached(
+            self._critic_input(states, actions), self._critic_cache
+        )
         objective = float(np.mean(q[:, 0]))
-        # minimize -mean(q); the critic tape is used only for its input grad
-        critic_tape = self.critic.backward(critic_cache, np.full((n, 1), -1.0 / n))
-        dloss_dhead = critic_tape.input_grad[:, self.obs_dim :] * self.action_high
-        tape = self.actor.backward(actor_cache, dloss_dhead)
+        # minimize -mean(q); the critic is frozen here, so only its input gradient is needed
+        dloss_dinput = self.critic.input_gradient(self._critic_cache, np.full((n, 1), -1.0 / n))
+        dloss_dhead = dloss_dinput[:, self.obs_dim :] * self.action_high
+        tape = self.actor.backward(self._actor_cache, dloss_dhead, self._actor_tape)
         return objective, tape
 
     def actor_update(self, states) -> float:
@@ -158,7 +184,10 @@ class DdpgAgent:
         """Blend targets toward online nets: target <- tau*online + (1-tau)*target."""
         tau = self.tau
         for target, online in ((self.target_actor, self.actor), (self.target_critic, self.critic)):
-            target.params[:] = tau * online.params + (1.0 - tau) * target.params
+            # (1 - tau) * target + tau * online, the same bits in either order of the sum
+            blend = np.multiply(tau, online.params, out=self._blend[: online.param_count])
+            target.params *= 1.0 - tau
+            target.params += blend
 
     def train_step(self, sampler, batch_size: int):
         """Sample, update critic and actor, blend targets.

@@ -47,10 +47,19 @@ class RunningNorm:
         self._m2 += delta * (row - self.mean)
 
     def normalize(self, rows: np.ndarray) -> np.ndarray:
+        """Standardize each column of the float64 (n, dim) array ``rows`` in place; returns ``rows``.
+
+        Column by column, as numpy runs an (n, dim) broadcast as n loops of
+        ``dim`` elements; the bits are those of ``(rows - mean) / max(std, STD_FLOOR)``.
+        """
         if self.count == 0:
-            return np.asarray(rows, dtype=np.float64)
-        std = np.sqrt(self.variance)
-        return (rows - self.mean) / np.maximum(std, STD_FLOOR)
+            return rows
+        denom = np.maximum(np.sqrt(self.variance), STD_FLOOR)
+        for j in range(self.dim):
+            column = rows[:, j]
+            column -= self.mean[j]
+            column /= denom[j]
+        return rows
 
 
 class ReplayRewardTracker:
@@ -129,18 +138,17 @@ class EroPolicy:
 
     # ------------------------------------------------------------------ features
 
-    def raw_features(self, buffer: ReplayBuffer, indices: np.ndarray, current_step: int) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    def raw_features(self, buffer: ReplayBuffer, indices, current_step: int) -> np.ndarray:
+        """One (reward, TD error, age ratio) row per slot; ``indices`` is an index array or a slice."""
         age_ratio = buffer.insert_timesteps[indices] / max(current_step, 1)
         return np.column_stack(
             [buffer.rewards[indices], buffer.td_errors[indices], age_ratio]
         )
 
-    def features(self, buffer: ReplayBuffer, indices: np.ndarray, current_step: int) -> np.ndarray:
-        raw = self.raw_features(buffer, indices, current_step)
-        out = raw.copy()
-        out[:, :2] = self.normalizer.normalize(raw[:, :2])
-        return out
+    def features(self, buffer: ReplayBuffer, indices, current_step: int) -> np.ndarray:
+        feats = self.raw_features(buffer, indices, current_step)
+        self.normalizer.normalize(feats[:, :2])
+        return feats
 
     def score(self, features: np.ndarray) -> np.ndarray:
         """Inclusion probabilities in (0, 1), one per feature row."""
@@ -176,6 +184,10 @@ class EroPolicy:
 
         Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
         set, in which case the cached (lazily updated) scores are used as-is.
+        The rescore reads the features from slices of the buffer's columns
+        and the scoring net runs them in row blocks, so what it allocates per
+        row is a few float64 values (features, scores, the mask draw), not
+        the scoring net's 64-wide hidden layers.
         """
         n = len(buffer)
         if n == 0:
@@ -184,7 +196,7 @@ class EroPolicy:
         if self.lazy_refresh:
             scores = self.cached_scores(buffer)[:n]
         else:
-            scores = self.score(self.features(buffer, np.arange(n), current_step))
+            scores = self.score(self.features(buffer, slice(0, n), current_step))
         bits = draw_mask(scores, rng)
         buffer.set_subset_mask(bits)
         self.last_refresh_step = current_step

@@ -10,6 +10,7 @@ written with full round-trip float precision.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 import typing
@@ -99,6 +100,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.per_beta0 <= 1.0:
             raise ConfigError(f"per_beta0 must be in [0, 1], got {self.per_beta0}")
+        # every comparison below is False for NaN, so NaN is rejected too
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
+        for name in ("actor_lr", "critic_lr", "ero_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def to_items(self) -> list[tuple[str, str]]:
         out = []
@@ -155,24 +164,9 @@ class RunSummary:
         return self.episodes[-1].rc_window
 
 
-def _raise_heap_trim_threshold() -> None:
-    """Free one 1 MiB block, so glibc stops handing the heap top back to the kernel.
-
-    A train step allocates and frees about 0.5 MB of short-lived arrays.
-    glibc returns a free heap top larger than its trim threshold (128 KiB by
-    default) to the kernel, so every step then faults those pages back in
-    (about 120 minor faults per step). Freeing a block that malloc served
-    from its own memory map raises the mmap threshold to the block's size and
-    the trim threshold to twice that. Other allocators just allocate and
-    free 1 MiB.
-    """
-    np.empty(1 << 17)
-
-
 def run(config: RunConfig) -> RunSummary:
     """Execute one training run; deterministic in (config, seed)."""
     config.validate()
-    _raise_heap_trim_threshold()
     start = time.perf_counter()
     streams = named_streams(config.seed)
 

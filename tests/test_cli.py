@@ -106,6 +106,27 @@ class TestRunCommand:
         assert "per_epsilon must be >= 0" in capsys.readouterr().err
         assert not (out / "episodes.csv").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("gamma=5.0", "gamma must be in (0, 1)"),
+            ("tau=nan", "tau must be in (0, 1]"),
+            ("critic_lr=-1", "critic_lr must be finite and > 0"),
+            ("actor_lr=nan", "actor_lr must be finite and > 0"),
+            ("ero_lr=0", "ero_lr must be finite and > 0"),
+        ],
+    )
+    def test_invalid_learning_setting_exits_2_before_training(self, tmp_path, monkeypatch, capsys, setting, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started despite an invalid config")
+
+        monkeypatch.setattr(cli.harness.DdpgAgent, "train_step", no_training)
+        cfg = write_config(tmp_path, sampler="ero")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--set", setting, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "episodes.csv").exists()
+
     def test_numeric_fault_exits_3(self, tmp_path, monkeypatch, capsys):
         from replay_opt.errors import NumericFault
 
@@ -174,6 +195,20 @@ class TestCompareCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "per_epsilon must be >= 0" in err and "FAILED" not in err
+
+    @pytest.mark.parametrize("setting", ["gamma=5.0", "tau=nan", "critic_lr=-1", "actor_lr=nan", "ero_lr=0"])
+    def test_invalid_learning_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting):
+        def no_runs(configs, jobs=1):
+            raise AssertionError("run_suite started despite an invalid config")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        cfg = write_config(tmp_path, name="cmp.cfg")
+        with open(cfg, "a") as fh:
+            fh.write("samplers = uniform, ero\nseeds = 0\n")
+        code = cli.main(["compare", "--config", str(cfg), "--set", setting, "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{setting.split('=')[0]} must be" in err and "FAILED" not in err
 
     def test_repeat_invocation_identical_summary_modulo_walltime(self, tmp_path):
         cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)

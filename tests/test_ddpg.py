@@ -7,8 +7,8 @@ import pytest
 
 from replay_opt.ddpg import DdpgAgent, OuNoise
 from replay_opt.errors import NumericFault
-from replay_opt.nn import grad_check
-from replay_opt.replay import ReplayBuffer, Transition, UniformSampler
+from replay_opt.nn import _activate, _pre_activation_grad, grad_check
+from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
 
 
 def make_agent(**kwargs) -> DdpgAgent:
@@ -36,6 +36,80 @@ def reference_soft_update(targets, onlines, tau):
     """
     for t, o in zip(targets, onlines):
         t[:] = tau * o + (1.0 - tau) * t
+
+
+class ReferenceTrainer:
+    """The train step as it was before the agent reused its arrays: every
+    intermediate, tape and Adam temporary is a fresh array. It updates the
+    nets of ``agent`` and keeps its own Adam moments, so it can run
+    alongside another agent's ``train_step`` as a bit-for-bit reference.
+    """
+
+    def __init__(self, agent, b1=0.9, b2=0.999, eps=1e-8):
+        self.agent = agent
+        self.b1, self.b2, self.eps = b1, b2, eps
+        self.moments = {
+            id(net): (np.zeros_like(net.params), np.zeros_like(net.params), adam.learning_rate)
+            for net, adam in ((agent.actor, agent.actor_adam), (agent.critic, agent.critic_adam))
+        }
+        self.t = 0
+
+    @staticmethod
+    def forward_cached(net, x):
+        h, cache = x, []
+        for w, b, act in zip(net.weights, net.biases, net.activations):
+            z = h @ w + b
+            out = _activate(act, z)
+            cache.append((h, z, out))
+            h = out
+        return h, cache
+
+    @staticmethod
+    def backward(net, cache, output_grad):
+        weight_grads, bias_grads = [None] * len(cache), [None] * len(cache)
+        dh = output_grad
+        for layer in range(len(cache) - 1, -1, -1):
+            h_in, z, out = cache[layer]
+            dz = _pre_activation_grad(net.activations[layer], dh, z, out)
+            weight_grads[layer] = h_in.T @ dz
+            bias_grads[layer] = dz.sum(axis=0)
+            dh = dz @ net.weights[layer].T
+        grads = np.concatenate([a.ravel() for pair in zip(weight_grads, bias_grads) for a in pair])
+        return grads, dh
+
+    def adam(self, net, g, t):
+        m, v, lr = self.moments[id(net)]
+        bc1, bc2 = 1.0 - self.b1**t, 1.0 - self.b2**t
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        v += (1.0 - self.b2) * g * g
+        net.params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def step(self, batch):
+        agent, n = self.agent, len(batch.states)
+        self.t += 1
+        next_head, _ = self.forward_cached(agent.target_actor, batch.next_states)
+        next_x = np.hstack([batch.next_states, agent.action_high * next_head])
+        next_q = self.forward_cached(agent.target_critic, next_x)[0][:, 0]
+        targets = batch.rewards + agent.gamma * (1.0 - batch.dones.astype(np.float64)) * next_q
+        q, cache = self.forward_cached(agent.critic, np.hstack([batch.states, batch.actions]))
+        td_errors = targets - q[:, 0]
+        weights = np.ones(n) if batch.is_weights is None else batch.is_weights
+        grads, _ = self.backward(agent.critic, cache, (-2.0 * weights * td_errors / n)[:, None])
+        self.adam(agent.critic, grads, self.t)
+
+        head, actor_cache = self.forward_cached(agent.actor, batch.states)
+        x = np.hstack([batch.states, agent.action_high * head])
+        _, critic_cache = self.forward_cached(agent.critic, x)
+        _, dinput = self.backward(agent.critic, critic_cache, np.full((n, 1), -1.0 / n))
+        grads, _ = self.backward(agent.actor, actor_cache, dinput[:, agent.obs_dim :] * agent.action_high)
+        self.adam(agent.actor, grads, self.t)
+
+        tau = agent.tau
+        for target, online in ((agent.target_actor, agent.actor), (agent.target_critic, agent.critic)):
+            target.params[:] = tau * online.params + (1.0 - tau) * target.params
+        return td_errors
 
 
 def random_batch(n, obs_dim=3, action_dim=1, seed=0):
@@ -345,6 +419,49 @@ class TestTrainStep:
             return [agent.train_step(sampler, 64)[0] for _ in range(10)]
 
         assert run() == run()
+
+    @pytest.mark.parametrize(
+        "obs_dim, action_high, sampler_kind",
+        [(3, [2.0], "uniform"), (4, [1.0, 1.0], "per_prop")],
+    )
+    def test_reused_arrays_bit_equal_to_allocating_reference(self, obs_dim, action_high, sampler_kind):
+        rng = np.random.default_rng(17)
+        buf = ReplayBuffer(512, obs_dim=obs_dim, action_dim=len(action_high))
+        if sampler_kind == "uniform":
+            sampler = UniformSampler(buf, np.random.default_rng(3))
+        else:
+            sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(3))
+        for i in range(300):
+            idx = buf.store(
+                Transition(
+                    state=rng.normal(size=obs_dim),
+                    action=rng.uniform(-1, 1, size=len(action_high)),
+                    reward=float(rng.normal()),
+                    next_state=rng.normal(size=obs_dim),
+                    done=bool(rng.random() < 0.1),
+                    insert_timestep=i + 1,
+                )
+            )
+            sampler.on_store(idx)
+        kwargs = dict(obs_dim=obs_dim, action_dim=len(action_high), action_high=np.array(action_high),
+                      hidden_sizes=(64, 64), tau=0.01)
+        agent, twin = make_agent(**kwargs), make_agent(**kwargs)
+        reference = ReferenceTrainer(twin)
+        for step in range(200):
+            batch_size = 17 if step % 50 == 49 else 64  # the reused arrays change size
+            _, td_errors, batch = agent.train_step(sampler, batch_size)
+            assert np.array_equal(td_errors, reference.step(batch))
+            sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps)
+        for net, adam, ref_net in (
+            (agent.actor, agent.actor_adam, twin.actor),
+            (agent.critic, agent.critic_adam, twin.critic),
+        ):
+            m, v, _ = reference.moments[id(ref_net)]
+            assert np.array_equal(net.params, ref_net.params)
+            assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+            assert adam.step_count == 200
+        assert np.array_equal(agent.target_actor.params, twin.target_actor.params)
+        assert np.array_equal(agent.target_critic.params, twin.target_critic.params)
 
     def test_batch_contract(self):
         buf = self.fill_buffer()

@@ -91,6 +91,30 @@ class TestRun:
         quick_config(per_epsilon=0.0, per_alpha=0.0, per_beta0=0.0).validate()
         quick_config(per_beta0=1.0).validate()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"gamma": 5.0}, r"gamma must be in \(0, 1\)"),
+            ({"gamma": 1.0}, r"gamma must be in \(0, 1\)"),
+            ({"gamma": 0.0}, r"gamma must be in \(0, 1\)"),
+            ({"gamma": float("nan")}, r"gamma must be in \(0, 1\)"),
+            ({"tau": 0.0}, r"tau must be in \(0, 1\]"),
+            ({"tau": -3.0}, r"tau must be in \(0, 1\]"),
+            ({"tau": float("nan")}, r"tau must be in \(0, 1\]"),
+            ({"actor_lr": float("nan")}, "actor_lr must be finite and > 0"),
+            ({"critic_lr": -1.0}, "critic_lr must be finite and > 0"),
+            ({"critic_lr": float("inf")}, "critic_lr must be finite and > 0"),
+            ({"ero_lr": 0.0}, "ero_lr must be finite and > 0"),
+        ],
+    )
+    def test_invalid_learning_settings_rejected(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            quick_config(sampler="ero", **setting).validate()
+
+    def test_learning_setting_bounds_accepted(self):
+        quick_config(tau=1.0).validate()
+        quick_config(gamma=0.999, actor_lr=1e-12, critic_lr=10.0, ero_lr=1e-6).validate()
+
     @pytest.mark.parametrize("sampler", ["uniform", "per_prop", "per_rank", "ero"])
     def test_each_sampler_runs_and_repeats_identically(self, sampler):
         a = run(quick_config(sampler=sampler))

@@ -7,6 +7,7 @@ import pytest
 
 from replay_opt.errors import ConfigError, ContractViolation, NumericFault
 from replay_opt.nn import (
+    BLOCK,
     AdamState,
     GradTape,
     Mlp,
@@ -15,6 +16,7 @@ from replay_opt.nn import (
     adam_step,
     grad_check,
     mlp_init,
+    row_blocks,
 )
 
 
@@ -54,6 +56,14 @@ def reference_adam_step(
         v *= b2
         v += (1.0 - b2) * g * g
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """Whole-input forward pass with fresh arrays per layer, the reference for the blocked one."""
+    h = x
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        h = _activate(act, h @ w + b)
+    return h
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -432,6 +442,88 @@ class TestFlatStorage:
     def test_wrong_parameter_vector_rejected(self):
         with pytest.raises(ContractViolation, match="13 parameters"):
             Mlp([2, 3, 1], ["tanh", "linear"], np.zeros(12))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "sizes, acts",
+        [
+            ([3, 64, 64, 1], ["relu", "relu", "sigmoid"]),  # ERO scoring net
+            ([4, 64, 64, 1], ["relu", "relu", "linear"]),  # critic
+        ],
+    )
+    @pytest.mark.parametrize(
+        "n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 1, 20_000]
+    )
+    def test_blocked_forward_bit_equal_to_unblocked(self, sizes, acts, n):
+        net = mlp_init(sizes, acts, seed=13)
+        x = np.random.default_rng(n).normal(scale=2.0, size=(n, sizes[0]))
+        assert np.array_equal(net.forward(x), reference_forward(net, x))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
+    def test_row_blocks_cover_the_rows_without_one_row_blocks(self, n):
+        blocks = list(row_blocks(n))
+        assert [row for start, stop in blocks for row in range(start, stop)] == list(range(n))
+        assert all(start % BLOCK == 0 for start, _ in blocks)
+        sizes = [stop - start for start, stop in blocks]
+        assert all(size <= BLOCK + 1 for size in sizes)
+        assert n == 1 or 1 not in sizes
+
+    def test_successive_forward_results_share_no_memory(self):
+        net = mlp_init([3, 8, 8, 2], ["relu", "relu", "tanh"], seed=3)
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        first = net.forward(x)
+        kept = first.copy()
+        second = net.forward(x + 1.0)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, ws) for ws in net._workspace)
+        assert np.array_equal(first, kept)
+
+    def test_large_forward_keeps_the_workspace_within_block_rows(self):
+        net = mlp_init([3, 64, 64, 1], ["relu", "relu", "sigmoid"], seed=0)
+        out = net.forward(np.zeros((100_000, 3)))
+        assert out.shape == (100_000, 1)
+        assert net._workspace and all(len(ws) <= BLOCK for ws in net._workspace)
+        net.forward(np.zeros((BLOCK + 1, 3)))  # one folded block, above the cap
+        assert all(len(ws) <= BLOCK for ws in net._workspace)
+
+    @pytest.mark.parametrize(
+        "sizes, acts",
+        [([3, 8, 2], ["tanh", "linear"]), ([4, 16, 16, 1], ["relu", "relu", "linear"]),
+         ([3, 8, 8, 2], ["sigmoid", "relu", "tanh"])],
+    )
+    def test_reused_cache_and_tape_bit_equal_to_fresh(self, sizes, acts):
+        rng = np.random.default_rng(5)
+        net = mlp_init(sizes, acts, seed=6)
+        cache, tape = None, GradTape.zeros_like(net)
+        for n in (7, 7, 3, 7):
+            x = rng.normal(size=(n, sizes[0]))
+            dy = rng.normal(size=(n, sizes[-1]))
+            y_fresh, fresh_cache = net.forward_cached(x)
+            fresh = net.backward(fresh_cache, dy)
+            y, cache = net.forward_cached(x, cache)
+            reused = net.backward(cache, dy, tape)
+            assert reused is tape
+            assert np.array_equal(y, y_fresh)
+            assert np.array_equal(reused.grads, fresh.grads)
+            assert np.array_equal(reused.input_grad, fresh.input_grad)
+            assert np.array_equal(net.input_gradient(cache, dy), fresh.input_grad)
+
+    def test_tape_for_another_net_is_rejected_by_backward(self):
+        net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
+        other = mlp_init([2, 3, 1], ["tanh", "linear"], seed=0)
+        _, cache = net.forward_cached(np.zeros((2, 2)))
+        with pytest.raises(ContractViolation, match="17 parameters but the tape has 13"):
+            net.backward(cache, np.zeros((2, 1)), GradTape.zeros_like(other))
+
+    def test_backward_leaves_output_grad_untouched(self):
+        net = mlp_init([3, 8, 1], ["relu", "tanh"], seed=2)
+        _, cache = net.forward_cached(np.random.default_rng(1).normal(size=(4, 3)))
+        dy = np.random.default_rng(2).normal(size=(4, 1))
+        kept = dy.copy()
+        net.backward(cache, dy)
+        net.input_gradient(cache, dy)
+        assert np.array_equal(dy, kept)
 
 
 class TestGradCheck:

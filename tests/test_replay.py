@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,36 @@ class TestRingStorage:
         sampler.on_store(idx)
         assert buf.td_errors[idx] == 3.0
         assert sampler.priorities[idx] == 2.5
+
+
+class TestRingEviction:
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 6), data=st.data())
+    def test_live_slots_match_a_deque_model(self, capacity, data):
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+        model: deque[Transition] = deque(maxlen=capacity)
+        value = st.floats(-1e6, 1e6, allow_nan=False)
+        for count in range(1, data.draw(st.integers(0, 3 * capacity + 2)) + 1):
+            transition = Transition(
+                state=np.array(data.draw(st.lists(value, min_size=2, max_size=2))),
+                action=np.array([data.draw(value)]),
+                reward=data.draw(value),
+                next_state=np.array(data.draw(st.lists(value, min_size=2, max_size=2))),
+                done=data.draw(st.booleans()),
+                insert_timestep=data.draw(st.integers(0, 10**9)),
+            )
+            assert buf.store(transition) == (count - 1) % capacity
+            model.append(transition)
+            # the k-th oldest live transition sits in slot (stores - live + k) mod capacity
+            slots = [(count - len(model) + k) % capacity for k in range(len(model))]
+            assert len(buf) == len(model)
+            assert buf.live_order().tolist() == slots
+            assert buf.states[slots].tolist() == [t.state.tolist() for t in model]
+            assert buf.actions[slots].tolist() == [t.action.tolist() for t in model]
+            assert buf.rewards[slots].tolist() == [t.reward for t in model]
+            assert buf.next_states[slots].tolist() == [t.next_state.tolist() for t in model]
+            assert buf.dones[slots].tolist() == [t.done for t in model]
+            assert buf.insert_timesteps[slots].tolist() == [t.insert_timestep for t in model]
 
 
 class TestUniformSampler:
