@@ -38,7 +38,7 @@ configs = [
     for sampler in ("uniform", "ero")
     for seed in (0, 1)
 ]
-rows = summarize(run_suite(configs, jobs=2))
+rows = summarize(run_suite(configs))
 for row in sorted(rows, key=lambda r: -r.final_mean):
     print(f"  {row.config_id:8s} seeds={row.seed_count} final={row.final_mean:8.1f} +- {row.final_std:.1f}")
 print("(short runs; see configs/compare_all.cfg for a fuller comparison)")

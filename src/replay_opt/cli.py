@@ -141,7 +141,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out or configs[0].out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = harness.run_suite(configs, jobs=max(1, args.jobs))
+    results = harness.run_suite(configs)
     failures = [r for r in results if r.error is not None]
     for res in results:
         if res.error is not None:
@@ -169,7 +169,9 @@ def cmd_trace(args) -> int:
         raise ConfigError(f"trace file not found: {args.input}")
     records = harness.read_trace_csv(path)
 
-    window = max(1, args.window)
+    window = args.window
+    if window < 1:
+        raise ConfigError(f"--window must be >= 1, got {window}")
     smoothed = []
     for i, rec in enumerate(records):
         lo = max(0, i - window + 1)
@@ -233,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run a sampler x seed grid and summarize")
     common(p_cmp)
-    p_cmp.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p_cmp.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="ignored; runs execute one at a time (kept so existing command lines parse)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_tr = sub.add_parser("trace", help="window-average a trace CSV and print stats")

@@ -14,7 +14,6 @@ import math
 import os
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
@@ -108,6 +107,12 @@ class RunConfig:
         for name in ("actor_lr", "critic_lr", "ero_lr"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # the buffer never holds more than its capacity, so training would never start
+        if self.warmup_transitions > self.buffer_capacity:
+            raise ConfigError(
+                f"warmup_transitions ({self.warmup_transitions}) must be <= "
+                f"buffer_capacity ({self.buffer_capacity})"
+            )
 
     def to_items(self) -> list[tuple[str, str]]:
         out = []
@@ -345,21 +350,21 @@ class SuiteResult:
     error: Exception | None = None
 
 
-def run_suite(configs: list[RunConfig], jobs: int = 1) -> list[SuiteResult]:
-    """Run each config independently; failures are captured, not raised."""
+def run_suite(configs: list[RunConfig]) -> list[SuiteResult]:
+    """Run each config in order, one at a time, in the calling thread.
+
+    A failing run is captured in its SuiteResult and the suite goes on;
+    results come back in config order.
+    """
     if not configs:
         raise ConfigError("run_suite needs at least one config")
-
-    def one(config: RunConfig) -> SuiteResult:
+    results = []
+    for config in configs:
         try:
-            return SuiteResult(config=config, summary=run(config))
+            results.append(SuiteResult(config=config, summary=run(config)))
         except Exception as exc:  # noqa: BLE001 - suite keeps going by contract
-            return SuiteResult(config=config, error=exc)
-
-    if jobs <= 1:
-        return [one(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, configs))
+            results.append(SuiteResult(config=config, error=exc))
+    return results
 
 
 @dataclass

@@ -127,6 +127,18 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not (out / "episodes.csv").exists()
 
+    def test_warmup_above_capacity_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started despite an invalid config")
+
+        monkeypatch.setattr(cli.harness.DdpgAgent, "train_step", no_training)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg), "--set", "buffer_capacity=150", "--out", str(out)])
+        assert code == 2
+        assert "warmup_transitions (200) must be <= buffer_capacity (150)" in capsys.readouterr().err
+        assert not (out / "episodes.csv").exists()
+
     def test_numeric_fault_exits_3(self, tmp_path, monkeypatch, capsys):
         from replay_opt.errors import NumericFault
 
@@ -171,7 +183,7 @@ class TestCompareCommand:
         assert "uniform-pendulum" in captured.out  # the good run still summarized
 
     def test_invalid_shared_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
-        def no_runs(configs, jobs=1):
+        def no_runs(configs):
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
@@ -184,7 +196,7 @@ class TestCompareCommand:
         assert "unknown env 'bogus'" in err and "FAILED" not in err
 
     def test_negative_per_epsilon_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
-        def no_runs(configs, jobs=1):
+        def no_runs(configs):
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
@@ -198,7 +210,7 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("setting", ["gamma=5.0", "tau=nan", "critic_lr=-1", "actor_lr=nan", "ero_lr=0"])
     def test_invalid_learning_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting):
-        def no_runs(configs, jobs=1):
+        def no_runs(configs):
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
@@ -209,6 +221,34 @@ class TestCompareCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{setting.split('=')[0]} must be" in err and "FAILED" not in err
+
+    def test_warmup_above_capacity_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def no_runs(configs):
+            raise AssertionError("run_suite started despite an invalid config")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        cfg = write_config(tmp_path, name="cmp.cfg")
+        with open(cfg, "a") as fh:
+            fh.write("samplers = uniform, per_rank\nseeds = 0\n")
+        code = cli.main(["compare", "--config", str(cfg), "--set", "buffer_capacity=150", "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "warmup_transitions (200) must be <= buffer_capacity (150)" in err and "FAILED" not in err
+
+    def test_jobs_is_ignored_episode_bytes_match(self, tmp_path):
+        # --jobs still parses; runs execute one at a time whatever its value.
+        # summary.csv is not compared: it holds wall seconds.
+        cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=400)
+        with open(cfg, "a") as fh:
+            fh.write("samplers = uniform, ero\nseeds = 0, 1\n")
+        out_1, out_2 = tmp_path / "jobs1", tmp_path / "jobs2"
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out_1), "--jobs", "1"]) == 0
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(out_2), "--jobs", "2"]) == 0
+        names = sorted(p.name for p in out_1.glob("episodes-*.csv"))
+        assert len(names) == 4
+        assert names == sorted(p.name for p in out_2.glob("episodes-*.csv"))
+        for name in names:
+            assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
 
     def test_repeat_invocation_identical_summary_modulo_walltime(self, tmp_path):
         cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)
@@ -277,6 +317,15 @@ class TestTraceCommand:
         )
         assert cli.main(["trace", str(path)]) == 2
         assert ":3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_exit_2(self, tmp_path, capsys, window):
+        path = tmp_path / "trace.csv"
+        path.write_text("global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0\n")
+        out = tmp_path / "smoothed"
+        assert cli.main(["trace", str(path), "--window", window, "--out", str(out)]) == 2
+        assert f"--window must be >= 1, got {window}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_trace_exit_2(self, tmp_path):
         assert cli.main(["trace", str(tmp_path / "none.csv")]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,15 @@ class TestRun:
         quick_config(tau=1.0).validate()
         quick_config(gamma=0.999, actor_lr=1e-12, critic_lr=10.0, ero_lr=1e-6).validate()
 
+    def test_warmup_above_capacity_rejected(self):
+        # the buffer stops growing at its capacity, so such a run never trains
+        with pytest.raises(ConfigError, match=r"warmup_transitions \(501\) must be <= buffer_capacity \(500\)"):
+            quick_config(buffer_capacity=500, warmup_transitions=501).validate()
+
+    def test_warmup_equal_to_capacity_trains(self):
+        summary = run(quick_config(total_timesteps=400, buffer_capacity=300, warmup_transitions=300))
+        assert summary.train_steps > 0
+
     @pytest.mark.parametrize("sampler", ["uniform", "per_prop", "per_rank", "ero"])
     def test_each_sampler_runs_and_repeats_identically(self, sampler):
         a = run(quick_config(sampler=sampler))
@@ -215,14 +225,22 @@ class TestSuite:
         assert results[0].error is not None
         assert results[1].summary is not None
 
-    def test_parallel_matches_serial(self):
-        configs = [
-            quick_config(total_timesteps=400, warmup_transitions=1000, seed=s) for s in (0, 1)
-        ]
-        serial = run_suite(configs, jobs=1)
-        parallel = run_suite([dataclasses.replace(c) for c in configs], jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.summary.episodes == b.summary.episodes
+    def test_runs_in_calling_thread_in_config_order(self, monkeypatch):
+        calls = []
+
+        def record(config):
+            calls.append((threading.get_ident(), config.seed))
+            if config.seed == 1:
+                raise ConfigError("seed 1 fails")
+            return config.seed
+
+        monkeypatch.setattr("replay_opt.harness.run", record)
+        configs = [quick_config(seed=s) for s in (2, 0, 1, 3)]
+        results = run_suite(configs)
+        assert calls == [(threading.get_ident(), s) for s in (2, 0, 1, 3)]
+        assert [r.config for r in results] == configs
+        assert [r.summary for r in results] == [2, 0, None, 3]
+        assert isinstance(results[2].error, ConfigError)
 
 
 class TestCsv:
