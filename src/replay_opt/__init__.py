@@ -44,9 +44,7 @@ from .replay import (
     SumTree,
     Transition,
     UniformSampler,
-    load_snapshot,
     make_sampler,
-    save_snapshot,
 )
 
 __version__ = "0.1.0"
@@ -86,12 +84,10 @@ __all__ = [
     "adam_step",
     "draw_mask",
     "grad_check",
-    "load_snapshot",
     "make_env",
     "make_sampler",
     "mlp_init",
     "run",
     "run_suite",
-    "save_snapshot",
     "summarize",
 ]

@@ -114,7 +114,12 @@ def cmd_compare(args) -> int:
     overrides = parse_set_flags(args.set or [])
     mapping.update(overrides)
     samplers = [s.strip() for s in mapping.pop("samplers", "uniform,ero").split(",") if s.strip()]
-    seeds = [int(s) for s in mapping.pop("seeds", "0").split(",") if s.strip()]
+    seeds = [
+        harness.parse_field("seeds", s, int) for s in mapping.pop("seeds", "0").split(",") if s.strip()
+    ]
+    for key, values in (("samplers", samplers), ("seeds", seeds)):
+        if not values:
+            raise ConfigError(f"{key} is empty: compare needs at least one")
 
     configs = []
     for sampler in samplers:

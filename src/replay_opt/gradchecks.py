@@ -96,8 +96,8 @@ def check_actor_chain(corrupt: bool = False) -> float:
             actions = agent.action_high * head
             stacked = np.hstack([states, actions])
             q, cache = agent.critic.forward_cached(stacked)
-            tape = agent.critic.backward(cache, np.full((n, 1), -1.0 / n))
-            return -float(np.mean(q[:, 0])), tape.input_grad[:, agent.obs_dim :] * agent.action_high
+            dinput = agent.critic.input_gradient(cache, np.full((n, 1), -1.0 / n))
+            return -float(np.mean(q[:, 0])), dinput[:, agent.obs_dim :] * agent.action_high
 
         worst = max(worst, grad_check(agent.actor, loss_fn, states))
     return worst + (_CORRUPTION if corrupt else 0.0)

@@ -93,6 +93,8 @@ class RunConfig:
             "early_stop_window",
             "per_alpha",
             "per_epsilon",
+            "ou_theta",
+            "ou_sigma",
         )
         for name in non_negative:
             if not getattr(self, name) >= 0:  # also rejects NaN

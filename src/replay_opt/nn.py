@@ -106,7 +106,7 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[
 
 
 class GradTape:
-    """Gradient accumulator for one Mlp, plus the input gradient.
+    """Parameter gradients for one Mlp.
 
     ``grads`` is one float64 vector laid out like ``Mlp.params``;
     ``weight_grads`` and ``bias_grads`` are per-layer views into it.
@@ -115,14 +115,10 @@ class GradTape:
     def __init__(self, grads: np.ndarray, layer_sizes) -> None:
         self.grads = grads
         self.weight_grads, self.bias_grads = _layer_views(grads, layer_sizes)
-        self.input_grad: np.ndarray | None = None
 
     @classmethod
     def zeros_like(cls, net: "Mlp") -> "GradTape":
         return cls(np.zeros_like(net.params), net.layer_sizes)
-
-    def add_(self, other: "GradTape") -> None:
-        self.grads += other.grads
 
 
 class Mlp:
@@ -240,10 +236,10 @@ class Mlp:
     def backward(self, cache: list, output_grad: np.ndarray, tape: GradTape | None = None) -> GradTape:
         """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-        Returns gradients for every weight and bias, summed over the batch,
-        plus d(loss)/d(input) in ``input_grad``. They are written into
-        ``tape`` when one is given (its old contents are overwritten), into a
-        new tape otherwise.
+        Returns gradients for every weight and bias, summed over the batch.
+        They are written into ``tape`` when one is given (its old contents
+        are overwritten), into a new tape otherwise. d(loss)/d(input) is not
+        computed here; ``input_gradient`` gives it.
         """
         if tape is None:
             tape = GradTape(np.empty_like(self.params), self.layer_sizes)
@@ -251,19 +247,19 @@ class Mlp:
             raise ContractViolation(
                 f"net has {self.params.size} parameters but the tape has {tape.grads.size}"
             )
-        tape.input_grad = self._chain(cache, output_grad, tape)
+        self._chain(cache, output_grad, tape)
         return tape
 
     def input_gradient(self, cache: list, output_grad: np.ndarray) -> np.ndarray:
-        """d(loss)/d(input) alone: ``backward(cache, output_grad).input_grad`` without the tape.
-
-        The weight-gradient products never feed the chain, so skipping them
-        leaves the bits of the input gradient unchanged.
-        """
+        """d(loss)/d(input) for the cached forward pass, without parameter gradients."""
         return self._chain(cache, output_grad, None)
 
-    def _chain(self, cache: list, output_grad: np.ndarray, tape: GradTape | None) -> np.ndarray:
-        """Chain ``output_grad`` down to the input, filling ``tape`` on the way if given."""
+    def _chain(self, cache: list, output_grad: np.ndarray, tape: GradTape | None) -> np.ndarray | None:
+        """Chain ``output_grad`` down through the layers.
+
+        With a ``tape``, fill it with the parameter gradients and stop at
+        layer 0's weights; without one, return d(loss)/d(input).
+        """
         output_grad = np.asarray(output_grad, dtype=np.float64)
         if output_grad.shape != cache[-1][2].shape:
             raise ContractViolation(
@@ -278,6 +274,8 @@ class Mlp:
             if tape is not None:
                 np.matmul(h_in.T, dz, out=tape.weight_grads[layer])
                 dz.sum(axis=0, out=tape.bias_grads[layer])
+                if layer == 0:
+                    return None
             dh = np.matmul(dz, self.weights[layer].T, out=scratch[layer - 1] if layer else None)
         return dh
 

@@ -14,7 +14,6 @@ Storage is struct-of-arrays so batch gathers are single fancy-index reads.
 from __future__ import annotations
 
 import mmap
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ class Transition:
     """One stored experience plus its bookkeeping.
 
     ``done`` marks a genuine terminal state, never a time-limit truncation.
-    ``td_error`` is a cache refreshed lazily, only when the transition is replayed.
     """
 
     state: np.ndarray
@@ -42,7 +40,6 @@ class Transition:
     next_state: np.ndarray
     done: bool
     insert_timestep: int
-    td_error: float = 0.0
 
 
 @dataclass
@@ -173,12 +170,6 @@ class ReplayBuffer:
         self.store_count += 1
         self._subset_cache = None
         return idx
-
-    def live_order(self) -> np.ndarray:
-        """Live slot indices from oldest to newest insertion."""
-        if self.size < self.capacity:
-            return np.arange(self.size)
-        return np.concatenate([np.arange(self.cursor, self.capacity), np.arange(self.cursor)])
 
     def gather(self, indices: np.ndarray, is_weights: np.ndarray | None = None) -> Batch:
         indices = np.asarray(indices, dtype=np.int64)
@@ -527,97 +518,3 @@ def make_sampler(kind: str, buffer: ReplayBuffer, rng: np.random.Generator, conf
     if kind == "per_rank":
         return PerRankSampler(buffer, config or PerConfig(), rng)
     raise ContractViolation(f"unknown sampler kind {kind!r}, expected one of {SAMPLER_KINDS}")
-
-
-# Snapshot layout, little-endian throughout:
-#   header: magic "ERPB", version u32, capacity u64, size u64,
-#           obs_dim u32, act_dim u32
-#   then one fixed-width record per live slot, oldest insertion first:
-#           state f64*obs, action f64*act, reward f64, next_state f64*obs,
-#           done u8, insert_timestep u64, td_error f64
-_SNAPSHOT_MAGIC = b"ERPB"
-_SNAPSHOT_VERSION = 2
-_HEADER = struct.Struct("<4sIQQII")
-
-
-def _record_struct(obs_dim: int, act_dim: int) -> struct.Struct:
-    return struct.Struct(f"<{obs_dim}d{act_dim}dd{obs_dim}dBQd")
-
-
-def save_snapshot(buffer: ReplayBuffer, path) -> None:
-    """Dump the live buffer contents to a flat binary file."""
-    rec = _record_struct(buffer.obs_dim, buffer.action_dim)
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _SNAPSHOT_MAGIC,
-                _SNAPSHOT_VERSION,
-                buffer.capacity,
-                buffer.size,
-                buffer.obs_dim,
-                buffer.action_dim,
-            )
-        )
-        for idx in buffer.live_order():
-            fh.write(
-                rec.pack(
-                    *buffer.states[idx],
-                    *buffer.actions[idx],
-                    buffer.rewards[idx],
-                    *buffer.next_states[idx],
-                    int(buffer.dones[idx]),
-                    int(buffer.insert_timesteps[idx]),
-                    buffer.td_errors[idx],
-                )
-            )
-
-
-def load_snapshot(path) -> tuple[dict, list[Transition]]:
-    """Read a snapshot back as (header metadata, transitions oldest-first)."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ContractViolation(
-                f"snapshot {path} is truncated: header needs {_HEADER.size} bytes, got {len(raw)}"
-            )
-        magic, version, capacity, size, obs_dim, act_dim = _HEADER.unpack(raw)
-        if magic != _SNAPSHOT_MAGIC:
-            raise ContractViolation(f"bad snapshot magic {magic!r}")
-        if version != _SNAPSHOT_VERSION:
-            raise ContractViolation(f"unsupported snapshot version {version}")
-        meta = {
-            "version": version,
-            "capacity": capacity,
-            "size": size,
-            "obs_dim": obs_dim,
-            "act_dim": act_dim,
-        }
-        rec = _record_struct(obs_dim, act_dim)
-        transitions = []
-        for i in range(size):
-            chunk = fh.read(rec.size)
-            if len(chunk) != rec.size:
-                raise ContractViolation(
-                    f"snapshot {path} is truncated: record {i} of {size} needs "
-                    f"{rec.size} bytes, got {len(chunk)}"
-                )
-            fields = rec.unpack(chunk)
-            state = np.array(fields[:obs_dim])
-            action = np.array(fields[obs_dim : obs_dim + act_dim])
-            pos = obs_dim + act_dim
-            reward = fields[pos]
-            next_state = np.array(fields[pos + 1 : pos + 1 + obs_dim])
-            pos = pos + 1 + obs_dim
-            done, insert_ts, td = fields[pos : pos + 3]
-            transitions.append(
-                Transition(
-                    state=state,
-                    action=action,
-                    reward=reward,
-                    next_state=next_state,
-                    done=bool(done),
-                    insert_timestep=int(insert_ts),
-                    td_error=td,
-                )
-            )
-    return meta, transitions

@@ -101,8 +101,8 @@ def test_c01_gradient_suite():
         def loss_fn(head, agent=agent, states=states):
             actions = agent.action_high * head
             q, cache = agent.critic.forward_cached(np.hstack([states, actions]))
-            tape = agent.critic.backward(cache, np.full((n, 1), -1.0 / n))
-            return -float(np.mean(q[:, 0])), tape.input_grad[:, agent.obs_dim :] * agent.action_high
+            dinput = agent.critic.input_gradient(cache, np.full((n, 1), -1.0 / n))
+            return -float(np.mean(q[:, 0])), dinput[:, agent.obs_dim :] * agent.action_high
 
         err = grad_check(agent.actor, loss_fn, states)
         assert err < 1e-4, f"actor trial {trial}: {err}"

@@ -114,6 +114,8 @@ class TestRunCommand:
             ("critic_lr=-1", "critic_lr must be finite and > 0"),
             ("actor_lr=nan", "actor_lr must be finite and > 0"),
             ("ero_lr=0", "ero_lr must be finite and > 0"),
+            ("ou_theta=-1", "ou_theta must be >= 0"),
+            ("ou_sigma=nan", "ou_sigma must be >= 0"),
         ],
     )
     def test_invalid_learning_setting_exits_2_before_training(self, tmp_path, monkeypatch, capsys, setting, message):
@@ -208,7 +210,9 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "per_epsilon must be >= 0" in err and "FAILED" not in err
 
-    @pytest.mark.parametrize("setting", ["gamma=5.0", "tau=nan", "critic_lr=-1", "actor_lr=nan", "ero_lr=0"])
+    @pytest.mark.parametrize(
+        "setting", ["gamma=5.0", "tau=nan", "critic_lr=-1", "actor_lr=nan", "ero_lr=0", "ou_theta=-1", "ou_sigma=nan"]
+    )
     def test_invalid_learning_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting):
         def no_runs(configs):
             raise AssertionError("run_suite started despite an invalid config")
@@ -221,6 +225,23 @@ class TestCompareCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{setting.split('=')[0]} must be" in err and "FAILED" not in err
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("samplers=,", "samplers is empty"),
+            ("seeds=,", "seeds is empty"),
+            ("seeds=abc", "cannot parse seeds = 'abc' as int"),
+        ],
+    )
+    def test_empty_or_unparsable_grid_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting, message):
+        def no_runs(configs):
+            raise AssertionError("run_suite started despite an invalid grid")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        code = cli.main(["compare", "--set", setting, "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_warmup_above_capacity_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
         def no_runs(configs):

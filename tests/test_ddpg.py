@@ -303,11 +303,11 @@ class TestActorUpdate:
             actions = agent.action_high * head
             q = agent.critic.forward(np.hstack([states, actions]))
             loss = -float(np.mean(q[:, 0]))
-            tape = agent.critic.backward(
+            dinput = agent.critic.input_gradient(
                 agent.critic.forward_cached(np.hstack([states, actions]))[1],
                 np.full((n, 1), -1.0 / n),
             )
-            return loss, tape.input_grad[:, agent.obs_dim :] * agent.action_high
+            return loss, dinput[:, agent.obs_dim :] * agent.action_high
 
         err = grad_check(agent.actor, loss_fn, states)
         assert err < 1e-4

@@ -106,6 +106,8 @@ class TestRun:
             ({"critic_lr": -1.0}, "critic_lr must be finite and > 0"),
             ({"critic_lr": float("inf")}, "critic_lr must be finite and > 0"),
             ({"ero_lr": 0.0}, "ero_lr must be finite and > 0"),
+            ({"ou_theta": -0.1}, "ou_theta must be >= 0"),
+            ({"ou_sigma": float("nan")}, "ou_sigma must be >= 0"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):

@@ -25,9 +25,7 @@ from replay_opt.replay import (
     SumTree,
     Transition,
     UniformSampler,
-    load_snapshot,
     make_sampler,
-    save_snapshot,
 )
 
 
@@ -79,7 +77,8 @@ class TestRingStorage:
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         for i in range(21):
             buf.store(make_transition(i))
-        rewards = [float(buf.rewards[i]) for i in buf.live_order()]
+        # transition i sits in slot i % capacity
+        rewards = [float(buf.rewards[i % 8]) for i in range(13, 21)]
         assert rewards == [float(i) for i in range(13, 21)]
 
     def test_fresh_columns_are_zeroed_writable_and_separate(self):
@@ -136,7 +135,6 @@ class TestRingEviction:
             # the k-th oldest live transition sits in slot (stores - live + k) mod capacity
             slots = [(count - len(model) + k) % capacity for k in range(len(model))]
             assert len(buf) == len(model)
-            assert buf.live_order().tolist() == slots
             assert buf.states[slots].tolist() == [t.state.tolist() for t in model]
             assert buf.actions[slots].tolist() == [t.action.tolist() for t in model]
             assert buf.rewards[slots].tolist() == [t.reward for t in model]
@@ -621,50 +619,3 @@ class TestMakeSampler:
             assert make_sampler(kind, buf, rng).kind == kind
         with pytest.raises(ContractViolation):
             make_sampler("heap", buf, rng)
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        buf = filled_buffer(11, capacity=8)  # wrapped ring
-        buf.update_td_errors(np.arange(8), np.linspace(-1, 1, 8))
-        path = tmp_path / "buffer.erpb"
-        save_snapshot(buf, path)
-        meta, transitions = load_snapshot(path)
-        assert meta["version"] == 2
-        assert meta["capacity"] == 8 and meta["size"] == 8
-        assert meta["obs_dim"] == 2 and meta["act_dim"] == 1
-        assert len(transitions) == 8
-        expected_order = buf.live_order()
-        for t, idx in zip(transitions, expected_order):
-            assert np.array_equal(t.state, buf.states[idx])
-            assert np.array_equal(t.action, buf.actions[idx])
-            assert np.array_equal(t.next_state, buf.next_states[idx])
-            assert t.reward == buf.rewards[idx]
-            assert t.done == buf.dones[idx]
-            assert t.insert_timestep == buf.insert_timesteps[idx]
-            assert t.td_error == buf.td_errors[idx]
-        # oldest first
-        steps = [t.insert_timestep for t in transitions]
-        assert steps == sorted(steps)
-
-    @pytest.mark.parametrize("cut, record", [(None, 0), (5, 7)])
-    def test_truncated_file_names_the_record(self, tmp_path, cut, record):
-        path = tmp_path / "buffer.erpb"
-        save_snapshot(filled_buffer(8, capacity=8), path)
-        data = path.read_bytes()
-        header_size = 4 + 4 + 8 + 8 + 4 + 4
-        path.write_bytes(data[:header_size] if cut is None else data[:-cut])
-        with pytest.raises(ContractViolation, match=f"record {record} of 8"):
-            load_snapshot(path)
-
-    def test_truncated_header_rejected(self, tmp_path):
-        path = tmp_path / "buffer.erpb"
-        path.write_bytes(b"ERPB\1\0")
-        with pytest.raises(ContractViolation, match="header"):
-            load_snapshot(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(ContractViolation):
-            load_snapshot(path)
