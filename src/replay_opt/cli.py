@@ -2,8 +2,7 @@
 
 Config files are flat ``key = value`` lines with ``#`` comments; dotted keys
 (``per.alpha``) map onto the underscored RunConfig fields (``per_alpha``).
-``--set key=value`` overrides the file, and the ``REPLAY_OPT_SEED`` env var
-is the lowest-precedence seed default.
+``--set key=value`` overrides the file.
 
 Exit codes: 0 success, 1 partial compare failure, 2 config error,
 3 numeric fault, 4 failed gradient check.
@@ -12,7 +11,6 @@ Exit codes: 0 success, 1 partial compare failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -60,8 +58,6 @@ def build_run_config(mapping: dict[str, str], overrides: dict[str, str]) -> harn
         if name not in types:
             raise ConfigError(f"unknown config key {key!r}")
         values[name] = harness.parse_field(name, value, types[name])
-    if "seed" not in values and os.environ.get("REPLAY_OPT_SEED"):
-        values["seed"] = harness.parse_field("seed", os.environ["REPLAY_OPT_SEED"], int)
     return harness.RunConfig(**values)
 
 
@@ -84,10 +80,7 @@ def write_effective_config(config: harness.RunConfig, path: Path) -> None:
 
 def cmd_run(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
-    overrides = parse_set_flags(args.set or [])
-    if args.eval_every is not None:
-        overrides["eval_every"] = str(args.eval_every)
-    config = build_run_config(mapping, overrides)
+    config = build_run_config(mapping, parse_set_flags(args.set or []))
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -205,7 +198,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradchecks.run_all(corrupt=args.corrupt)
+    results = gradchecks.run_all()
     failed = []
     for name, err in results:
         status = "ok" if err < gradchecks.THRESHOLD else "FAIL"
@@ -234,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a single training run")
     common(p_run)
-    p_run.add_argument("--eval-every", type=int, default=None, metavar="N",
-                       help="run a noise-free eval episode every N training episodes")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run a sampler x seed grid and summarize")
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_trace)
 
     p_gc = sub.add_parser("gradcheck", help="run all gradient verification checks")
-    p_gc.add_argument("--corrupt", help=argparse.SUPPRESS)  # negative-control test hook
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser

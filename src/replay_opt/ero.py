@@ -114,7 +114,6 @@ class EroPolicy:
         update_steps: int = 1,
         update_batch_size: int = 64,
         lazy_refresh: bool = False,
-        refresh_always: bool = False,
         init_seed=None,
         draw_rng=None,
     ):
@@ -126,7 +125,6 @@ class EroPolicy:
         self.update_steps = update_steps
         self.update_batch_size = update_batch_size
         self.lazy_refresh = lazy_refresh
-        self.refresh_always = refresh_always
         self._rng = as_generator(draw_rng)
         self.priority_scores: np.ndarray | None = None  # lazy mode only, see cached_scores
 
@@ -245,15 +243,13 @@ class EroPolicy:
         """Episode-end composite: replay reward, policy update, mask refresh.
 
         The caller records the episode return on ``tracker`` first. The mask
-        is redrawn whenever an update ran (an absent replay reward skips
-        both, unless ``refresh_always`` forces the redraw). Returns the
-        current subset size either way.
+        is redrawn whenever an update ran; an absent replay reward (only at
+        the first episode end) skips both. Returns the current subset size
+        either way.
         """
         reward = tracker.replay_reward()
         self.last_replay_reward = reward
         if reward is not None:
             self.update_policy(buffer, reward, current_step)
-            return self.refresh_subset(buffer, current_step)
-        if self.refresh_always:
             return self.refresh_subset(buffer, current_step)
         return len(buffer.subset_indices())

@@ -1,8 +1,6 @@
 """Named verification checks behind the ``gradcheck`` CLI command.
 
 Each check returns a max relative error; the shared pass threshold is 1e-4.
-The ``corrupt`` hook inflates the named check's reported error past the
-threshold and exists purely as a negative control for the exit-code contract.
 """
 
 from __future__ import annotations
@@ -13,10 +11,9 @@ from .ddpg import DdpgAgent, OuNoise
 from .nn import AdamState, GradTape, adam_step, grad_check, mlp_init
 
 THRESHOLD = 1e-4
-_CORRUPTION = 1e-2
 
 
-def check_mlp(corrupt: bool = False) -> float:
+def check_mlp() -> float:
     rng = np.random.default_rng(100)
     worst = 0.0
     hidden_acts = ("tanh", "relu", "sigmoid")
@@ -29,7 +26,7 @@ def check_mlp(corrupt: bool = False) -> float:
             return float((coeff * y).sum()), coeff.copy()
 
         worst = max(worst, grad_check(net, loss_fn, x))
-    return worst + (_CORRUPTION if corrupt else 0.0)
+    return worst
 
 
 def _small_agent(seed: int = 0) -> DdpgAgent:
@@ -43,7 +40,7 @@ def _small_agent(seed: int = 0) -> DdpgAgent:
     )
 
 
-def check_critic_loss(corrupt: bool = False) -> float:
+def check_critic_loss() -> float:
     rng = np.random.default_rng(200)
     worst = 0.0
     for trial in range(5):
@@ -60,7 +57,7 @@ def check_critic_loss(corrupt: bool = False) -> float:
             return float(np.mean(td**2)), (-2.0 * td / len(td))[:, None]
 
         worst = max(worst, grad_check(agent.critic, loss_fn, np.hstack([states, actions])))
-    return worst + (_CORRUPTION if corrupt else 0.0)
+    return worst
 
 
 def _states_away_from_kinks(agent: DdpgAgent, rng, n: int = 4, gap: float = 1e-3) -> np.ndarray:
@@ -80,7 +77,7 @@ def _states_away_from_kinks(agent: DdpgAgent, rng, n: int = 4, gap: float = 1e-3
     return states
 
 
-def check_actor_chain(corrupt: bool = False) -> float:
+def check_actor_chain() -> float:
     rng = np.random.default_rng(300)
     worst = 0.0
     for trial in range(5):
@@ -100,10 +97,10 @@ def check_actor_chain(corrupt: bool = False) -> float:
             return -float(np.mean(q[:, 0])), dinput[:, agent.obs_dim :] * agent.action_high
 
         worst = max(worst, grad_check(agent.actor, loss_fn, states))
-    return worst + (_CORRUPTION if corrupt else 0.0)
+    return worst
 
 
-def check_replay_policy_surrogate(corrupt: bool = False) -> float:
+def check_replay_policy_surrogate() -> float:
     rng = np.random.default_rng(400)
     worst = 0.0
     for trial in range(5):
@@ -119,10 +116,10 @@ def check_replay_policy_surrogate(corrupt: bool = False) -> float:
             return loss, grad
 
         worst = max(worst, grad_check(net, loss_fn, feats))
-    return worst + (_CORRUPTION if corrupt else 0.0)
+    return worst
 
 
-def check_adam_step(corrupt: bool = False) -> float:
+def check_adam_step() -> float:
     """Relative error of one Adam step against an independent recompute."""
     rng = np.random.default_rng(500)
     net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=30)
@@ -139,15 +136,15 @@ def check_adam_step(corrupt: bool = False) -> float:
     worst = 0.0
     for p, e in zip(net.weights + net.biases, expected):
         worst = max(worst, float(np.max(np.abs(p - e) / np.maximum(np.abs(e), 1e-8))))
-    return worst + (_CORRUPTION if corrupt else 0.0)
+    return worst
 
 
-def check_ou_noise_determinism(corrupt: bool = False) -> float:
+def check_ou_noise_determinism() -> float:
     a = OuNoise(2, rng=np.random.default_rng(60))
     b = OuNoise(2, rng=np.random.default_rng(60))
     sa = np.array([a.sample() for _ in range(200)])
     sb = np.array([b.sample() for _ in range(200)])
-    return float(np.max(np.abs(sa - sb))) + (_CORRUPTION if corrupt else 0.0)
+    return float(np.max(np.abs(sa - sb)))
 
 
 CHECKS = [
@@ -160,5 +157,5 @@ CHECKS = [
 ]
 
 
-def run_all(corrupt: str | None = None) -> list[tuple[str, float]]:
-    return [(name, fn(corrupt=(name == corrupt))) for name, fn in CHECKS]
+def run_all() -> list[tuple[str, float]]:
+    return [(name, fn()) for name, fn in CHECKS]

@@ -55,8 +55,6 @@ class RunConfig:
     replay_updating_steps: int = 1
     ero_batch_size: int = 64
     reward_window: int = 100
-    subset_strict: bool = False
-    subset_refresh_always: bool = False
     lazy_refresh: bool = False
     trace_interval: int = 1000
     eval_every: int = 0
@@ -80,11 +78,13 @@ class RunConfig:
             "reward_window",
             "trace_interval",
             "ero_batch_size",
+            "rank_refresh_interval",
         )
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         non_negative = (
+            "seed",
             "total_timesteps",
             "train_steps_per_iter",
             "warmup_transitions",
@@ -195,9 +195,7 @@ def run(config: RunConfig) -> RunSummary:
     )
     noise = OuNoise(spec.action_dim, theta=config.ou_theta, sigma=config.ou_sigma, rng=streams["noise"])
 
-    buffer = ReplayBuffer(
-        config.buffer_capacity, spec.obs_dim, spec.action_dim, subset_strict=config.subset_strict
-    )
+    buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.action_dim)
     planned_train_steps = (config.total_timesteps // config.rollout_steps) * config.train_steps_per_iter
     per_cfg = PerConfig(
         alpha=config.per_alpha,
@@ -216,7 +214,6 @@ def run(config: RunConfig) -> RunSummary:
             update_steps=config.replay_updating_steps,
             update_batch_size=config.ero_batch_size,
             lazy_refresh=config.lazy_refresh,
-            refresh_always=config.subset_refresh_always,
             init_seed=streams["replay_policy_init"],
             draw_rng=streams["replay_policy_draw"],
         )

@@ -24,6 +24,11 @@ BLOCK = 1024
 _SIG_LO = 2.0**-53
 _SIG_HI = 1.0 - 2.0**-53
 
+# Adam's decay rates and epsilon, the same for every net.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 
 def _sigmoid(z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
     out = np.empty_like(z)
@@ -316,25 +321,15 @@ def mlp_init(layer_sizes, activations, seed, output_scale: float | None = None) 
 
 
 class AdamState:
-    """Adam moments and hyperparameters for one Mlp's parameters.
+    """Adam moments and learning rate for one Mlp's parameters.
 
     ``m`` and ``v`` are float64 vectors laid out like ``Mlp.params``;
     ``m_w``/``m_b`` and ``v_w``/``v_b`` are per-layer views into them.
     ``scratch`` holds two more such vectors that ``adam_step`` works in.
     """
 
-    def __init__(
-        self,
-        layer_sizes,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
+    def __init__(self, layer_sizes, learning_rate: float) -> None:
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m = np.zeros(_param_count(layer_sizes))
         self.v = np.zeros_like(self.m)
@@ -343,8 +338,8 @@ class AdamState:
         self.v_w, self.v_b = _layer_views(self.v, layer_sizes)
 
     @classmethod
-    def for_net(cls, net: Mlp, learning_rate: float, **kwargs) -> "AdamState":
-        return cls(net.layer_sizes, learning_rate, **kwargs)
+    def for_net(cls, net: Mlp, learning_rate: float) -> "AdamState":
+        return cls(net.layer_sizes, learning_rate)
 
 
 def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
@@ -362,7 +357,7 @@ def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
         raise NumericFault(f"non-finite gradient in layer {layer}")
     state.step_count += 1
     t = state.step_count
-    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
+    b1, b2, eps, lr = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON, state.learning_rate
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time in

@@ -103,13 +103,12 @@ class ReplayBuffer:
     most recently drawn mask bit (or ``MASK_UNDRAWN``).
     """
 
-    def __init__(self, capacity: int, obs_dim: int, action_dim: int, subset_strict: bool = False):
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         if capacity < 1:
             raise ContractViolation("capacity must be at least 1")
         self.capacity = capacity
         self.obs_dim = obs_dim
         self.action_dim = action_dim
-        self.subset_strict = subset_strict
 
         self.states = _mapped_zeros((capacity, obs_dim))
         self.actions = _mapped_zeros((capacity, action_dim))
@@ -125,7 +124,6 @@ class ReplayBuffer:
         self.store_count = 0
         self.subset_fallbacks = 0
         self.stale_updates = 0
-        self._has_refreshed = False
         self._subset_cache: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -186,11 +184,9 @@ class ReplayBuffer:
 
     def subset_indices(self) -> np.ndarray:
         """Live slots inside the active subset: drawn bit 1, or no bit yet
-        (``MASK_UNDRAWN``) unless ``subset_strict`` is set and a mask was drawn."""
+        (``MASK_UNDRAWN``, stored since the last draw)."""
         if self._subset_cache is None:
-            drawn = self.mask_drawn[: self.size]
-            inside = drawn == 1 if self.subset_strict and self._has_refreshed else drawn != 0
-            self._subset_cache = np.flatnonzero(inside)
+            self._subset_cache = np.flatnonzero(self.mask_drawn[: self.size] != 0)
         return self._subset_cache
 
     def set_subset_mask(self, bits: np.ndarray) -> None:
@@ -199,7 +195,6 @@ class ReplayBuffer:
         if bits.shape != (self.size,):
             raise ContractViolation(f"mask shape {bits.shape} does not match size {self.size}")
         self.mask_drawn[: self.size] = bits.astype(np.int8)
-        self._has_refreshed = True
         self._subset_cache = None
 
     def update_td_errors(

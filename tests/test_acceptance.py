@@ -93,8 +93,8 @@ def test_c01_gradient_suite():
 
     for trial in range(trials):
         agent = small_agent(trial + 500)
-        agent.actor.weights[-1] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
-        agent.actor.biases[-1] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
+        agent.actor.weights[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
+        agent.actor.biases[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
         states = _states_away_from_kinks(agent, rng)
         n = len(states)
 

@@ -36,8 +36,9 @@ class TestConfigParsing:
             cli.parse_config_text("just words\n", source="line")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            cli.build_run_config({"velocity": "1"}, {})
+        for key in ("velocity", "subset_strict", "subset_refresh_always"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                cli.build_run_config({key: "1"}, {})
 
     def test_dotted_keys_map_to_fields(self):
         config = cli.build_run_config({"per.alpha": "0.7", "ou.theta": "0.2"}, {})
@@ -48,16 +49,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             cli.build_run_config({"total_timesteps": "many"}, {})
         with pytest.raises(ConfigError, match="cannot parse"):
-            cli.build_run_config({"subset_strict": "maybe"}, {})
+            cli.build_run_config({"lazy_refresh": "maybe"}, {})
 
     def test_overrides_win_over_file(self):
         config = cli.build_run_config({"seed": "1"}, {"seed": "9"})
         assert config.seed == 9
-
-    def test_env_var_is_lowest_precedence_seed(self, monkeypatch):
-        monkeypatch.setenv("REPLAY_OPT_SEED", "77")
-        assert cli.build_run_config({}, {}).seed == 77
-        assert cli.build_run_config({"seed": "5"}, {}).seed == 5
 
     def test_tuple_field(self):
         config = cli.build_run_config({"hidden_sizes": "32,16"}, {})
@@ -116,6 +112,7 @@ class TestRunCommand:
             ("ero_lr=0", "ero_lr must be finite and > 0"),
             ("ou_theta=-1", "ou_theta must be >= 0"),
             ("ou_sigma=nan", "ou_sigma must be >= 0"),
+            ("seed=-1", "seed must be >= 0"),
         ],
     )
     def test_invalid_learning_setting_exits_2_before_training(self, tmp_path, monkeypatch, capsys, setting, message):
@@ -232,6 +229,7 @@ class TestCompareCommand:
             ("samplers=,", "samplers is empty"),
             ("seeds=,", "seeds is empty"),
             ("seeds=abc", "cannot parse seeds = 'abc' as int"),
+            ("seeds=-1", "seed must be >= 0"),
         ],
     )
     def test_empty_or_unparsable_grid_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting, message):
@@ -290,7 +288,7 @@ class TestEvalOutput:
     def test_eval_every_writes_one_row_per_eval(self, tmp_path):
         cfg = write_config(tmp_path, total_timesteps=1000)
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--eval-every", "2"]) == 0
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--set", "eval_every=2"]) == 0
         assert (out / "evals.csv").read_text().splitlines()[0] == "global_step,eval_return,length"
         episodes = read_episode_csv(out / "episodes.csv")
         evals = read_csv(EvalRecord, out / "evals.csv")
@@ -385,10 +383,12 @@ class TestGradcheckCommand:
             assert name in out
         assert out.count("ok") >= 6
 
-    def test_corrupted_gradient_exits_4(self, capsys):
-        assert cli.main(["gradcheck", "--corrupt", "critic-loss"]) == 4
-        err = capsys.readouterr().err
-        assert "critic-loss" in err
+    def test_corrupted_gradient_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.gradchecks, "CHECKS", [("critic-loss", lambda: cli.gradchecks.THRESHOLD)])
+        assert cli.main(["gradcheck"]) == 4
+        captured = capsys.readouterr()
+        assert "critic-loss" in captured.err
+        assert "FAIL" in captured.out
 
 
 class TestEndToEndDeterminism:

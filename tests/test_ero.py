@@ -385,17 +385,9 @@ class TestOnEpisodeEnd:
         size = policy.on_episode_end(tracker, buf, current_step=10)
         assert policy.last_replay_reward is None
         assert tracker.previous_mean == -100.0
-        # no refresh by default, subset is still the all-ones default
+        # no refresh without a replay reward, subset is still the all-ones default
         assert size == 10
         assert policy.last_refresh_step is None
-
-    def test_refresh_always_flag(self):
-        buf = make_buffer(10)
-        policy = fresh_policy(refresh_always=True)
-        tracker = ReplayRewardTracker()
-        tracker.record_episode(-100.0)
-        policy.on_episode_end(tracker, buf, current_step=10)
-        assert policy.last_refresh_step == 10
 
     def test_second_episode_updates_then_refreshes(self):
         buf = make_buffer(10)

@@ -82,6 +82,7 @@ class TestRun:
             ({"per_alpha": float("nan")}, "per_alpha must be >= 0"),
             ({"per_beta0": -0.1}, r"per_beta0 must be in \[0, 1\]"),
             ({"per_beta0": 1.5}, r"per_beta0 must be in \[0, 1\]"),
+            ({"rank_refresh_interval": 0}, "rank_refresh_interval must be >= 1"),
         ],
     )
     def test_invalid_per_settings_rejected(self, setting, message):
@@ -90,7 +91,7 @@ class TestRun:
 
     def test_per_setting_bounds_accepted(self):
         quick_config(per_epsilon=0.0, per_alpha=0.0, per_beta0=0.0).validate()
-        quick_config(per_beta0=1.0).validate()
+        quick_config(per_beta0=1.0, rank_refresh_interval=1).validate()
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -108,6 +109,7 @@ class TestRun:
             ({"ero_lr": 0.0}, "ero_lr must be finite and > 0"),
             ({"ou_theta": -0.1}, "ou_theta must be >= 0"),
             ({"ou_sigma": float("nan")}, "ou_sigma must be >= 0"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):

@@ -520,14 +520,13 @@ class TestSubsetSampler:
         assert buf.subset_fallbacks == 1
 
     def test_mask_hygiene_after_eviction(self):
-        buf = ReplayBuffer(4, obs_dim=2, action_dim=1, subset_strict=True)
+        buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         for i in range(4):
             buf.store(make_transition(i))
-        buf.set_subset_mask(np.array([True, True, False, False]))
-        buf.store(make_transition(10))  # evicts slot 0
-        assert 0 not in buf.subset_indices()
+        buf.set_subset_mask(np.array([False, True, False, False]))
+        buf.store(make_transition(10))  # evicts slot 0, whose drawn bit was 0
         assert buf.mask_drawn[0] == MASK_UNDRAWN
-        assert np.array_equal(buf.subset_indices(), [1])
+        assert np.array_equal(buf.subset_indices(), [0, 1])
 
     def test_immediate_join_by_default(self):
         buf = filled_buffer(4)
@@ -535,32 +534,23 @@ class TestSubsetSampler:
         idx = buf.store(make_transition(9))
         assert idx in buf.subset_indices()
 
-    def test_strict_mode_defers_membership_until_refresh(self):
-        buf = ReplayBuffer(8, obs_dim=2, action_dim=1, subset_strict=True)
-        idx = buf.store(make_transition(0))
-        assert idx in buf.subset_indices()  # no draw yet, default mask is all ones
-        buf.set_subset_mask(np.array([True]))
-        idx2 = buf.store(make_transition(1))
-        assert idx2 not in buf.subset_indices()
 
 
 class OldMembership:
     """The two per-slot columns that once held subset membership, in plain Python.
 
-    ``in_subset`` was written at store time (1 unless strict masking is on
-    and a mask was drawn) and overwritten by every mask; ``mask`` is the
-    drawn bit or ``MASK_UNDRAWN``.
+    ``in_subset`` was set to 1 at store time and overwritten by every mask;
+    ``mask`` is the drawn bit or ``MASK_UNDRAWN``.
     """
 
-    def __init__(self, capacity: int, strict: bool):
-        self.capacity, self.strict = capacity, strict
+    def __init__(self, capacity: int):
+        self.capacity = capacity
         self.in_subset = [False] * capacity
         self.mask = [MASK_UNDRAWN] * capacity
-        self.refreshed = False
         self.cursor = self.size = 0
 
     def store(self) -> None:
-        self.in_subset[self.cursor] = not (self.strict and self.refreshed)
+        self.in_subset[self.cursor] = True
         self.mask[self.cursor] = MASK_UNDRAWN
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -568,7 +558,6 @@ class OldMembership:
     def set_mask(self, bits: list[bool]) -> None:
         for i, bit in enumerate(bits):
             self.in_subset[i], self.mask[i] = bit, int(bit)
-        self.refreshed = True
 
     def subset(self) -> list[int]:
         return [i for i in range(self.size) if self.in_subset[i]]
@@ -578,15 +567,14 @@ class TestMembershipFromMaskBits:
     @settings(max_examples=200, deadline=None)
     @given(
         capacity=st.integers(1, 8),
-        strict=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_matches_the_two_column_model(self, capacity, strict, seed, data):
-        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1, subset_strict=strict)
+    def test_matches_the_two_column_model(self, capacity, seed, data):
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
         sampler = SubsetSampler(buf, np.random.default_rng(seed))
         model_rng = np.random.default_rng(seed)
-        model = OldMembership(capacity, strict)
+        model = OldMembership(capacity)
         fallbacks = 0
         ops = data.draw(st.lists(st.sampled_from(["store", "mask", "sample"]), max_size=40))
         for step, op in enumerate(ops):
