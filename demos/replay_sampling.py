@@ -30,7 +30,7 @@ for i in range(N):
             insert_timestep=i + 1,
         )
     )
-buf.td_errors[:N] = rng.exponential(size=N)  # spread of TD magnitudes
+buf.update_td_errors(np.arange(N), rng.exponential(size=N))  # spread of TD magnitudes
 
 print(f"buffer: {len(buf)} transitions, capacity {buf.capacity}\n")
 

@@ -8,6 +8,8 @@ replay module can feed ``train_step``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolation, NumericFault
@@ -46,9 +48,10 @@ class DdpgAgent:
 
     The learning methods work in arrays the agent owns and reuses from call
     to call: the critic's concatenated (state, action) input, the actor's
-    and the critic's forward caches, one gradient tape per online net, and
-    the target blend's scratch vector. A tape that ``critic_gradients`` or
-    ``actor_gradients`` returns is therefore overwritten by the next call.
+    and the critic's forward caches, one gradient tape per online net, the
+    actor objective's constant output gradient, and the target blend's
+    scratch vector. A tape that ``critic_gradients`` or ``actor_gradients``
+    returns is therefore overwritten by the next call.
     """
 
     def __init__(
@@ -92,6 +95,7 @@ class DdpgAgent:
         self._actor_cache: list | None = None
         self._critic_cache: list | None = None
         self._critic_in: np.ndarray | None = None
+        self._mean_q_grad: np.ndarray | None = None  # d(-mean q)/dq, (n, 1) filled with -1/n
         self._blend = np.empty(max(self.actor.param_count, self.critic.param_count))
 
     # ----------------------------------------------------------------- acting
@@ -125,24 +129,40 @@ class DdpgAgent:
         """
         next_actions = self.actions_for(next_states, net=self.target_actor)
         next_q = self.target_critic.forward(self._critic_input(next_states, next_actions))[:, 0]
-        return rewards + self.gamma * (1.0 - dones.astype(np.float64)) * next_q
+        # rewards + gamma * (1 - dones) * next_q, in place; each product and sum
+        # has the same operands as in that expression, so the same bits
+        targets = np.subtract(1.0, dones, dtype=np.float64)
+        targets *= self.gamma
+        targets *= next_q
+        targets += rewards
+        return targets
 
     def critic_gradients(self, states, actions, rewards, next_states, dones, is_weights=None):
-        """Loss, parameter tape, and per-sample TD errors without updating."""
+        """Loss, parameter tape, and per-sample TD errors without updating.
+
+        Without ``is_weights`` every sample weighs 1, and the loss skips the
+        multiplications by 1.0, which are exact.
+        """
         n = len(states)
         targets = self.critic_targets(rewards, next_states, dones)
         q, self._critic_cache = self.critic.forward_cached(
             self._critic_input(states, actions), self._critic_cache
         )
         td_errors = targets - q[:, 0]
-        weights = np.ones(n) if is_weights is None else np.asarray(is_weights, dtype=np.float64)
-        loss = float(np.mean(weights * td_errors**2))
-        if not np.isfinite(loss):
+        if is_weights is None:
+            loss = float(np.add.reduce(td_errors**2) / n)  # np.mean's bits, without its wrapper
+            dloss_dq = -2.0 * td_errors
+        else:
+            weights = np.asarray(is_weights, dtype=np.float64)
+            loss = float(np.add.reduce(weights * td_errors**2) / n)
+            dloss_dq = -2.0 * weights * td_errors
+        if not math.isfinite(loss):
             raise NumericFault(
                 f"critic loss is not finite (loss={loss}, "
                 f"max|target|={np.max(np.abs(targets))})"
             )
-        dloss_dq = (-2.0 * weights * td_errors / n)[:, None]
+        dloss_dq /= n
+        dloss_dq = dloss_dq[:, None]
         tape = self.critic.backward(self._critic_cache, dloss_dq, self._critic_tape)
         return loss, tape, td_errors
 
@@ -166,16 +186,18 @@ class DdpgAgent:
         q, self._critic_cache = self.critic.forward_cached(
             self._critic_input(states, actions), self._critic_cache
         )
-        objective = float(np.mean(q[:, 0]))
+        objective = float(np.add.reduce(q[:, 0]) / n)
         # minimize -mean(q); the critic is frozen here, so only its input gradient is needed
-        dloss_dinput = self.critic.input_gradient(self._critic_cache, np.full((n, 1), -1.0 / n))
+        if self._mean_q_grad is None or len(self._mean_q_grad) != n:
+            self._mean_q_grad = np.full((n, 1), -1.0 / n)
+        dloss_dinput = self.critic.input_gradient(self._critic_cache, self._mean_q_grad)
         dloss_dhead = dloss_dinput[:, self.obs_dim :] * self.action_high
         tape = self.actor.backward(self._actor_cache, dloss_dhead, self._actor_tape)
         return objective, tape
 
     def actor_update(self, states) -> float:
         objective, tape = self.actor_gradients(states)
-        if not np.isfinite(objective):
+        if not math.isfinite(objective):
             raise NumericFault(f"actor objective is not finite ({objective})")
         adam_step(self.actor, tape, self.actor_adam)
         return objective

@@ -9,6 +9,8 @@ scoring network.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericFault
@@ -39,38 +41,62 @@ def _sigmoid(z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
     return np.clip(out, _SIG_LO, _SIG_HI, out=dst)
 
 
-def _activate(name: str, z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
-    """Apply the activation to ``z``, into ``dst`` when given (``dst`` may be ``z``).
+def _tanh(z, dst=None):
+    return np.tanh(z, out=dst)
 
-    A linear layer returns ``z`` itself and ignores ``dst``.
-    """
-    if name == "tanh":
-        return np.tanh(z, out=dst)
-    if name == "relu":
-        return np.maximum(z, 0.0, out=dst)
-    if name == "sigmoid":
-        return _sigmoid(z, dst)
+
+def _relu(z, dst=None):
+    return np.maximum(z, 0.0, out=dst)
+
+
+def _linear(z, dst=None):
     return z
+
+
+def _tanh_grad(dh, z, out, dst=None, mask=None):
+    return np.multiply(dh, 1.0 - out * out, out=dst)
+
+
+def _relu_grad(dh, z, out, dst=None, mask=None):
+    return np.multiply(dh, np.greater(z, 0.0, out=mask), out=dst)
+
+
+def _sigmoid_grad(dh, z, out, dst=None, mask=None):
+    return np.multiply(dh, out * (1.0 - out), out=dst)
+
+
+def _linear_grad(dh, z, out, dst=None, mask=None):
+    return dh
+
+
+# Per activation tag: (activation, chain rule through it). An activation maps
+# ``(z, dst)`` to its output, written into ``dst`` when given (``dst`` may be
+# ``z``); a linear layer returns ``z`` itself and ignores ``dst``. A chain
+# rule maps ``(dh, z, out, dst, mask)``, with ``dh`` = d(loss)/d(out), to
+# d(loss)/d(z), reusing the forward output where cheaper. The relu mask is
+# written into the bool array ``mask`` when given and multiplies as
+# booleans, and a linear layer passes ``dh`` through: the same bits as
+# multiplying by a float 1.0/0.0 array, without building one. The result
+# goes into ``dst`` when given (``dst`` may be ``dh``), except that a linear
+# layer always returns ``dh``.
+_KERNELS = {
+    "tanh": (_tanh, _tanh_grad),
+    "relu": (_relu, _relu_grad),
+    "sigmoid": (_sigmoid, _sigmoid_grad),
+    "linear": (_linear, _linear_grad),
+}
+
+
+def _activate(name: str, z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
+    """Apply the activation tagged ``name`` to ``z`` (see ``_KERNELS``)."""
+    return _KERNELS[name][0](z, dst)
 
 
 def _pre_activation_grad(
     name: str, dh: np.ndarray, z: np.ndarray, out: np.ndarray, dst: np.ndarray | None = None
 ) -> np.ndarray:
-    """Chain ``dh`` = d(loss)/d(out) through the activation to d(loss)/d(z).
-
-    Reuses the forward output where cheaper. The relu mask multiplies as
-    booleans and a linear layer passes ``dh`` through: the same bits as
-    multiplying by a float 1.0/0.0 array, without building one. The result
-    goes into ``dst`` when given (``dst`` may be ``dh``), except that a
-    linear layer always returns ``dh``.
-    """
-    if name == "tanh":
-        return np.multiply(dh, 1.0 - out * out, out=dst)
-    if name == "relu":
-        return np.multiply(dh, z > 0.0, out=dst)
-    if name == "sigmoid":
-        return np.multiply(dh, out * (1.0 - out), out=dst)
-    return dh
+    """Chain ``dh`` through the activation tagged ``name`` (see ``_KERNELS``)."""
+    return _KERNELS[name][1](dh, z, out, dst)
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -139,18 +165,22 @@ class Mlp:
     would no longer see it.
 
     Each net owns a workspace: one float64 array per layer, as wide as the
-    layer's output and grown on demand to at most ``BLOCK`` rows. ``forward``
-    writes its hidden layers there (running larger inputs in ``row_blocks``)
-    and ``backward``/``input_gradient`` their per-layer gradients, so those
-    intermediates are reused from call to call; a request for more than
-    ``BLOCK`` rows gets fresh arrays instead. What the methods return is
-    never workspace memory: ``forward`` returns a fresh array on every call.
-    The workspace makes a net unsafe to run from two threads at once.
+    layer's output and grown on demand to at most ``BLOCK`` rows, and a bool
+    array of the same shape for the relu masks. ``forward`` writes its hidden
+    layers there (running larger inputs in ``row_blocks``) and
+    ``backward``/``input_gradient`` their per-layer gradients and masks, so
+    those intermediates are reused from call to call; a request for more
+    than ``BLOCK`` rows gets fresh arrays instead. What the methods return
+    is never workspace memory: ``forward`` returns a fresh array on every
+    call. The workspace makes a net unsafe to run from two threads at once.
+
+    Each layer's activation and its chain rule are looked up once, at
+    construction (``_KERNELS``), not dispatched on the tag at every call.
     """
 
     def __init__(self, layer_sizes, activations, params: np.ndarray) -> None:
         self.layer_sizes = list(layer_sizes)
-        self.activations = list(activations)
+        self.activations = tuple(activations)  # bound into the layers below: read-only
         expected = _param_count(self.layer_sizes)
         if params.shape != (expected,) or params.dtype != np.float64:
             raise ContractViolation(
@@ -159,8 +189,13 @@ class Mlp:
             )
         self.params = params
         self.weights, self.biases = _layer_views(params, self.layer_sizes)
+        kernels = [_KERNELS[act] for act in self.activations]
+        self._layers = list(zip(self.weights, self.biases, (k[0] for k in kernels)))
+        self._grads = [k[1] for k in kernels]
         self._workspace: list[np.ndarray] = []
-        self._views: tuple[int, list[np.ndarray]] = (0, [])  # last row count asked for, its views
+        self._masks: list[np.ndarray] = []
+        # (float, bool) workspace views per recently asked row count
+        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     @property
     def param_count(self) -> int:
@@ -185,35 +220,46 @@ class Mlp:
             )
         return x
 
-    def _scratch(self, rows: int) -> list[np.ndarray]:
-        """Per-layer (rows, layer width) arrays: workspace views, fresh above ``BLOCK`` rows."""
+    def _scratch(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (rows, layer width) float and bool arrays: workspace views,
+        fresh above ``BLOCK`` rows."""
+        views = self._views.get(rows)
+        if views is not None:
+            return views
         widths = self.layer_sizes[1:]
         if rows > BLOCK:
-            return [np.empty((rows, width)) for width in widths]
-        if self._views[0] != rows:
-            if not self._workspace or len(self._workspace[0]) < rows:
-                self._workspace = [np.empty((rows, width)) for width in widths]
-            self._views = (rows, [buf[:rows] for buf in self._workspace])
-        return self._views[1]
+            return [np.empty((rows, w)) for w in widths], [np.empty((rows, w), bool) for w in widths]
+        grow = not self._workspace or len(self._workspace[0]) < rows
+        if grow or len(self._views) >= 4:
+            self._views.clear()  # a few row counts recur (1 to act, the batch size to train)
+        if grow:
+            self._workspace = [np.empty((rows, w)) for w in widths]
+            self._masks = [np.empty((rows, w), dtype=bool) for w in widths]
+        views = self._views[rows] = ([a[:rows] for a in self._workspace], [a[:rows] for a in self._masks])
+        return views
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network on a (batch, input_dim) matrix; returns a fresh (batch, output_dim) array.
 
         Each layer computes ``matmul(h, W, out=z); z += b`` and applies its
-        activation in place, the same bits as ``act(h @ W + b)``.
+        activation in place, the same bits as ``act(h @ W + b)``. Inputs of
+        at most ``BLOCK`` rows run as one block, without slicing.
         """
         x = self._check_input(x)
         y = np.empty((len(x), self.output_dim))
-        last = len(self.weights) - 1
-        for start, stop in row_blocks(len(x)):
-            h = x[start:stop]
-            scratch = self._scratch(stop - start)
-            for layer, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-                z = y[start:stop] if layer == last else scratch[layer]
-                np.matmul(h, w, out=z)
-                z += b
-                h = _activate(act, z, dst=z)
+        if len(x) <= BLOCK:
+            self._forward_block(x, y)
+        else:
+            for start, stop in row_blocks(len(x)):
+                self._forward_block(x[start:stop], y[start:stop])
         return y
+
+    def _forward_block(self, h: np.ndarray, y: np.ndarray) -> None:
+        scratch = self._scratch(len(h))[0]
+        for (w, b, act), z in zip(self._layers, scratch[:-1] + [y]):
+            np.matmul(h, w, out=z)
+            z += b
+            h = act(z, z)
 
     def forward_cached(self, x: np.ndarray, cache: list | None = None) -> tuple[np.ndarray, list]:
         """Forward pass that also returns the intermediates backward() needs.
@@ -229,11 +275,11 @@ class Mlp:
             for width, act in zip(self.layer_sizes[1:], self.activations):
                 z = np.empty((len(h), width))
                 cache.append((None, z, z if act == "linear" else np.empty_like(z)))
-        for layer, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+        for layer, (w, b, act) in enumerate(self._layers):
             _, z, out = cache[layer]
             np.matmul(h, w, out=z)
             z += b
-            _activate(act, z, dst=out)
+            act(z, out)
             cache[layer] = (h, z, out)
             h = out
         return h, cache
@@ -271,14 +317,14 @@ class Mlp:
                 f"output_grad shape {output_grad.shape} does not match "
                 f"forward output {cache[-1][2].shape}"
             )
-        scratch = self._scratch(len(output_grad))
+        scratch, masks = self._scratch(len(output_grad))
         dh = output_grad
         for layer in range(len(self.weights) - 1, -1, -1):
             h_in, z, out = cache[layer]
-            dz = _pre_activation_grad(self.activations[layer], dh, z, out, dst=scratch[layer])
+            dz = self._grads[layer](dh, z, out, scratch[layer], masks[layer])
             if tape is not None:
                 np.matmul(h_in.T, dz, out=tape.weight_grads[layer])
-                dz.sum(axis=0, out=tape.bias_grads[layer])
+                np.add.reduce(dz, axis=0, out=tape.bias_grads[layer])
                 if layer == 0:
                     return None
             dh = np.matmul(dz, self.weights[layer].T, out=scratch[layer - 1] if layer else None)
@@ -343,14 +389,20 @@ class AdamState:
 
 
 def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
-    """Apply one bias-corrected Adam update to ``net`` in place."""
+    """Apply one bias-corrected Adam update to ``net`` in place.
+
+    A non-finite gradient raises ``NumericFault`` naming its first layer and
+    leaves the net and the moments untouched.
+    """
     p, g, m, v = net.params, tape.grads, state.m, state.v
     if not p.size == g.size == m.size == v.size:
         raise ContractViolation(
             f"net has {p.size} parameters but the tape has {g.size} gradients "
             f"and the Adam state {m.size}/{v.size} moments"
         )
-    if not np.isfinite(g).all():
+    # a finite sum of squares (one BLAS dot) means every entry is finite; only
+    # a non-finite entry, or squares that overflow, need the full scan
+    if not math.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
         first_bad = np.flatnonzero(~np.isfinite(g))[0]
         layer_ends = np.cumsum([w.size + b.size for w, b in zip(net.weights, net.biases)])
         layer = int(np.searchsorted(layer_ends, first_bad, side="right"))

@@ -8,11 +8,13 @@ One fixed-capacity ring buffer backs four interchangeable samplers:
 * uniform draws restricted to the mask-selected subset maintained by the
   learned replay policy.
 
-Storage is struct-of-arrays so batch gathers are single fancy-index reads.
+Storage is struct-of-arrays so a batch gather is one indexed read per column.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import mmap
 from dataclasses import dataclass
 
@@ -94,6 +96,30 @@ def _mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
+def _max_after_write(top, old: np.ndarray, new: np.ndarray, landed):
+    """A column's maximum after a write, from its maximum before (``top``).
+
+    ``old`` holds the overwritten slots' values before the write, ``new`` the
+    values written in write order, and ``landed()`` returns those slots'
+    values after the write (where a slot repeats, only its last write
+    lands). Returns None, meaning "rescan the column", when the write may
+    have removed a slot holding ``top``, or when ``top`` is None already.
+    Otherwise the result is exact: a maximum is one of the column's values.
+    """
+    if top is None or not len(new):
+        return top
+    if not np.maximum.reduce(new) < top:  # the new maximum may have landed (or a NaN)
+        landed_top = np.maximum.reduce(landed())
+        if landed_top >= top:
+            return landed_top
+        if landed_top != landed_top:
+            return None
+    # every overwritten slot held at most ``top``
+    if np.maximum.reduce(old) < top:
+        return top
+    return None  # a NaN, or the old maximum may be gone
+
+
 class ReplayBuffer:
     """Fixed-capacity ring store of transitions with per-slot caches.
 
@@ -101,6 +127,11 @@ class ReplayBuffer:
     overwrite the oldest slot. Per-slot state beyond the transition itself
     is only what more than one component reads: a cached TD error and the
     most recently drawn mask bit (or ``MASK_UNDRAWN``).
+
+    The buffer keeps the maximum live |TD| that ``store`` seeds new slots
+    with, and rescans the column only after ``update_td_errors`` overwrote a
+    slot that held it. The cache is exact only if every TD write goes
+    through ``update_td_errors``; do not write ``td_errors`` directly.
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
@@ -125,6 +156,7 @@ class ReplayBuffer:
         self.subset_fallbacks = 0
         self.stale_updates = 0
         self._subset_cache: np.ndarray | None = None
+        self._td_max = None  # max |TD| over live slots; None until (re)scanned
 
     def __len__(self) -> int:
         return self.size
@@ -134,7 +166,9 @@ class ReplayBuffer:
 
         The TD cache starts at the current maximum live |TD| (1 when empty),
         so fresh transitions are replayed at least as eagerly as any
-        existing one.
+        existing one. That maximum is cached, not rescanned: a store never
+        changes it, because the new slot takes it and an evicted slot held
+        at most it.
         """
         state = np.asarray(transition.state, dtype=np.float64).reshape(-1)
         action = np.asarray(transition.action, dtype=np.float64).reshape(-1)
@@ -148,10 +182,12 @@ class ReplayBuffer:
                 f"action width {action.shape} does not match action_dim {self.action_dim}"
             )
 
-        if self.size > 0:
-            td_init = float(np.max(np.abs(self.td_errors[: self.size])))
-        else:
+        if self.size == 0:
             td_init = 1.0
+        else:
+            if self._td_max is None:
+                self._td_max = float(np.max(np.abs(self.td_errors[: self.size])))
+            td_init = self._td_max
 
         idx = self.cursor
         self.states[idx] = state
@@ -161,6 +197,7 @@ class ReplayBuffer:
         self.dones[idx] = transition.done
         self.insert_timesteps[idx] = transition.insert_timestep
         self.td_errors[idx] = td_init
+        self._td_max = td_init
         self.mask_drawn[idx] = MASK_UNDRAWN
 
         self.cursor = (self.cursor + 1) % self.capacity
@@ -171,12 +208,13 @@ class ReplayBuffer:
 
     def gather(self, indices: np.ndarray, is_weights: np.ndarray | None = None) -> Batch:
         indices = np.asarray(indices, dtype=np.int64)
+        # ``take`` copies the same rows as fancy indexing, at a fraction of its cost on 2-D columns
         return Batch(
             indices=indices,
-            states=self.states[indices],
-            actions=self.actions[indices],
+            states=self.states.take(indices, axis=0),
+            actions=self.actions.take(indices, axis=0),
             rewards=self.rewards[indices],
-            next_states=self.next_states[indices],
+            next_states=self.next_states.take(indices, axis=0),
             dones=self.dones[indices],
             insert_timesteps=self.insert_timesteps[indices],
             is_weights=is_weights,
@@ -216,8 +254,14 @@ class ReplayBuffer:
         ok = indices < self.size
         if expected_insert_steps is not None:
             ok &= self.insert_timesteps[indices] == expected_insert_steps
-        self.stale_updates += int((~ok).sum())
-        self.td_errors[indices[ok]] = td_errors[ok]
+        stale = len(ok) - np.count_nonzero(ok)
+        self.stale_updates += stale
+        written, values = (indices[ok], td_errors[ok]) if stale else (indices, td_errors)
+        old = np.abs(self.td_errors[written])
+        self.td_errors[written] = values
+        self._td_max = _max_after_write(
+            self._td_max, old, np.abs(values), lambda: np.abs(self.td_errors[written])
+        )
         return ok
 
 
@@ -228,6 +272,15 @@ class SumTree:
     root-to-leaf descent per draw. Leaf storage is padded to the next power
     of two so every leaf sits at the same depth and the descent order agrees
     with plain leaf-index order (pad leaves hold zero mass forever).
+    ``nodes`` is the tree in heap order, root first; it is a view into a
+    1-based heap (``_heap[k]`` is ``nodes[k - 1]``, so node ``k``'s children
+    are ``2k`` and ``2k + 1``).
+
+    The tree also tracks one past the highest leaf ever written (``find``
+    starts below the nodes that cover only unwritten leaves) and the
+    smallest positive leaf mass, which it rescans only after a write that
+    may have removed it. Write leaves only through ``set``: a direct write
+    to ``nodes`` leaves both stale.
     """
 
     def __init__(self, capacity: int):
@@ -237,9 +290,13 @@ class SumTree:
         self._leaves = 1
         while self._leaves < capacity:
             self._leaves *= 2
-        self.nodes = np.zeros(2 * self._leaves - 1)
-        # right shifts taking a 1-based heap number to each of its ancestors
+        self._heap = np.zeros(2 * self._leaves)
+        self.nodes = self._heap[1:]
+        # right shifts taking a heap number to each of its ancestors
         self._shifts = np.arange(1, self._leaves.bit_length())[:, None]
+        self._tiled = np.empty((len(self._shifts), 0))  # one batch's deltas, once per level
+        self._written = 0  # one past the highest leaf ever written
+        self._min_mass = math.inf  # smallest positive leaf mass (inf: none); None until rescanned
 
     def set(self, idx, mass) -> None:
         """Write leaf mass(es) and propagate the change to every ancestor.
@@ -259,9 +316,10 @@ class SumTree:
         ``nodes`` untouched.
 
         Callers compute leaf masses ``(|td| + eps) ** alpha`` with scalar
-        (Python float) ``**``: numpy's vectorized ``**`` may use a different
-        pow kernel (e.g. AVX-512) whose results differ from the scalar one
-        in the last bit, which would change which leaf a draw lands on.
+        (Python float) ``**`` or ``math.pow``, which make the same C library
+        call: numpy's vectorized ``**`` may use a different pow kernel (e.g.
+        AVX-512) whose results differ from the scalar one in the last bit,
+        which would change which leaf a draw lands on.
         """
         # one leaf (a store) walks in Python: cheaper than the array path's fixed cost
         if not np.isscalar(idx):
@@ -271,12 +329,21 @@ class SumTree:
             raise ContractViolation(f"leaf mass must be finite and non-negative, got {mass}")
         if not 0 <= idx < self.capacity:
             raise ContractViolation(f"leaf index {idx} out of range for capacity {self.capacity}")
-        node = idx + self._leaves - 1
-        delta = mass - self.nodes[node]
-        self.nodes[node] = mass
-        while node > 0:
-            node = (node - 1) // 2
-            self.nodes[node] += delta
+        heap = self._heap
+        node = idx + self._leaves
+        old = heap[node]
+        low = self._min_mass
+        if low is not None:
+            if 0 < mass < low:
+                self._min_mass = mass
+            elif old == low and mass != low:
+                self._min_mass = None
+        self._written = max(self._written, idx + 1)
+        delta = mass - old
+        heap[node] = mass
+        while node > 1:
+            node >>= 1
+            heap[node] += delta
 
     def _set_many(self, idx, mass) -> None:
         indices = np.asarray(idx)
@@ -289,55 +356,98 @@ class SumTree:
             return
         if indices.dtype.kind not in "iu":
             raise ContractViolation(f"leaf indices must be integers, got dtype {indices.dtype}")
-        bad = ~np.isfinite(masses) | (masses < 0)
-        if bad.any():
+        lightest = np.minimum.reduce(masses)
+        if not (lightest >= 0 and math.isfinite(np.maximum.reduce(masses))):
+            bad = ~np.isfinite(masses) | (masses < 0)
             raise ContractViolation(
                 f"leaf mass must be finite and non-negative, got {masses[bad][0]}"
             )
-        out = (indices < 0) | (indices >= self.capacity)
-        if out.any():
+        if np.minimum.reduce(indices) < 0 or np.maximum.reduce(indices) >= self.capacity:
+            out = (indices < 0) | (indices >= self.capacity)
             raise ContractViolation(
                 f"leaf index {indices[out][0]} out of range for capacity {self.capacity}"
             )
-        nodes = indices.astype(np.int64) + (self._leaves - 1)
-        # a repeated leaf's delta starts from the mass its previous write left
-        prev = self.nodes[nodes]
-        order = np.argsort(indices, kind="stable")
-        repeat = nodes[order[1:]] == nodes[order[:-1]]
-        prev[order[1:][repeat]] = masses[order[:-1][repeat]]
-        deltas = masses - prev
-        last = np.ones(len(nodes), dtype=bool)
-        last[order[:-1][repeat]] = False
-        self.nodes[nodes[last]] = masses[last]
+        heap = self._heap
+        nodes = np.add(indices, self._leaves, dtype=np.int64)
+        prev = heap[nodes]
+        ordered = np.sort(nodes)
+        if (ordered[1:] == ordered[:-1]).any():
+            # a repeated leaf's delta starts from the mass its previous write
+            # left, and only its last write lands
+            order = np.argsort(indices, kind="stable")
+            repeat = nodes[order[1:]] == nodes[order[:-1]]
+            prev[order[1:][repeat]] = masses[order[:-1][repeat]]
+            last = np.ones(len(nodes), dtype=bool)
+            last[order[:-1][repeat]] = False
+            final = masses[last]
+            heap[nodes[last]] = final
+            lightest = np.minimum.reduce(final)
+        else:
+            final = masses
+            heap[nodes] = masses
+        self._written = max(self._written, int(ordered[-1]) - self._leaves + 1)
+        low = self._min_mass
+        if low is not None:
+            if lightest == 0.0:
+                lightest = np.minimum.reduce(final, where=final > 0, initial=math.inf)
+            if lightest <= low:
+                self._min_mass = lightest
+            # ``prev`` holds every touched leaf's mass before the batch (and, for
+            # a repeat, a mass the batch itself wrote: at worst a spare rescan)
+            elif np.minimum.reduce(prev) <= low and low in prev:
+                self._min_mass = None
         # ancestors level by level, each level in array order
-        ancestors = ((nodes + 1)[None, :] >> self._shifts) - 1
-        np.add.at(self.nodes, ancestors.ravel(), np.tile(deltas, len(self._shifts)))
+        if self._tiled.shape[1] != len(masses):
+            self._tiled = np.empty((len(self._shifts), len(masses)))
+        np.subtract(masses, prev, out=self._tiled)
+        np.add.at(heap, (nodes >> self._shifts).ravel(), self._tiled.ravel())
 
     def get(self, idx: int) -> float:
-        return float(self.nodes[idx + self._leaves - 1])
+        return float(self._heap[idx + self._leaves])
 
     def total(self) -> float:
-        return float(self.nodes[0])
+        return float(self._heap[1])
+
+    def min_mass(self) -> float:
+        """Smallest positive leaf mass; ``inf`` when no leaf has mass."""
+        if self._min_mass is None:
+            written = self._heap[self._leaves : self._leaves + self._written]
+            self._min_mass = np.minimum.reduce(written, where=written > 0, initial=math.inf)
+        return self._min_mass
 
     def leaf_masses(self) -> np.ndarray:
-        return self.nodes[self._leaves - 1 : self._leaves - 1 + self.capacity]
+        return self._heap[self._leaves : self._leaves + self.capacity]
 
     def find(self, values: np.ndarray) -> np.ndarray:
         """Vectorized inverse-CDF descent: leaf index for each mass value.
 
         Values must lie in [0, total). A leaf is returned with probability
         mass/total; zero-mass leaves are never returned.
+
+        The descent starts at the deepest internal node on the tree's left
+        edge whose subtree holds every leaf ever written. Every node above
+        it has its left child on that edge, and that child took the same
+        deltas in the same order, so the left sum equals ``total`` bit for
+        bit and a value below the total never goes right there: starting
+        lower returns the same leaves as a descent from the root. (A leaf
+        holds its mass, not the sum of its deltas, so the start is never a
+        leaf.) Each level works in place: the same comparisons and
+        subtractions, without temporaries.
         """
-        values = np.asarray(values, dtype=np.float64).copy()
-        idx = np.zeros(values.shape, dtype=np.int64)
-        levels = self._leaves.bit_length() - 1
-        for _ in range(levels):
-            left = 2 * idx + 1
-            left_sum = self.nodes[left]
-            go_right = values >= left_sum
-            idx = np.where(go_right, left + 1, left)
-            values = np.where(go_right, values - left_sum, values)
-        return idx - (self._leaves - 1)
+        values = np.array(values, dtype=np.float64)
+        # leaves under the start node: a power of two >= 2 covering the written ones
+        span = min(self._leaves, 1 << max(self._written - 1, 1).bit_length())
+        node = np.full(values.shape, self._leaves // span, dtype=np.int64)
+        left_sum = np.empty_like(values)
+        go_right = np.empty(values.shape, dtype=bool)
+        for _ in range(span.bit_length() - 1):
+            np.add(node, node, out=node)  # the left child; cheaper than ``node <<= 1``
+            self._heap.take(node, out=left_sum)
+            np.greater_equal(values, left_sum, out=go_right)
+            np.subtract(values, left_sum, out=values, where=go_right)
+            node |= go_right
+        node -= self._leaves
+        return node
 
 
 def _stratified_values(batch_size: int, total: float, rng: np.random.Generator) -> np.ndarray:
@@ -389,7 +499,15 @@ class SubsetSampler(UniformSampler):
 
 
 class PerProportionalSampler:
-    """Stratified proportional sampling on (|TD| + eps)^alpha leaf masses."""
+    """Stratified proportional sampling on (|TD| + eps)^alpha leaf masses.
+
+    The sampler owns the raw priorities and their sum tree. It keeps the
+    largest live priority, which ``on_store`` gives each new slot, and
+    rescans it only after ``update_priorities`` overwrote a slot that held
+    it; the tree likewise keeps the smallest positive mass that normalizes
+    the IS weights. Both are exact as long as every priority write goes
+    through ``on_store`` and ``update_priorities``.
+    """
 
     kind = "per_prop"
 
@@ -400,11 +518,20 @@ class PerProportionalSampler:
         self.tree = SumTree(buffer.capacity)
         self.priorities = _mapped_zeros(buffer.capacity)  # raw |TD| + eps per slot
         self.sample_calls = 0
+        self._max_priority = None  # over the live slots; None until (re)scanned
 
     def on_store(self, idx: int) -> None:
-        """Start the stored slot at the largest priority live before the store (1 when none)."""
+        """Start the stored slot at the largest priority live before the store (1 when none).
+
+        The slots live before the store include the one it evicts. So the
+        largest live priority is the same after the store, and it is cached.
+        """
         live_before = min(self.buffer.store_count - 1, self.buffer.capacity)
-        self.priorities[idx] = self.priorities[:live_before].max() if live_before else 1.0
+        if not live_before:
+            self._max_priority = 1.0
+        elif self._max_priority is None:
+            self._max_priority = self.priorities[:live_before].max()
+        self.priorities[idx] = self._max_priority
         self.tree.set(idx, self.priorities[idx] ** self.config.alpha)
 
     def sample(self, batch_size: int) -> Batch:
@@ -414,6 +541,10 @@ class PerProportionalSampler:
         total = self.tree.total()
         if total <= 0.0:
             raise DegeneratePriorityError("total priority mass is zero")
+        # the total can drift above 0 after every leaf went to 0 (epsilon=0)
+        min_mass = self.tree.min_mass()
+        if min_mass == math.inf:
+            raise DegeneratePriorityError("no live slot has priority mass")
         beta = self.config.beta_at(self.sample_calls)
         self.sample_calls += 1
 
@@ -423,18 +554,27 @@ class PerProportionalSampler:
         probs = live[indices] / total
         weights = (n * probs) ** -beta
         # normalize by the largest weight any sampleable slot could get
-        min_prob = live[live > 0].min() / total
+        min_prob = min_mass / total
         max_weight = (n * min_prob) ** -beta
         return self.buffer.gather(indices, is_weights=weights / max_weight)
 
     def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
+        stale_before = self.buffer.stale_updates
         ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
-        indices = np.asarray(indices, dtype=np.int64)[ok]
-        raw = np.abs(np.asarray(td_errors, dtype=np.float64)[ok]) + self.config.epsilon
+        indices = np.asarray(indices, dtype=np.int64)
+        raw = np.abs(np.asarray(td_errors, dtype=np.float64))
+        if self.buffer.stale_updates != stale_before:
+            indices, raw = indices[ok], raw[ok]
+        raw += self.config.epsilon
         # scalar pow per element: see SumTree.set
-        alpha = self.config.alpha
-        self.tree.set(indices, np.array([r**alpha for r in raw.tolist()]))
+        masses = np.fromiter(map(math.pow, raw.tolist(), itertools.repeat(self.config.alpha)),
+                             np.float64, len(raw))
+        self.tree.set(indices, masses)
+        old = self.priorities[indices]
         self.priorities[indices] = raw
+        self._max_priority = _max_after_write(
+            self._max_priority, old, raw, lambda: self.priorities[indices]
+        )
 
 
 class PerRankSampler:

@@ -285,7 +285,7 @@ def test_c06_rank_distribution():
     start = time.perf_counter()
     n, alpha = 10_000, 0.7
     buf = random_buffer(n, seed=6)
-    buf.td_errors[:n] = np.random.default_rng(66).random(n)
+    buf.update_td_errors(np.arange(n), np.random.default_rng(66).random(n))
     sampler = PerRankSampler(buf, PerConfig(alpha=alpha), np.random.default_rng(666))
 
     # one stratified call covering all draws keeps every top rank's count

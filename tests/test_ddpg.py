@@ -7,7 +7,7 @@ import pytest
 
 from replay_opt.ddpg import DdpgAgent, OuNoise
 from replay_opt.errors import NumericFault
-from replay_opt.nn import _activate, _pre_activation_grad, grad_check
+from replay_opt.nn import Mlp, _activate, _pre_activation_grad, grad_check
 from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
 
 
@@ -285,7 +285,8 @@ class TestActorUpdate:
             actor_seed=0,
             critic_seed=0,
         )
-        agent.actor.activations[-1] = "linear"
+        # a net binds its activations when built: rebuild the actor on the same parameters
+        agent.actor = Mlp(agent.actor.layer_sizes, ["linear"], agent.actor.params)
         zero_net(agent.actor)
         agent.actor.weights[0][0, 0] = 0.5
         zero_net(agent.critic)

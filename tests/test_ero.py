@@ -79,7 +79,7 @@ class TestFeatures:
     def test_feature_vector_contents(self):
         buf = make_buffer(3)
         buf.rewards[1] = -7.0
-        buf.td_errors[1] = 2.5
+        buf.update_td_errors(np.array([1]), np.array([2.5]))
         policy = fresh_policy()
         raw = policy.raw_features(buf, np.array([1]), current_step=4)
         assert raw.shape == (1, FEATURE_DIM)

@@ -2,8 +2,10 @@
 
 Each case is a 3k-step run (seed 0, ``trace_interval=50``, every other
 setting at its ``RunConfig`` default) of each sampler on each env, and of
-ERO with ``lazy_refresh``. The gate compares the sha256 of a case's
-``episodes.csv`` and ``trace.csv`` with the digests in ``golden_digests.json``.
+ERO with ``lazy_refresh``, plus a proportional-PER and an ERO case with a
+1500-slot buffer, so that half of their stores evict. The gate compares
+the sha256 of a case's ``episodes.csv`` and ``trace.csv`` with the
+digests in ``golden_digests.json``.
 
 The last bits of a run depend on the host: numpy picks SIMD math kernels at
 run time (AVX512F among them) and OpenBLAS's ``DYNAMIC_ARCH`` build picks
@@ -38,6 +40,9 @@ CASES = {
         f"ero_lazy-{env}": dict(sampler="ero", env=env, lazy_refresh=True)
         for env in ("pendulum", "point_reacher")
     },
+    # a 1500-slot buffer: the second half of each run overwrites the oldest slots
+    "per_prop_evict-point_reacher": dict(sampler="per_prop", env="point_reacher", buffer_capacity=1500),
+    "ero_evict-pendulum": dict(sampler="ero", env="pendulum", buffer_capacity=1500),
 }
 
 

@@ -330,6 +330,16 @@ class TestAdam:
         assert state.step_count == 0
         assert np.array_equal(net.params, before)
 
+    def test_huge_finite_gradient_is_not_a_fault(self):
+        # its squares overflow the quick finiteness check; the full scan clears it
+        net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
+        state = AdamState.for_net(net, learning_rate=0.1)
+        tape = GradTape.zeros_like(net)
+        tape.grads[:] = 1e154  # the sum of squares overflows; the update itself does not
+        with np.errstate(over="ignore"):
+            adam_step(net, tape, state)
+        assert state.step_count == 1 and np.isfinite(net.params).all()
+
     def test_state_cannot_be_built_without_moments(self):
         # a state without moments used to make adam_step a silent no-op
         with pytest.raises(TypeError):

@@ -41,14 +41,29 @@ def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float
 
 
 def reference_update_priorities(sampler, indices, td_errors, expected_insert_steps=None) -> None:
-    """The per-leaf loop that the batched priority write replaced."""
+    """The per-leaf loop that the batched priority write replaced: one-leaf
+    writes in array order, through the sampler so that its cached maximum
+    priority sees them."""
     ok = sampler.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
     indices = np.asarray(indices, dtype=np.int64)[ok]
     td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
     for idx, td in zip(indices, td_errors):
-        raw = abs(float(td)) + sampler.config.epsilon
-        sampler.priorities[idx] = raw
-        sampler.tree.set(int(idx), raw ** sampler.config.alpha)
+        sampler.update_priorities(np.array([idx]), np.array([td]))
+
+
+def reference_find(tree: SumTree, values) -> np.ndarray:
+    """The root-to-leaf descent that ``SumTree.find`` replaced: every level
+    from the root, three temporaries per level."""
+    leaves = (len(tree.nodes) + 1) // 2
+    values = np.asarray(values, dtype=np.float64).copy()
+    idx = np.zeros(values.shape, dtype=np.int64)
+    for _ in range(leaves.bit_length() - 1):
+        left = 2 * idx + 1
+        left_sum = tree.nodes[left]
+        go_right = values >= left_sum
+        idx = np.where(go_right, left + 1, left)
+        values = np.where(go_right, values - left_sum, values)
+    return idx - (leaves - 1)
 
 
 def filled_buffer(n: int, capacity: int = 64, **kwargs) -> ReplayBuffer:
@@ -106,8 +121,8 @@ class TestRingStorage:
         sampler.on_store(buf.store(make_transition(0)))
         assert buf.td_errors[0] == 1.0
         assert sampler.priorities[0] == 1.0
+        sampler.update_priorities(np.array([0]), np.array([2.49]))  # 2.49 + epsilon == 2.5
         buf.update_td_errors(np.array([0]), np.array([-3.0]))
-        sampler.priorities[0] = 2.5
         idx = buf.store(make_transition(1))
         sampler.on_store(idx)
         assert buf.td_errors[idx] == 3.0
@@ -286,9 +301,8 @@ class TestPerProportional:
         buf = filled_buffer(len(priorities), capacity=len(priorities))
         cfg = PerConfig(alpha=alpha, beta0=beta0, epsilon=0.0)
         s = PerProportionalSampler(buf, cfg, np.random.default_rng(seed))
-        for i, p in enumerate(priorities):
-            s.priorities[i] = p
-            s.tree.set(i, p**alpha)
+        # epsilon is 0, so each priority is its TD magnitude
+        s.update_priorities(np.arange(len(priorities)), np.array(priorities, dtype=np.float64))
         return s
 
     def test_store_starts_at_max_live_priority_evicted_slot_included(self):
@@ -329,6 +343,22 @@ class TestPerProportional:
         for _ in range(20):
             w = s.sample(64).is_weights
             assert np.all(w > 0) and np.all(w <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("tds", [[0.1, 0.2], [0.1, 0.2, 0.3]])
+    def test_masses_written_back_to_zero_are_degenerate(self, tds):
+        # at epsilon 0 every leaf can return to zero mass while the root keeps
+        # a drift residue (2.8e-17 for two slots); three slots made the descent
+        # land on leaf 3, which was never written
+        n = len(tds)
+        buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
+        s = PerProportionalSampler(buf, PerConfig(epsilon=0.0, alpha=1.0), np.random.default_rng(0))
+        for i in range(n):
+            s.on_store(buf.store(make_transition(i)))
+        s.update_priorities(np.arange(n), np.array(tds))
+        s.update_priorities(np.arange(n), np.zeros(n))
+        assert s.tree.total() > 0.0 and not s.tree.leaf_masses().any()
+        with pytest.raises(DegeneratePriorityError):
+            s.sample(4)
 
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
@@ -438,10 +468,112 @@ class TestBatchedPriorityWrite:
         assert np.array_equal(s.tree.nodes, before)
 
 
+def scanned_extrema(sampler: PerProportionalSampler) -> tuple[float, float, float]:
+    """Max |TD|, max priority and min positive mass over the live slots, by full scans."""
+    n = len(sampler.buffer)
+    masses = sampler.tree.leaf_masses()[:n]
+    positive = masses[masses > 0]
+    return (
+        float(np.max(np.abs(sampler.buffer.td_errors[:n]))),
+        float(sampler.priorities[:n].max()),
+        float(positive.min()) if len(positive) else np.inf,
+    )
+
+
+class TestCachedExtrema:
+    """The cached max |TD|, max priority and min mass equal full scans after every operation."""
+
+    def assert_caches_exact(self, sampler):
+        td_max, max_priority, min_mass = scanned_extrema(sampler)
+        # a cache may be unset (rescanned on next use); a set one is exact
+        for cached, scanned in (
+            (sampler.buffer._td_max, td_max),
+            (sampler._max_priority, max_priority),
+            (sampler.tree._min_mass, min_mass),
+        ):
+            assert cached is None or cached == scanned
+        assert sampler.tree.min_mass() == min_mass
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 16),
+        epsilon=st.sampled_from([0.0, 0.01]),
+        alpha=st.sampled_from([1.0, 0.6]),
+        data=st.data(),
+    )
+    def test_caches_match_full_scans(self, capacity, epsilon, alpha, data):
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+        s = PerProportionalSampler(buf, PerConfig(alpha=alpha, epsilon=epsilon), np.random.default_rng(0))
+        td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
+        step = 0
+        snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
+        for _ in range(data.draw(st.integers(1, 40))):
+            if len(buf) == 0 or data.draw(st.booleans()):
+                for _ in range(data.draw(st.integers(1, capacity + 1))):
+                    step += 1
+                    s.on_store(buf.store(make_transition(step)))
+                    self.assert_caches_exact(s)
+                if data.draw(st.booleans()):
+                    snapshot = buf.insert_timesteps.copy()
+                continue
+            # repeated slots, and stale ones when ``snapshot`` predates an eviction
+            slots = np.array(data.draw(st.lists(st.integers(0, len(buf) - 1), min_size=0, max_size=8)),
+                             dtype=np.int64)
+            tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
+            expected = snapshot[slots] if data.draw(st.booleans()) else None
+            s.update_priorities(slots, tds, expected)
+            self.assert_caches_exact(s)
+            # the next store seeds the slot with the scanned maxima
+            td_max, max_priority, _ = scanned_extrema(s)
+            step += 1
+            idx = buf.store(make_transition(step))
+            s.on_store(idx)
+            assert buf.td_errors[idx] == td_max and s.priorities[idx] == max_priority
+            self.assert_caches_exact(s)
+
+
+class TestSumTreeFind:
+    """``find`` against the full descent from the root, bit for bit."""
+
+    @pytest.mark.parametrize("fill", [1, 2, 1023, 1024, 1025, 3000])
+    def test_matches_the_full_descent_at_each_fill(self, fill):
+        tree = SumTree(3000)
+        rng = np.random.default_rng(fill)
+        # three passes of batched writes, so the internal sums drift
+        for _ in range(3):
+            for start in range(0, fill, 64):
+                idx = rng.integers(start, min(start + 64, fill), size=64)
+                tree.set(idx, rng.random(64) * 10.0 ** rng.uniform(-3, 3))
+        total = tree.total()
+        values = np.concatenate([
+            rng.random(3000) * total,
+            [0.0, np.nextafter(total, 0.0)],
+            np.cumsum(tree.leaf_masses()[:fill])[:-1],  # leaf boundaries
+        ])
+        values = values[values < total]
+        assert np.array_equal(tree.find(values), reference_find(tree, values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        capacity=st.integers(1, 40),
+        writes=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 8)), min_size=1, max_size=60),
+        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_matches_the_full_descent_after_any_writes(self, capacity, writes, fractions):
+        tree = SumTree(capacity)
+        for idx, mass in writes:
+            tree.set(idx % capacity, mass / 8)
+        total = tree.total()
+        if total <= 0.0:
+            return
+        values = np.array([f * total for f in fractions] + [np.nextafter(total, 0.0)])
+        assert np.array_equal(tree.find(values), reference_find(tree, values))
+
+
 class TestPerRank:
     def test_two_transition_probabilities(self):
         buf = filled_buffer(2)
-        buf.td_errors[:2] = [5.0, 1.0]
+        buf.update_td_errors(np.arange(2), np.array([5.0, 1.0]))
         cfg = PerConfig(alpha=1.0)
         s = PerRankSampler(buf, cfg, np.random.default_rng(0))
         s._refresh_ranks()
@@ -450,7 +582,7 @@ class TestPerRank:
 
     def test_ties_broken_by_older_insertion(self):
         buf = filled_buffer(4)
-        buf.td_errors[:4] = 1.0
+        buf.update_td_errors(np.arange(4), np.ones(4))
         s = PerRankSampler(buf, PerConfig(alpha=0.7), np.random.default_rng(0))
         s._refresh_ranks()
         assert np.array_equal(s._sorted_slots, [0, 1, 2, 3])
@@ -459,7 +591,7 @@ class TestPerRank:
         n, alpha = 2000, 0.7
         buf = filled_buffer(n, capacity=n)
         rng = np.random.default_rng(10)
-        buf.td_errors[:n] = rng.random(n)
+        buf.update_td_errors(np.arange(n), rng.random(n))
         s = PerRankSampler(buf, PerConfig(alpha=alpha), np.random.default_rng(20))
         draws = 100_000
         counts = np.zeros(n)
@@ -488,7 +620,7 @@ class TestPerRank:
 
     def test_weights_in_unit_interval(self):
         buf = filled_buffer(100, capacity=128)
-        buf.td_errors[:100] = np.random.default_rng(1).random(100)
+        buf.update_td_errors(np.arange(100), np.random.default_rng(1).random(100))
         s = PerRankSampler(buf, PerConfig(alpha=0.7, beta0=0.4), np.random.default_rng(2))
         w = s.sample(64).is_weights
         assert np.all(w > 0) and np.all(w <= 1.0 + 1e-12)
