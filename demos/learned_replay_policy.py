@@ -8,6 +8,7 @@ Run: python3 demos/learned_replay_policy.py
 import numpy as np
 
 from replay_opt import EroPolicy, ReplayBuffer, ReplayRewardTracker, Transition
+from replay_opt.ero import mask_surrogate
 
 rng = np.random.default_rng(0)
 buf = ReplayBuffer(64, obs_dim=2, action_dim=1)
@@ -50,9 +51,8 @@ before = policy.priority_scores[:32].copy()
 
 
 def mask_log_likelihood() -> float:
-    phi = np.clip(policy.priority_scores[:32], 1e-8, 1 - 1e-8)
-    bits = buf.mask_drawn[:32]
-    return float(np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi)))
+    # the surrogate the update descends is -replay_reward * log-likelihood
+    return -mask_surrogate(policy.priority_scores[:32, None], buf.mask_drawn[:32], 1.0)[0]
 
 
 log_lik_before = mask_log_likelihood()

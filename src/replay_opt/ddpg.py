@@ -43,6 +43,25 @@ class OuNoise:
         return self.state.copy()
 
 
+def td_loss(q, targets, is_weights=None):
+    """Mean IS-weighted squared TD error of critic outputs ``q``: ``(loss, dloss_dq, td_errors)``.
+
+    ``td_errors`` is ``targets - q[:, 0]``. Without ``is_weights`` every
+    sample weighs 1, and the exact multiplications by 1.0 are skipped.
+    """
+    n = len(q)
+    td_errors = targets - q[:, 0]
+    if is_weights is None:
+        loss = float(np.add.reduce(td_errors**2) / n)  # np.mean's bits, without its wrapper
+        dloss_dq = -2.0 * td_errors
+    else:
+        weights = np.asarray(is_weights, dtype=np.float64)
+        loss = float(np.add.reduce(weights * td_errors**2) / n)
+        dloss_dq = -2.0 * weights * td_errors
+    dloss_dq /= n
+    return loss, dloss_dq[:, None], td_errors
+
+
 class DdpgAgent:
     """Actor, critic, their targets, and the optimizer plumbing.
 
@@ -138,31 +157,17 @@ class DdpgAgent:
         return targets
 
     def critic_gradients(self, states, actions, rewards, next_states, dones, is_weights=None):
-        """Loss, parameter tape, and per-sample TD errors without updating.
-
-        Without ``is_weights`` every sample weighs 1, and the loss skips the
-        multiplications by 1.0, which are exact.
-        """
-        n = len(states)
+        """Loss, parameter tape, and per-sample TD errors without updating."""
         targets = self.critic_targets(rewards, next_states, dones)
         q, self._critic_cache = self.critic.forward_cached(
             self._critic_input(states, actions), self._critic_cache
         )
-        td_errors = targets - q[:, 0]
-        if is_weights is None:
-            loss = float(np.add.reduce(td_errors**2) / n)  # np.mean's bits, without its wrapper
-            dloss_dq = -2.0 * td_errors
-        else:
-            weights = np.asarray(is_weights, dtype=np.float64)
-            loss = float(np.add.reduce(weights * td_errors**2) / n)
-            dloss_dq = -2.0 * weights * td_errors
+        loss, dloss_dq, td_errors = td_loss(q, targets, is_weights)
         if not math.isfinite(loss):
             raise NumericFault(
                 f"critic loss is not finite (loss={loss}, "
                 f"max|target|={np.max(np.abs(targets))})"
             )
-        dloss_dq /= n
-        dloss_dq = dloss_dq[:, None]
         tape = self.critic.backward(self._critic_cache, dloss_dq, self._critic_tape)
         return loss, tape, td_errors
 
@@ -174,26 +179,28 @@ class DdpgAgent:
         adam_step(self.critic, tape, self.critic_adam)
         return loss, td_errors
 
-    def actor_gradients(self, states):
-        """Objective and actor tape for ascending mean Q(s, actor(s)).
+    def actor_loss(self, states, head):
+        """``(-mean Q(s, a), d/d head)`` for the actor's unscaled outputs ``head`` on ``states``.
 
-        Backpropagates through the frozen critic into its action input, then
-        through the action scaling into the actor.
+        The critic is frozen here, so only its input gradient is taken.
         """
         n = len(states)
-        head, self._actor_cache = self.actor.forward_cached(states, self._actor_cache)
         actions = self.action_high * head
         q, self._critic_cache = self.critic.forward_cached(
             self._critic_input(states, actions), self._critic_cache
         )
-        objective = float(np.add.reduce(q[:, 0]) / n)
-        # minimize -mean(q); the critic is frozen here, so only its input gradient is needed
+        loss = -float(np.add.reduce(q[:, 0]) / n)
         if self._mean_q_grad is None or len(self._mean_q_grad) != n:
             self._mean_q_grad = np.full((n, 1), -1.0 / n)
         dloss_dinput = self.critic.input_gradient(self._critic_cache, self._mean_q_grad)
-        dloss_dhead = dloss_dinput[:, self.obs_dim :] * self.action_high
+        return loss, dloss_dinput[:, self.obs_dim :] * self.action_high
+
+    def actor_gradients(self, states):
+        """Objective mean Q(s, actor(s)) and the actor tape that descends ``actor_loss``."""
+        head, self._actor_cache = self.actor.forward_cached(states, self._actor_cache)
+        loss, dloss_dhead = self.actor_loss(states, head)
         tape = self.actor.backward(self._actor_cache, dloss_dhead, self._actor_tape)
-        return objective, tape
+        return -loss, tape
 
     def actor_update(self, states) -> float:
         objective, tape = self.actor_gradients(states)

@@ -97,6 +97,18 @@ def draw_mask(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return rng.random(len(scores)) < scores
 
 
+def mask_surrogate(out: np.ndarray, bits: np.ndarray, replay_reward: float):
+    """``(loss, dloss_dout)`` of ``-replay_reward * sum(bits log(phi) + (1 - bits) log(1 - phi))``.
+
+    ``phi`` is the scoring net's output ``out`` clamped to [SCORE_EPS, 1 - SCORE_EPS].
+    """
+    phi = np.clip(out[:, 0], SCORE_EPS, 1.0 - SCORE_EPS)
+    log_lik = float(np.sum(bits * np.log(phi) + (1.0 - bits) * np.log(1.0 - phi)))
+    loss = -replay_reward * log_lik
+    dloss_dout = (-replay_reward * (bits / phi - (1.0 - bits) / (1.0 - phi)))[:, None]
+    return loss, dloss_dout
+
+
 class EroPolicy:
     """Scoring network, feature pipeline, mask bookkeeping, and its optimizer.
 
@@ -211,9 +223,8 @@ class EroPolicy:
 
         Samples a uniform mini-batch over slots that carry a drawn mask bit
         (slots stored after the last draw have no realized action and are
-        excluded) and ascends ``replay_reward * [I log(phi) + (1-I) log(1-phi)]``
-        summed over the batch. Returns the minimized surrogate value, or None
-        when the update was skipped.
+        excluded) and descends ``mask_surrogate`` over the batch. Returns the
+        minimized surrogate value, or None when the update was skipped.
         """
         if replay_reward is None or not np.isfinite(replay_reward):
             self.skipped_nonfinite += 1
@@ -230,10 +241,7 @@ class EroPolicy:
             bits = buffer.mask_drawn[indices].astype(np.float64)
             feats = self.features(buffer, indices, current_step)
             out, cache = self.score_net.forward_cached(feats)
-            phi = np.clip(out[:, 0], SCORE_EPS, 1.0 - SCORE_EPS)
-            log_lik = float(np.sum(bits * np.log(phi) + (1.0 - bits) * np.log(1.0 - phi)))
-            loss = -replay_reward * log_lik
-            dloss_dout = (-replay_reward * (bits / phi - (1.0 - bits) / (1.0 - phi)))[:, None]
+            loss, dloss_dout = mask_surrogate(out, bits, replay_reward)
             tape = self.score_net.backward(cache, dloss_dout)
             adam_step(self.score_net, tape, self.adam)
             self.last_update_indices = indices

@@ -1,12 +1,15 @@
 """Named verification checks behind the ``gradcheck`` CLI command.
 
 Each check returns a max relative error; the shared pass threshold is 1e-4.
+The loss checks call the loss functions training calls, looked up where
+training looks them up.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import ddpg, ero
 from .ddpg import DdpgAgent, OuNoise
 from .nn import AdamState, GradTape, adam_step, grad_check, mlp_init
 
@@ -41,6 +44,7 @@ def _small_agent(seed: int = 0) -> DdpgAgent:
 
 
 def check_critic_loss() -> float:
+    """``ddpg.td_loss`` through the critic, with IS weights that are not all 1."""
     rng = np.random.default_rng(200)
     worst = 0.0
     for trial in range(5):
@@ -50,13 +54,10 @@ def check_critic_loss() -> float:
         rewards = rng.normal(size=5)
         next_states = rng.normal(size=(5, 3))
         dones = rng.random(5) < 0.4
+        weights = rng.uniform(0.1, 1.0, size=5)  # PER's normalized IS weights lie in (0, 1]
         targets = agent.critic_targets(rewards, next_states, dones)
-
-        def loss_fn(q, targets=targets):
-            td = targets - q[:, 0]
-            return float(np.mean(td**2)), (-2.0 * td / len(td))[:, None]
-
-        worst = max(worst, grad_check(agent.critic, loss_fn, np.hstack([states, actions])))
+        x = np.hstack([states, actions])
+        worst = max(worst, grad_check(agent.critic, lambda q: ddpg.td_loss(q, targets, weights), x))
     return worst
 
 
@@ -78,6 +79,7 @@ def _states_away_from_kinks(agent: DdpgAgent, rng, n: int = 4, gap: float = 1e-3
 
 
 def check_actor_chain() -> float:
+    """``DdpgAgent.actor_loss`` through the actor and the frozen critic."""
     rng = np.random.default_rng(300)
     worst = 0.0
     for trial in range(5):
@@ -87,20 +89,12 @@ def check_actor_chain() -> float:
         agent.actor.weights[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
         agent.actor.biases[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
         states = _states_away_from_kinks(agent, rng)
-        n = len(states)
-
-        def loss_fn(head, agent=agent, states=states):
-            actions = agent.action_high * head
-            stacked = np.hstack([states, actions])
-            q, cache = agent.critic.forward_cached(stacked)
-            dinput = agent.critic.input_gradient(cache, np.full((n, 1), -1.0 / n))
-            return -float(np.mean(q[:, 0])), dinput[:, agent.obs_dim :] * agent.action_high
-
-        worst = max(worst, grad_check(agent.actor, loss_fn, states))
+        worst = max(worst, grad_check(agent.actor, lambda head: agent.actor_loss(states, head), states))
     return worst
 
 
 def check_replay_policy_surrogate() -> float:
+    """``ero.mask_surrogate`` through a small scoring net."""
     rng = np.random.default_rng(400)
     worst = 0.0
     for trial in range(5):
@@ -108,14 +102,7 @@ def check_replay_policy_surrogate() -> float:
         feats = rng.normal(size=(6, 3))
         bits = rng.integers(0, 2, size=6).astype(float)
         reward = float(rng.normal())
-
-        def loss_fn(y, bits=bits, reward=reward):
-            phi = np.clip(y[:, 0], 1e-8, 1 - 1e-8)
-            loss = -reward * float(np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi)))
-            grad = (-reward * (bits / phi - (1 - bits) / (1 - phi)))[:, None]
-            return loss, grad
-
-        worst = max(worst, grad_check(net, loss_fn, feats))
+        worst = max(worst, grad_check(net, lambda y: ero.mask_surrogate(y, bits, reward), feats))
     return worst
 
 

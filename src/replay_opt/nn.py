@@ -431,32 +431,27 @@ def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
 def grad_check(net: Mlp, loss_fn, x: np.ndarray, step: float = 1e-5) -> float:
     """Compare analytic parameter gradients against central finite differences.
 
-    ``loss_fn`` maps the network output to ``(scalar_loss, dloss_doutput)``
-    and must be deterministic. Returns the maximum over parameters of
+    ``loss_fn`` maps the network output to ``(scalar_loss, dloss_doutput,
+    ...)`` and must be deterministic. Returns the maximum over parameters of
     ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``; the caller
     decides what threshold to assert.
     """
     y, cache = net.forward_cached(x)
-    _, dy = loss_fn(y)
+    dy = loss_fn(y)[1]
     tape = net.backward(cache, dy)
 
     def loss_at_params() -> float:
         return float(loss_fn(net.forward(x))[0])
 
     worst = 0.0
-    arrays = list(zip(net.weights, tape.weight_grads)) + list(zip(net.biases, tape.bias_grads))
-    for param, grad in arrays:
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + step
-            plus = loss_at_params()
-            param[idx] = orig - step
-            minus = loss_at_params()
-            param[idx] = orig
-            numeric = (plus - minus) / (2.0 * step)
-            analytic = grad[idx]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, err)
+    params = net.params  # every weight and bias is a view into it, laid out like ``tape.grads``
+    for i, analytic in enumerate(tape.grads):
+        orig = params[i]
+        params[i] = orig + step
+        plus = loss_at_params()
+        params[i] = orig - step
+        minus = loss_at_params()
+        params[i] = orig
+        numeric = (plus - minus) / (2.0 * step)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
     return worst

@@ -455,6 +455,11 @@ def _stratified_values(batch_size: int, total: float, rng: np.random.Generator) 
     return (np.arange(batch_size) + rng.random(batch_size)) / batch_size * total
 
 
+def _is_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
+    """IS weights ``(n * probs) ** -beta``, divided by the largest a slot can get (at ``min_prob``)."""
+    return (n * probs) ** -beta / (n * min_prob) ** -beta
+
+
 class UniformSampler:
     """I.i.d. uniform draws with replacement over every live slot."""
 
@@ -541,22 +546,21 @@ class PerProportionalSampler:
         total = self.tree.total()
         if total <= 0.0:
             raise DegeneratePriorityError("total priority mass is zero")
-        # the total can drift above 0 after every leaf went to 0 (epsilon=0)
-        min_mass = self.tree.min_mass()
-        if min_mass == math.inf:
-            raise DegeneratePriorityError("no live slot has priority mass")
         beta = self.config.beta_at(self.sample_calls)
         self.sample_calls += 1
 
         values = _stratified_values(batch_size, total, self.rng)
         indices = self.tree.find(values)
-        live = self.tree.leaf_masses()[:n]
-        probs = live[indices] / total
-        weights = (n * probs) ** -beta
-        # normalize by the largest weight any sampleable slot could get
-        min_prob = min_mass / total
-        max_weight = (n * min_prob) ** -beta
-        return self.buffer.gather(indices, is_weights=weights / max_weight)
+        # the tree's ``+= delta`` drift can leave the total above the sum of the
+        # leaves (at epsilon 0 even after every leaf went back to 0), and a draw
+        # then lands past the live slots or on a leaf without mass
+        if np.maximum.reduce(indices, initial=0) >= n:
+            raise DegeneratePriorityError(f"a draw landed past the {n} live slots (sum-tree drift)")
+        masses = self.tree.leaf_masses()[indices]
+        if not np.minimum.reduce(masses, initial=math.inf) > 0.0:
+            raise DegeneratePriorityError("a draw landed on a slot without priority mass")
+        weights = _is_weights(n, masses / total, self.tree.min_mass() / total, beta)
+        return self.buffer.gather(indices, is_weights=weights)
 
     def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
         stale_before = self.buffer.stale_updates
@@ -631,10 +635,8 @@ class PerRankSampler:
         ranks = np.searchsorted(self._cdf, values, side="right")
         ranks = np.minimum(ranks, n - 1)
         indices = self._sorted_slots[ranks]
-        probs = self._probs[ranks]
-        weights = (n * probs) ** -beta
-        max_weight = (n * self._probs[-1]) ** -beta
-        return self.buffer.gather(indices, is_weights=weights / max_weight)
+        weights = _is_weights(n, self._probs[ranks], self._probs[-1], beta)
+        return self.buffer.gather(indices, is_weights=weights)
 
     def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
         self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)

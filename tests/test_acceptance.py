@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from replay_opt.ddpg import DdpgAgent
-from replay_opt.ero import EroPolicy, ReplayRewardTracker
+from replay_opt.ddpg import DdpgAgent, td_loss
+from replay_opt.ero import EroPolicy, ReplayRewardTracker, mask_surrogate
 from replay_opt.harness import RunConfig, read_trace_csv, run
 from replay_opt.nn import grad_check, mlp_init
 from replay_opt.replay import PerConfig, PerProportionalSampler, PerRankSampler, ReplayBuffer, Transition
@@ -72,7 +72,7 @@ def test_c01_gradient_suite():
 
         assert grad_check(net, loss_fn, x) < 1e-4, f"mlp trial {trial}"
 
-    # critic regression loss
+    # critic TD loss with IS weights, through the function the agent trains with
     for trial in range(trials):
         agent = small_agent(trial)
         states = rng.normal(size=(5, 3))
@@ -80,12 +80,9 @@ def test_c01_gradient_suite():
         targets = agent.critic_targets(
             rng.normal(size=5), rng.normal(size=(5, 3)), rng.random(5) < 0.4
         )
-
-        def loss_fn(q, targets=targets):
-            td = targets - q[:, 0]
-            return float(np.mean(td**2)), (-2.0 * td / len(td))[:, None]
-
-        err = grad_check(agent.critic, loss_fn, np.hstack([states, actions]))
+        weights = rng.uniform(0.1, 1.0, size=5)
+        x = np.hstack([states, actions])
+        err = grad_check(agent.critic, lambda q: td_loss(q, targets, weights), x)
         assert err < 1e-4, f"critic trial {trial}: {err}"
 
     # actor objective through the frozen critic
@@ -96,15 +93,7 @@ def test_c01_gradient_suite():
         agent.actor.weights[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
         agent.actor.biases[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
         states = _states_away_from_kinks(agent, rng)
-        n = len(states)
-
-        def loss_fn(head, agent=agent, states=states):
-            actions = agent.action_high * head
-            q, cache = agent.critic.forward_cached(np.hstack([states, actions]))
-            dinput = agent.critic.input_gradient(cache, np.full((n, 1), -1.0 / n))
-            return -float(np.mean(q[:, 0])), dinput[:, agent.obs_dim :] * agent.action_high
-
-        err = grad_check(agent.actor, loss_fn, states)
+        err = grad_check(agent.actor, lambda head: agent.actor_loss(states, head), states)
         assert err < 1e-4, f"actor trial {trial}: {err}"
 
     # mask-likelihood surrogate for the replay policy
@@ -113,13 +102,7 @@ def test_c01_gradient_suite():
         feats = rng.normal(size=(6, 3))
         bits = rng.integers(0, 2, size=6).astype(float)
         reward = float(rng.normal())
-
-        def loss_fn(y, bits=bits, reward=reward):
-            phi = np.clip(y[:, 0], 1e-8, 1 - 1e-8)
-            loss = -reward * float(np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi)))
-            return loss, (-reward * (bits / phi - (1 - bits) / (1 - phi)))[:, None]
-
-        err = grad_check(net, loss_fn, feats)
+        err = grad_check(net, lambda y: mask_surrogate(y, bits, reward), feats)
         assert err < 1e-4, f"surrogate trial {trial}: {err}"
 
     assert time.perf_counter() - start < 30.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from replay_opt import cli
+from replay_opt import cli, ddpg, ero, gradchecks
 from replay_opt.errors import ConfigError
 from replay_opt.harness import EvalRecord, read_csv, read_episode_csv, read_trace_csv
 
@@ -389,6 +389,26 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "critic-loss" in captured.err
         assert "FAIL" in captured.out
+
+    def test_faulty_training_losses_fail_the_checks(self, monkeypatch, capsys):
+        td_loss, mask_surrogate = ddpg.td_loss, ero.mask_surrogate
+
+        def td_loss_unweighted_gradient(q, targets, is_weights=None):
+            loss, _, td_errors = td_loss(q, targets, is_weights)
+            return loss, td_loss(q, targets)[1], td_errors
+
+        def mask_surrogate_flipped_gradient(out, bits, replay_reward):
+            loss, dloss_dout = mask_surrogate(out, bits, replay_reward)
+            return loss, -dloss_dout
+
+        # where DdpgAgent.critic_gradients and EroPolicy.update_policy look them up
+        monkeypatch.setattr(ddpg, "td_loss", td_loss_unweighted_gradient)
+        monkeypatch.setattr(ero, "mask_surrogate", mask_surrogate_flipped_gradient)
+        assert gradchecks.check_critic_loss() >= gradchecks.THRESHOLD
+        assert gradchecks.check_replay_policy_surrogate() >= gradchecks.THRESHOLD
+        assert cli.main(["gradcheck"]) == 4
+        err = capsys.readouterr().err
+        assert "critic-loss" in err and "ero-surrogate" in err
 
 
 class TestEndToEndDeterminism:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from replay_opt.ddpg import DdpgAgent, OuNoise
+from replay_opt.ddpg import DdpgAgent, OuNoise, td_loss
 from replay_opt.errors import NumericFault
 from replay_opt.nn import Mlp, _activate, _pre_activation_grad, grad_check
 from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
@@ -238,14 +238,10 @@ class TestCriticUpdate:
         agent = make_agent()
         states, actions, rewards, next_states, dones = random_batch(5)
         targets = agent.critic_targets(rewards, next_states, dones)
-        n = len(states)
-
-        def loss_fn(q):
-            td = targets - q[:, 0]
-            return float(np.mean(td**2)), (-2.0 * td / n)[:, None]
-
-        err = grad_check(agent.critic, loss_fn, np.hstack([states, actions]))
-        assert err < 1e-4
+        x = np.hstack([states, actions])
+        for is_weights in (None, np.array([0.2, 1.0, 0.5, 0.9, 0.35])):
+            err = grad_check(agent.critic, lambda q: td_loss(q, targets, is_weights), x)
+            assert err < 1e-4
 
     def test_is_weights_scale_loss(self):
         agent = make_agent()
@@ -298,19 +294,7 @@ class TestActorUpdate:
     def test_chain_gradient_matches_finite_differences(self):
         agent = make_agent()
         states = np.random.default_rng(3).normal(size=(4, 3))
-        n = len(states)
-
-        def loss_fn(head):
-            actions = agent.action_high * head
-            q = agent.critic.forward(np.hstack([states, actions]))
-            loss = -float(np.mean(q[:, 0]))
-            dinput = agent.critic.input_gradient(
-                agent.critic.forward_cached(np.hstack([states, actions]))[1],
-                np.full((n, 1), -1.0 / n),
-            )
-            return loss, dinput[:, agent.obs_dim :] * agent.action_high
-
-        err = grad_check(agent.actor, loss_fn, states)
+        err = grad_check(agent.actor, lambda head: agent.actor_loss(states, head), states)
         assert err < 1e-4
 
     def test_critic_parameters_frozen_during_actor_step(self):

@@ -11,6 +11,7 @@ from replay_opt.ero import (
     ReplayRewardTracker,
     RunningNorm,
     draw_mask,
+    mask_surrogate,
 )
 from replay_opt.harness import RunConfig, run
 from replay_opt.nn import grad_check, mlp_init
@@ -349,14 +350,7 @@ class TestUpdatePolicy:
         feats = rng.normal(size=(5, FEATURE_DIM))
         bits = rng.integers(0, 2, size=5).astype(float)
         rr = 1.7
-
-        def loss_fn(y):
-            phi = np.clip(y[:, 0], 1e-8, 1 - 1e-8)
-            loss = -rr * np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi))
-            grad = (-rr * (bits / phi - (1 - bits) / (1 - phi)))[:, None]
-            return loss, grad
-
-        assert grad_check(net, loss_fn, feats) < 1e-4
+        assert grad_check(net, lambda y: mask_surrogate(y, bits, rr), feats) < 1e-4
 
     def test_update_restricted_to_drawn_slots(self):
         buf = make_buffer(6)

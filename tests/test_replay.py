@@ -360,6 +360,21 @@ class TestPerProportional:
         with pytest.raises(DegeneratePriorityError):
             s.sample(4)
 
+    @pytest.mark.parametrize("first", [[0.2, 0.9, 0.4], [0.3, 0.7, 0.9]])
+    def test_drift_sending_a_draw_to_a_massless_slot_is_degenerate(self, first):
+        # slot 0 keeps 1e-180 of mass, but the root keeps a drift residue of
+        # about 3e-16, so a draw lands on leaf 3, which was never written
+        # (first writes), or on slot 1, which has no mass (second writes)
+        buf = ReplayBuffer(3, obs_dim=2, action_dim=1)
+        s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
+        for i in range(3):
+            s.on_store(buf.store(make_transition(i)))
+        s.update_priorities([0, 1, 2], first)
+        s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0])
+        assert s.tree.total() > 1e-16 and s.tree.leaf_masses()[0] > 0.0
+        with pytest.raises(DegeneratePriorityError):
+            s.sample(4)
+
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
         cfg = PerConfig(alpha=1.0)
