@@ -65,11 +65,17 @@ def td_loss(q, targets, is_weights=None):
 class DdpgAgent:
     """Actor, critic, their targets, and the optimizer plumbing.
 
+    All four networks' parameters live in one float64 block ``params`` of
+    shape (2, actor params + critic params): row 0 holds the online actor
+    and then the online critic, row 1 their targets. The four nets are
+    ``Mlp`` views of those rows, so ``params`` and the two ``AdamState``s
+    are the agent's whole learned state.
+
     The learning methods work in arrays the agent owns and reuses from call
     to call: the critic's concatenated (state, action) input, the actor's
     and the critic's forward caches, one gradient tape per online net, the
     actor objective's constant output gradient, and the target blend's
-    scratch vector. A tape that ``critic_gradients`` or ``actor_gradients``
+    scratch row. A tape that ``critic_gradients`` or ``actor_gradients``
     returns is therefore overwritten by the next call.
     """
 
@@ -99,14 +105,19 @@ class DdpgAgent:
 
         hidden = list(hidden_sizes)
         acts = ["relu"] * len(hidden)
-        self.actor = mlp_init(
+        actor = mlp_init(
             [obs_dim, *hidden, action_dim], acts + ["tanh"], seed=actor_seed, output_scale=3e-3
         )
-        self.critic = mlp_init(
-            [obs_dim + action_dim, *hidden, 1], acts + ["linear"], seed=critic_seed
+        critic = mlp_init([obs_dim + action_dim, *hidden, 1], acts + ["linear"], seed=critic_seed)
+        online = np.concatenate([actor.params, critic.params])
+        self.params = np.stack([online, online])  # the targets start as copies
+        split = actor.param_count
+        self.actor, self.target_actor = (
+            Mlp(actor.layer_sizes, actor.activations, row[:split]) for row in self.params
         )
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
+        self.critic, self.target_critic = (
+            Mlp(critic.layer_sizes, critic.activations, row[split:]) for row in self.params
+        )
         self.actor_adam = AdamState.for_net(self.actor, learning_rate=actor_lr)
         self.critic_adam = AdamState.for_net(self.critic, learning_rate=critic_lr)
         self._actor_tape = GradTape.zeros_like(self.actor)
@@ -115,7 +126,7 @@ class DdpgAgent:
         self._critic_cache: list | None = None
         self._critic_in: np.ndarray | None = None
         self._mean_q_grad: np.ndarray | None = None  # d(-mean q)/dq, (n, 1) filled with -1/n
-        self._blend = np.empty(max(self.actor.param_count, self.critic.param_count))
+        self._blend = np.empty_like(self.params[0])
 
     # ----------------------------------------------------------------- acting
 
@@ -211,12 +222,11 @@ class DdpgAgent:
 
     def soft_update(self) -> None:
         """Blend targets toward online nets: target <- tau*online + (1-tau)*target."""
-        tau = self.tau
-        for target, online in ((self.target_actor, self.actor), (self.target_critic, self.critic)):
-            # (1 - tau) * target + tau * online, the same bits in either order of the sum
-            blend = np.multiply(tau, online.params, out=self._blend[: online.param_count])
-            target.params *= 1.0 - tau
-            target.params += blend
+        online, target = self.params
+        # (1 - tau) * target + tau * online, the same bits in either order of the sum
+        blend = np.multiply(self.tau, online, out=self._blend)
+        target *= 1.0 - self.tau
+        target += blend
 
     def train_step(self, sampler, batch_size: int):
         """Sample, update critic and actor, blend targets.

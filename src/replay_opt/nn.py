@@ -31,6 +31,13 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
 
+# Every this many steps of an AdamState, first moments below the smallest
+# normal float64 are set to 0. While an entry's gradient stays exactly 0,
+# ``m *= 0.9`` rounds a moment of 1-5 subnormal units back to itself, so it
+# never decays, and every later step does its arithmetic on subnormals.
+_ADAM_FLUSH_EVERY = 64
+_TINY = np.finfo(np.float64).tiny
+
 
 def _sigmoid(z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
     out = np.empty_like(z)
@@ -192,6 +199,9 @@ class Mlp:
         kernels = [_KERNELS[act] for act in self.activations]
         self._layers = list(zip(self.weights, self.biases, (k[0] for k in kernels)))
         self._grads = [k[1] for k in kernels]
+        # d(loss)/d(layer input) is dz @ W.T; through a one-column layer that is
+        # an outer product, which a broadcast multiply gives with the same bits
+        self._input_grads = [(np.multiply if w.shape[1] == 1 else np.matmul, w.T) for w in self.weights]
         self._workspace: list[np.ndarray] = []
         self._masks: list[np.ndarray] = []
         # (float, bool) workspace views per recently asked row count
@@ -327,7 +337,8 @@ class Mlp:
                 np.add.reduce(dz, axis=0, out=tape.bias_grads[layer])
                 if layer == 0:
                     return None
-            dh = np.matmul(dz, self.weights[layer].T, out=scratch[layer - 1] if layer else None)
+            product, w_t = self._input_grads[layer]
+            dh = product(dz, w_t, out=scratch[layer - 1] if layer else None)
         return dh
 
 
@@ -392,7 +403,8 @@ def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
     """Apply one bias-corrected Adam update to ``net`` in place.
 
     A non-finite gradient raises ``NumericFault`` naming its first layer and
-    leaves the net and the moments untouched.
+    leaves the net and the moments untouched. Every ``_ADAM_FLUSH_EVERY``
+    steps, first moments below ``_TINY`` are set to 0 before they are used.
     """
     p, g, m, v = net.params, tape.grads, state.m, state.v
     if not p.size == g.size == m.size == v.size:
@@ -417,6 +429,8 @@ def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
     step, denom = state.scratch
     m *= b1
     m += np.multiply(1.0 - b1, g, out=step)
+    if t % _ADAM_FLUSH_EVERY == 0:
+        m[np.abs(m, out=step) < _TINY] = 0.0
     v *= b2
     np.multiply(1.0 - b2, g, out=step)
     v += np.multiply(step, g, out=step)

@@ -7,9 +7,12 @@ finishes in seconds.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -355,13 +358,27 @@ def gate_config(sampler: str, seed: int, env: str = "pendulum", steps: int = 150
     )
 
 
+def run_in_workers(configs: list[RunConfig], monkeypatch) -> list:
+    """``run`` each config in a spawned worker, at most one per core; the summaries in order.
+
+    Each run is independent and deterministic in its config, so the workers
+    change only the wall time. They inherit ``OPENBLAS_NUM_THREADS=1``.
+    """
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    workers = min(os.cpu_count() or 1, len(configs))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(run, configs))
+
+
 @pytest.mark.expensive
-def test_c09_desk_scale_learning():
+def test_c09_desk_scale_learning(monkeypatch):
+    samplers, seeds = ("uniform", "ero"), (0, 1, 2)
+    summaries = iter(run_in_workers([gate_config(s, seed) for s in samplers for seed in seeds], monkeypatch))
     results = {}
-    for sampler in ("uniform", "ero"):
+    for sampler in samplers:
         hits = 0
-        for seed in (0, 1, 2):
-            summary = run(gate_config(sampler, seed))
+        for seed in seeds:
+            summary = next(summaries)
             reached = summary.stopped_early
             if not reached and summary.episodes:
                 returns = [r.episode_return for r in summary.episodes]
@@ -378,7 +395,7 @@ def test_c09_desk_scale_learning():
 
 @pytest.mark.expensive
 @pytest.mark.xfail(reason="expected trend, not hard-gated", strict=False)
-def test_c10_comparative_trend():
+def test_c10_comparative_trend(monkeypatch):
     def auc(summary) -> float:
         total, prev_step = 0.0, 0
         for rec in summary.episodes:
@@ -386,15 +403,22 @@ def test_c10_comparative_trend():
             prev_step = rec.global_step
         return total
 
-    wins = 0
-    table = []
-    for env in ("pendulum", "point_reacher"):
-        for seed in (0, 1, 2):
-            scores = {}
-            for sampler in ("uniform", "ero"):
+    envs, seeds, samplers = ("pendulum", "point_reacher"), (0, 1, 2), ("uniform", "ero")
+    configs = []
+    for env in envs:
+        for seed in seeds:
+            for sampler in samplers:
                 config = gate_config(sampler, seed, env=env, steps=30_000)
                 config.early_stop_window = 0
-                scores[sampler] = auc(run(config))
+                configs.append(config)
+    summaries = iter(run_in_workers(configs, monkeypatch))
+    wins = 0
+    table = []
+    for env in envs:
+        for seed in seeds:
+            scores = {}
+            for sampler in samplers:
+                scores[sampler] = auc(next(summaries))
             won = scores["ero"] >= scores["uniform"]
             wins += int(won)
             table.append((env, seed, scores["uniform"], scores["ero"], won))

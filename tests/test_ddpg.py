@@ -7,7 +7,7 @@ import pytest
 
 from replay_opt.ddpg import DdpgAgent, OuNoise, td_loss
 from replay_opt.errors import NumericFault
-from replay_opt.nn import Mlp, _activate, _pre_activation_grad, grad_check
+from replay_opt.nn import Mlp, _activate, _pre_activation_grad, grad_check, mlp_init
 from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
 
 
@@ -370,25 +370,69 @@ class TestSoftUpdate:
             assert all(np.shares_memory(w, target.params) for w in target.weights + target.biases)
 
 
-class TestTrainStep:
-    def fill_buffer(self, n=80):
-        rng = np.random.default_rng(0)
-        buf = ReplayBuffer(128, obs_dim=3, action_dim=1)
-        for i in range(n):
-            buf.store(
-                Transition(
-                    state=rng.normal(size=3),
-                    action=rng.uniform(-2, 2, size=1),
-                    reward=float(rng.normal()),
-                    next_state=rng.normal(size=3),
-                    done=bool(rng.random() < 0.1),
-                    insert_timestep=i + 1,
-                )
+def fill_buffer(n=80):
+    rng = np.random.default_rng(0)
+    buf = ReplayBuffer(128, obs_dim=3, action_dim=1)
+    for i in range(n):
+        buf.store(
+            Transition(
+                state=rng.normal(size=3),
+                action=rng.uniform(-2, 2, size=1),
+                reward=float(rng.normal()),
+                next_state=rng.normal(size=3),
+                done=bool(rng.random() < 0.1),
+                insert_timestep=i + 1,
             )
-        return buf
+        )
+    return buf
 
+
+class TestParameterBlock:
+    def test_nets_are_views_of_the_block_rows(self):
+        agent = make_agent()
+        split = agent.actor.param_count
+        assert agent.params.shape == (2, split + agent.critic.param_count)
+        rows = ((agent.actor, agent.critic), (agent.target_actor, agent.target_critic))
+        for actor, critic in rows:
+            assert actor.params.base is agent.params and critic.params.base is agent.params
+        agent.params[...] = np.arange(agent.params.size).reshape(agent.params.shape)
+        for row, (actor, critic) in zip(agent.params, rows):
+            assert np.array_equal(actor.params, row[:split])
+            assert np.array_equal(critic.params, row[split:])
+
+    def test_init_draws_unchanged_and_targets_start_equal(self):
+        agent = make_agent()
+        actor = mlp_init([3, 8, 8, 1], ["relu", "relu", "tanh"], seed=0, output_scale=3e-3)
+        critic = mlp_init([4, 8, 8, 1], ["relu", "relu", "linear"], seed=1)
+        assert np.array_equal(agent.params[0], np.concatenate([actor.params, critic.params]))
+        assert np.array_equal(agent.params[1], agent.params[0])
+
+    def test_block_round_trip_continues_bit_for_bit(self):
+        buf = fill_buffer()
+        kwargs = dict(hidden_sizes=(64, 64), tau=0.01)
+        source = make_agent(**kwargs)
+        warmup = UniformSampler(buf, np.random.default_rng(3))
+        for _ in range(30):
+            source.train_step(warmup, 64)
+        restored = make_agent(actor_seed=7, critic_seed=8, **kwargs)
+        restored.params[...] = source.params
+        adams = ((restored.actor_adam, source.actor_adam), (restored.critic_adam, source.critic_adam))
+        for mine, theirs in adams:
+            mine.m[...], mine.v[...], mine.step_count = theirs.m, theirs.v, theirs.step_count
+        samplers = [UniformSampler(buf, np.random.default_rng(4)) for _ in range(2)]
+        for _ in range(50):  # Adam's step 64 flushes subnormal moments in both
+            loss, td_errors, _ = source.train_step(samplers[0], 64)
+            twin_loss, twin_td_errors, _ = restored.train_step(samplers[1], 64)
+            assert loss == twin_loss and td_errors.tobytes() == twin_td_errors.tobytes()
+        assert restored.params.tobytes() == source.params.tobytes()
+        for mine, theirs in adams:
+            assert mine.m.tobytes() == theirs.m.tobytes() and mine.v.tobytes() == theirs.v.tobytes()
+            assert mine.step_count == theirs.step_count == 80
+
+
+class TestTrainStep:
     def test_degenerate_single_transition_buffer(self):
-        buf = self.fill_buffer(1)
+        buf = fill_buffer(1)
         agent = make_agent()
         sampler = UniformSampler(buf, np.random.default_rng(0))
         loss, td, batch = agent.train_step(sampler, 64)
@@ -398,7 +442,7 @@ class TestTrainStep:
 
     def test_identical_seeds_identical_losses(self):
         def run():
-            buf = self.fill_buffer()
+            buf = fill_buffer()
             agent = make_agent()
             sampler = UniformSampler(buf, np.random.default_rng(5))
             return [agent.train_step(sampler, 64)[0] for _ in range(10)]
@@ -449,7 +493,7 @@ class TestTrainStep:
         assert np.array_equal(agent.target_critic.params, twin.target_critic.params)
 
     def test_batch_contract(self):
-        buf = self.fill_buffer()
+        buf = fill_buffer()
         agent = make_agent()
         sampler = UniformSampler(buf, np.random.default_rng(2))
         for _ in range(5):

@@ -387,6 +387,31 @@ class TestAdam:
             ):
                 assert all(np.array_equal(a, b) for a, b in zip(flat, ref))
 
+    def test_subnormal_first_moments_flushed_without_moving_params(self):
+        rng = np.random.default_rng(31)
+        net = mlp_init([4, 64, 64, 1], ["relu", "relu", "linear"], seed=32)
+        state = AdamState.for_net(net, learning_rate=1e-3)
+        stuck = rng.choice(net.param_count, size=500, replace=False)
+        # 5 subnormal units: ``m *= 0.9`` rounds them back to 5 while the gradient stays 0
+        state.m[stuck] = 5 * np.finfo(np.float64).smallest_subnormal * rng.choice([-1.0, 1.0], 500)
+        params, m, v = [net.params.copy()], [state.m.copy()], [state.v.copy()]  # an unflushed twin
+        tiny = np.finfo(np.float64).tiny
+
+        def subnormals(m):
+            return np.count_nonzero((m != 0.0) & (np.abs(m) < tiny))
+
+        for t in range(1, 201):
+            tape = GradTape.zeros_like(net)
+            tape.grads[:] = rng.normal(scale=1e-2, size=net.param_count)
+            tape.grads[stuck] = 0.0
+            adam_step(net, tape, state)
+            reference_adam_step(params, [], [tape.grads], [], (m, v, [], []), t, lr=1e-3)
+            assert net.params.tobytes() == params[0].tobytes()
+        others = np.setdiff1d(np.arange(net.param_count), stuck)
+        assert np.array_equal(state.m[others], m[0][others])
+        assert subnormals(m[0]) == 500  # the unflushed twin still holds every one
+        assert subnormals(state.m) == 0
+
 
 class TestFlatStorage:
     def test_layout_is_init_draw_order(self):
@@ -533,6 +558,30 @@ class TestWorkspace:
         net.backward(cache, dy)
         net.input_gradient(cache, dy)
         assert np.array_equal(dy, kept)
+
+    @pytest.mark.parametrize(
+        "sizes, acts",
+        [
+            ([4, 64, 64, 1], ["relu", "relu", "linear"]),  # critic
+            ([3, 64, 64, 1], ["relu", "relu", "sigmoid"]),  # ERO scoring net
+            ([3, 64, 64, 1], ["relu", "relu", "tanh"]),  # actor of a 1-d action
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 64, BLOCK + 1])
+    def test_width_one_chain_bit_equal_to_matmul(self, sizes, acts, n):
+        rng = np.random.default_rng(n)
+        net = mlp_init(sizes, acts, seed=21)
+        dy = rng.normal(size=(n, 1))
+        _, cache = net.forward_cached(rng.normal(size=(n, sizes[0])))
+        weight_grads, dh = [], dy
+        for layer in range(len(cache) - 1, -1, -1):
+            h_in, z, out = cache[layer]
+            dz = _pre_activation_grad(acts[layer], dh, z, out)
+            weight_grads.append(h_in.T @ dz)
+            dh = np.matmul(dz, net.weights[layer].T)
+        tape = net.backward(cache, dy)
+        assert [g.tobytes() for g in tape.weight_grads[::-1]] == [g.tobytes() for g in weight_grads]
+        assert net.input_gradient(cache, dy).tobytes() == dh.tobytes()
 
 
 class TestGradCheck:
