@@ -8,8 +8,14 @@ and ``update_priorities`` (64 slots) at 1.3k, 10k and 100k live rows in a
 100k-slot buffer with ``PerConfig()`` defaults, and of ``DdpgAgent.act`` at
 batch 1 and ``DdpgAgent.train_step`` at batch 64 (pendulum shapes, uniform
 sampler). ``store`` and ``on_store`` are timed call by call over
-``--calls`` store/on_store pairs (the median call); every other figure is
-the median over ``--rounds`` rounds of the mean of ``--calls`` calls.
+``--calls`` store/on_store pairs (the median call). ``on_store`` only
+queues its slot, and the next read of the sum tree writes the queued
+slots, so ``store_phase_100`` times a run's whole store phase: 100
+store/on_store pairs, then one ``sample(64)``. Every other figure is the
+median over ``--rounds`` rounds of the mean per call, over ``--calls``
+calls per round (``--calls`` / 10 phases for ``store_phase_100``). The
+store phases run last, and their stores raise the fill of the two smaller
+buffers by 10 x ``--calls`` x ``--rounds`` rows.
 Point ``PYTHONPATH`` at another tree's ``src`` to measure that tree with
 the same script.
 """
@@ -17,6 +23,7 @@ the same script.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
 import statistics
@@ -30,6 +37,7 @@ from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, T
 CAPACITY = 100_000
 FILLS = (1_300, 10_000, 100_000)
 OBS_DIM, ACTION_DIM, BATCH = 3, 1, 64
+STORE_PHASE = 100  # stores per rollout phase of a run (``RunConfig.rollout_steps``)
 
 
 def transition(rng: np.random.Generator, step: int) -> Transition:
@@ -89,6 +97,15 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
         sampler.update_priorities(batch.indices, next(tds), batch.insert_timesteps)
 
     costs["update_priorities_64"] = per_call_us(update, calls, rounds)
+
+    stored = itertools.cycle([transition(rng, step) for step in range(1, STORE_PHASE + 1)])
+
+    def store_phase():
+        for _ in range(STORE_PHASE):
+            sampler.on_store(buf.store(next(stored)))
+        sampler.sample(BATCH)
+
+    costs["store_phase_100"] = per_call_us(store_phase, max(calls // 10, 1), rounds)
     return costs
 
 

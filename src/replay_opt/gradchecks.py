@@ -69,8 +69,11 @@ def _states_away_from_kinks(agent: DdpgAgent, rng, n: int = 4, gap: float = 1e-3
         head, actor_cache = agent.actor.forward_cached(states)
         stacked = np.hstack([states, agent.action_high * head])
         _, critic_cache = agent.critic.forward_cached(stacked)
+        # a cache keeps no pre-activations; ``h @ W + b`` has the forward pass's bits
         closest = min(
-            float(np.min(np.abs(z))) for _, z, _ in actor_cache + critic_cache
+            float(np.min(np.abs(h_in @ w + b)))
+            for net, cache in ((agent.actor, actor_cache), (agent.critic, critic_cache))
+            for (h_in, _), w, b in zip(cache, net.weights, net.biases)
         )
         if closest >= gap:
             break

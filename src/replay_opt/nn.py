@@ -60,27 +60,28 @@ def _linear(z, dst=None):
     return z
 
 
-def _tanh_grad(dh, z, out, dst=None, mask=None):
+def _tanh_grad(dh, out, dst=None, mask=None):
     return np.multiply(dh, 1.0 - out * out, out=dst)
 
 
-def _relu_grad(dh, z, out, dst=None, mask=None):
-    return np.multiply(dh, np.greater(z, 0.0, out=mask), out=dst)
+def _relu_grad(dh, out, dst=None, mask=None):
+    return np.multiply(dh, np.greater(out, 0.0, out=mask), out=dst)
 
 
-def _sigmoid_grad(dh, z, out, dst=None, mask=None):
+def _sigmoid_grad(dh, out, dst=None, mask=None):
     return np.multiply(dh, out * (1.0 - out), out=dst)
 
 
-def _linear_grad(dh, z, out, dst=None, mask=None):
+def _linear_grad(dh, out, dst=None, mask=None):
     return dh
 
 
 # Per activation tag: (activation, chain rule through it). An activation maps
 # ``(z, dst)`` to its output, written into ``dst`` when given (``dst`` may be
 # ``z``); a linear layer returns ``z`` itself and ignores ``dst``. A chain
-# rule maps ``(dh, z, out, dst, mask)``, with ``dh`` = d(loss)/d(out), to
-# d(loss)/d(z), reusing the forward output where cheaper. The relu mask is
+# rule maps ``(dh, out, dst, mask)``, with ``dh`` = d(loss)/d(out), to
+# d(loss)/d(z), from the layer's output alone: relu's ``out > 0`` is
+# ``z > 0`` for every float z, -0.0 and NaN included. The relu mask is
 # written into the bool array ``mask`` when given and multiplies as
 # booleans, and a linear layer passes ``dh`` through: the same bits as
 # multiplying by a float 1.0/0.0 array, without building one. The result
@@ -100,10 +101,10 @@ def _activate(name: str, z: np.ndarray, dst: np.ndarray | None = None) -> np.nda
 
 
 def _pre_activation_grad(
-    name: str, dh: np.ndarray, z: np.ndarray, out: np.ndarray, dst: np.ndarray | None = None
+    name: str, dh: np.ndarray, out: np.ndarray, dst: np.ndarray | None = None
 ) -> np.ndarray:
-    """Chain ``dh`` through the activation tagged ``name`` (see ``_KERNELS``)."""
-    return _KERNELS[name][1](dh, z, out, dst)
+    """Chain ``dh`` through the activation tagged ``name``, given its output (see ``_KERNELS``)."""
+    return _KERNELS[name][1](dh, out, dst)
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -168,8 +169,8 @@ class Mlp:
     laid out as ``[W0 (row-major), b0, W1, b1, ...]``; ``weights`` and
     ``biases`` are per-layer views into it. Write a layer in place
     (``net.weights[i][...] = x``): reassigning a list element detaches that
-    layer from ``params``, so ``adam_step``, ``copy`` and target blending
-    would no longer see it.
+    layer from ``params``, so ``adam_step`` and target blending would no
+    longer see it.
 
     Each net owns a workspace: one float64 array per layer, as wide as the
     layer's output and grown on demand to at most ``BLOCK`` rows, and a bool
@@ -219,9 +220,6 @@ class Mlp:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.activations, self.params.copy())
-
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -258,15 +256,19 @@ class Mlp:
         x = self._check_input(x)
         y = np.empty((len(x), self.output_dim))
         if len(x) <= BLOCK:
-            self._forward_block(x, y)
+            self._forward_block(x, self._scratch(len(x))[0][:-1] + [y])
         else:
             for start, stop in row_blocks(len(x)):
-                self._forward_block(x[start:stop], y[start:stop])
+                self._forward_block(x[start:stop], self._scratch(stop - start)[0][:-1] + [y[start:stop]])
         return y
 
-    def _forward_block(self, h: np.ndarray, y: np.ndarray) -> None:
-        scratch = self._scratch(len(h))[0]
-        for (w, b, act), z in zip(self._layers, scratch[:-1] + [y]):
+    def _forward_block(self, h: np.ndarray, outs: list[np.ndarray]) -> None:
+        """Run the layers on ``h``, writing each layer's output into ``outs``.
+
+        The only layer loop: ``forward`` passes workspace views and its result
+        array, ``forward_cached`` the cache's own arrays.
+        """
+        for (w, b, act), z in zip(self._layers, outs):
             np.matmul(h, w, out=z)
             z += b
             h = act(z, z)
@@ -274,25 +276,20 @@ class Mlp:
     def forward_cached(self, x: np.ndarray, cache: list | None = None) -> tuple[np.ndarray, list]:
         """Forward pass that also returns the intermediates backward() needs.
 
-        The cache holds one ``(input, pre-activation, output)`` triple per
-        layer; the returned output is the last layer's. Pass back a cache an
-        earlier call returned to have its arrays overwritten instead of fresh
-        ones built (when its batch size differs, fresh ones are built).
+        The cache holds one ``(input, output)`` pair per layer, each layer's
+        input being the previous layer's output; the returned output is the
+        last layer's. The chain rules read only the outputs, so no
+        pre-activation is kept. Pass back a cache an earlier call returned to
+        have its arrays overwritten instead of fresh ones built (when its
+        batch size differs, fresh ones are built).
         """
         h = self._check_input(x)
-        if cache is None or cache[0][1].shape[0] != len(h):
-            cache = []
-            for width, act in zip(self.layer_sizes[1:], self.activations):
-                z = np.empty((len(h), width))
-                cache.append((None, z, z if act == "linear" else np.empty_like(z)))
-        for layer, (w, b, act) in enumerate(self._layers):
-            _, z, out = cache[layer]
-            np.matmul(h, w, out=z)
-            z += b
-            act(z, out)
-            cache[layer] = (h, z, out)
-            h = out
-        return h, cache
+        if cache is None or len(cache[0][1]) != len(h):
+            outs = [np.empty((len(h), width)) for width in self.layer_sizes[1:]]
+        else:
+            outs = [out for _, out in cache]
+        self._forward_block(h, outs)
+        return outs[-1], list(zip([h] + outs[:-1], outs))
 
     def backward(self, cache: list, output_grad: np.ndarray, tape: GradTape | None = None) -> GradTape:
         """Backpropagate d(loss)/d(output) through the cached forward pass.
@@ -322,16 +319,16 @@ class Mlp:
         layer 0's weights; without one, return d(loss)/d(input).
         """
         output_grad = np.asarray(output_grad, dtype=np.float64)
-        if output_grad.shape != cache[-1][2].shape:
+        if output_grad.shape != cache[-1][1].shape:
             raise ContractViolation(
                 f"output_grad shape {output_grad.shape} does not match "
-                f"forward output {cache[-1][2].shape}"
+                f"forward output {cache[-1][1].shape}"
             )
         scratch, masks = self._scratch(len(output_grad))
         dh = output_grad
         for layer in range(len(self.weights) - 1, -1, -1):
-            h_in, z, out = cache[layer]
-            dz = self._grads[layer](dh, z, out, scratch[layer], masks[layer])
+            h_in, out = cache[layer]
+            dz = self._grads[layer](dh, out, scratch[layer], masks[layer])
             if tape is not None:
                 np.matmul(h_in.T, dz, out=tape.weight_grads[layer])
                 np.add.reduce(dz, axis=0, out=tape.bias_grads[layer])

@@ -298,54 +298,29 @@ class SumTree:
         self._written = 0  # one past the highest leaf ever written
         self._min_mass = math.inf  # smallest positive leaf mass (inf: none); None until rescanned
 
-    def set(self, idx, mass) -> None:
-        """Write leaf mass(es) and propagate the change to every ancestor.
+    def set(self, idx: np.ndarray, mass: np.ndarray) -> None:
+        """Write leaf masses and propagate the change to every ancestor.
 
-        ``idx`` and ``mass`` are either one leaf index and one mass, or two
-        1-D arrays of equal length. An array write gives the same bits in
-        ``nodes`` as the same scalar writes made one by one in array order:
-        each leaf's delta is taken against the mass the previous write to
-        that leaf left, the last write to a leaf wins, and every internal
-        node adds its deltas in array order (one ``np.add.at`` over the
-        ancestors, level by level, each level in array order). Deltas are
-        added rather than parents recomputed from their children, so the
-        sums drift exactly as the scalar walk's do.
+        ``idx`` and ``mass`` are 1-D arrays of equal length; a leaf may
+        repeat. The write gives the same bits in ``nodes`` as one-leaf
+        root-ward walks made one by one in array order: each leaf's delta is
+        taken against the mass the previous write to that leaf left, the last
+        write to a leaf wins, and every internal node adds its deltas in
+        array order (one ``np.add.at`` over the ancestors, level by level,
+        each level in array order). Deltas are added rather than parents
+        recomputed from their children, so the sums drift exactly as the
+        walks' do.
 
-        An array write validates the whole batch before writing anything: a
-        negative, non-finite or out-of-range entry raises and leaves
-        ``nodes`` untouched.
+        The whole batch is validated before anything is written: a negative,
+        non-finite or out-of-range entry raises and leaves ``nodes``
+        untouched.
 
-        Callers compute leaf masses ``(|td| + eps) ** alpha`` with scalar
-        (Python float) ``**`` or ``math.pow``, which make the same C library
-        call: numpy's vectorized ``**`` may use a different pow kernel (e.g.
-        AVX-512) whose results differ from the scalar one in the last bit,
-        which would change which leaf a draw lands on.
+        Callers compute leaf masses ``(|td| + eps) ** alpha`` with
+        ``math.pow``, one Python float at a time: numpy's vectorized ``**``
+        may use a different pow kernel (e.g. AVX-512) whose results differ
+        from the C library's in the last bit, which would change which leaf
+        a draw lands on.
         """
-        # one leaf (a store) walks in Python: cheaper than the array path's fixed cost
-        if not np.isscalar(idx):
-            self._set_many(idx, mass)
-            return
-        if mass < 0 or not np.isfinite(mass):
-            raise ContractViolation(f"leaf mass must be finite and non-negative, got {mass}")
-        if not 0 <= idx < self.capacity:
-            raise ContractViolation(f"leaf index {idx} out of range for capacity {self.capacity}")
-        heap = self._heap
-        node = idx + self._leaves
-        old = heap[node]
-        low = self._min_mass
-        if low is not None:
-            if 0 < mass < low:
-                self._min_mass = mass
-            elif old == low and mass != low:
-                self._min_mass = None
-        self._written = max(self._written, idx + 1)
-        delta = mass - old
-        heap[node] = mass
-        while node > 1:
-            node >>= 1
-            heap[node] += delta
-
-    def _set_many(self, idx, mass) -> None:
         indices = np.asarray(idx)
         masses = np.asarray(mass, dtype=np.float64)
         if indices.ndim != 1 or masses.shape != indices.shape:
@@ -402,9 +377,6 @@ class SumTree:
         np.subtract(masses, prev, out=self._tiled)
         np.add.at(heap, (nodes >> self._shifts).ravel(), self._tiled.ravel())
 
-    def get(self, idx: int) -> float:
-        return float(self._heap[idx + self._leaves])
-
     def total(self) -> float:
         return float(self._heap[1])
 
@@ -453,6 +425,12 @@ class SumTree:
 def _stratified_values(batch_size: int, total: float, rng: np.random.Generator) -> np.ndarray:
     """One uniform draw inside each of ``batch_size`` equal-mass strata."""
     return (np.arange(batch_size) + rng.random(batch_size)) / batch_size * total
+
+
+def _leaf_masses(priorities: np.ndarray, alpha: float) -> np.ndarray:
+    """``priorities ** alpha`` by ``math.pow``, one element at a time (see ``SumTree.set``)."""
+    powers = map(math.pow, priorities.tolist(), itertools.repeat(alpha))
+    return np.fromiter(powers, np.float64, len(priorities))
 
 
 def _is_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
@@ -512,6 +490,13 @@ class PerProportionalSampler:
     it; the tree likewise keeps the smallest positive mass that normalizes
     the IS weights. Both are exact as long as every priority write goes
     through ``on_store`` and ``update_priorities``.
+
+    ``on_store`` writes only the priority and queues the slot. Reading
+    ``tree`` first writes the queued slots' masses in one ``SumTree.set``,
+    in store order, so every reader sees the same tree bits as if each
+    store had written its leaf at once. (Between two reads the priority
+    ``on_store`` gives is constant, so a slot queued twice gets the same
+    mass from either store.)
     """
 
     kind = "per_prop"
@@ -520,10 +505,19 @@ class PerProportionalSampler:
         self.buffer = buffer
         self.config = config
         self.rng = rng
-        self.tree = SumTree(buffer.capacity)
+        self._tree = SumTree(buffer.capacity)
         self.priorities = _mapped_zeros(buffer.capacity)  # raw |TD| + eps per slot
         self.sample_calls = 0
         self._max_priority = None  # over the live slots; None until (re)scanned
+        self._stored: list[int] = []  # slots stored since the tree was last read
+
+    @property
+    def tree(self) -> SumTree:
+        """The sum tree, after writing the masses of the slots stored since the last read."""
+        if self._stored:
+            slots, self._stored = np.array(self._stored), []
+            self._tree.set(slots, _leaf_masses(self.priorities[slots], self.config.alpha))
+        return self._tree
 
     def on_store(self, idx: int) -> None:
         """Start the stored slot at the largest priority live before the store (1 when none).
@@ -537,29 +531,30 @@ class PerProportionalSampler:
         elif self._max_priority is None:
             self._max_priority = self.priorities[:live_before].max()
         self.priorities[idx] = self._max_priority
-        self.tree.set(idx, self.priorities[idx] ** self.config.alpha)
+        self._stored.append(idx)
 
     def sample(self, batch_size: int) -> Batch:
         n = len(self.buffer)
         if n == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
-        total = self.tree.total()
+        tree = self.tree
+        total = tree.total()
         if total <= 0.0:
             raise DegeneratePriorityError("total priority mass is zero")
         beta = self.config.beta_at(self.sample_calls)
         self.sample_calls += 1
 
         values = _stratified_values(batch_size, total, self.rng)
-        indices = self.tree.find(values)
+        indices = tree.find(values)
         # the tree's ``+= delta`` drift can leave the total above the sum of the
         # leaves (at epsilon 0 even after every leaf went back to 0), and a draw
         # then lands past the live slots or on a leaf without mass
         if np.maximum.reduce(indices, initial=0) >= n:
             raise DegeneratePriorityError(f"a draw landed past the {n} live slots (sum-tree drift)")
-        masses = self.tree.leaf_masses()[indices]
+        masses = tree.leaf_masses()[indices]
         if not np.minimum.reduce(masses, initial=math.inf) > 0.0:
             raise DegeneratePriorityError("a draw landed on a slot without priority mass")
-        weights = _is_weights(n, masses / total, self.tree.min_mass() / total, beta)
+        weights = _is_weights(n, masses / total, tree.min_mass() / total, beta)
         return self.buffer.gather(indices, is_weights=weights)
 
     def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
@@ -570,10 +565,7 @@ class PerProportionalSampler:
         if self.buffer.stale_updates != stale_before:
             indices, raw = indices[ok], raw[ok]
         raw += self.config.epsilon
-        # scalar pow per element: see SumTree.set
-        masses = np.fromiter(map(math.pow, raw.tolist(), itertools.repeat(self.config.alpha)),
-                             np.float64, len(raw))
-        self.tree.set(indices, masses)
+        self.tree.set(indices, _leaf_masses(raw, self.config.alpha))
         old = self.priorities[indices]
         self.priorities[indices] = raw
         self._max_priority = _max_after_write(

@@ -20,7 +20,7 @@ import pytest
 from replay_opt.ddpg import DdpgAgent, td_loss
 from replay_opt.ero import EroPolicy, ReplayRewardTracker, mask_surrogate
 from replay_opt.harness import RunConfig, read_trace_csv, run
-from replay_opt.nn import grad_check, mlp_init
+from replay_opt.nn import Mlp, grad_check, mlp_init
 from replay_opt.replay import PerConfig, PerProportionalSampler, PerRankSampler, ReplayBuffer, Transition
 
 
@@ -188,7 +188,8 @@ def test_c04_reinforce_sign_property():
 
         for reward, expect in ((1.0, "up"), (-1.0, "down"), (0.0, "same")):
             buf, policy = fresh(trial)
-            before_net = policy.score_net.copy()
+            net = policy.score_net
+            before_net = Mlp(net.layer_sizes, net.activations, net.params.copy())
             policy.update_policy(buf, reward, current_step=10, rng=rng)
             idx = policy.last_update_indices
             after = mask_log_likelihood(policy, buf, idx)

@@ -58,9 +58,8 @@ class ReferenceTrainer:
     def forward_cached(net, x):
         h, cache = x, []
         for w, b, act in zip(net.weights, net.biases, net.activations):
-            z = h @ w + b
-            out = _activate(act, z)
-            cache.append((h, z, out))
+            out = _activate(act, h @ w + b)
+            cache.append((h, out))
             h = out
         return h, cache
 
@@ -69,8 +68,8 @@ class ReferenceTrainer:
         weight_grads, bias_grads = [None] * len(cache), [None] * len(cache)
         dh = output_grad
         for layer in range(len(cache) - 1, -1, -1):
-            h_in, z, out = cache[layer]
-            dz = _pre_activation_grad(net.activations[layer], dh, z, out)
+            h_in, out = cache[layer]
+            dz = _pre_activation_grad(net.activations[layer], dh, out)
             weight_grads[layer] = h_in.T @ dz
             bias_grads[layer] = dz.sum(axis=0)
             dh = dz @ net.weights[layer].T

@@ -194,7 +194,8 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         for _ in range(20):
             _, cache = net.forward_cached(x)
-            pre = np.concatenate([np.abs(c[1]).ravel() for c in cache])
+            pre = np.concatenate([np.abs(h_in @ w + b).ravel()
+                                  for (h_in, _), w, b in zip(cache, net.weights, net.biases)])
             if pre.min() >= 1e-3:
                 break
             x = rng.normal(size=(4, 3))
@@ -235,9 +236,26 @@ class TestBackward:
         }[act]
         with np.errstate(invalid="ignore"):  # inf * 0 where relu is off
             expected = dh * derivative
-            got = _pre_activation_grad(act, dh, z, out)
+            got = _pre_activation_grad(act, dh, out)
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_relu_rule_from_output_bit_equal_to_rule_from_pre_activation(self):
+        # the chain rule reads relu's output; the mask it used to take from z
+        # must come out the same for every float, signed zeros, subnormals,
+        # infinities and NaN included
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.nan, -np.nan, np.inf, -np.inf,
+                    np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny, 1.0, -1.0]
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, size=4096, dtype=np.uint64).view(np.float64)  # any bit pattern
+        z = np.concatenate([specials, bits, rng.normal(size=256)])[:, None].repeat(3, axis=1)
+        dh = np.column_stack([rng.normal(size=len(z)), np.full(len(z), -0.0), np.full(len(z), np.inf)])
+        out = _activate("relu", z)
+        with np.errstate(invalid="ignore"):  # inf * 0 where relu is off
+            from_z = dh * np.greater(z, 0.0)
+            from_out = _pre_activation_grad("relu", dh, out)
+        assert from_out.tobytes() == from_z.tobytes()
 
     def test_output_grad_shape_contract(self):
         net = mlp_init([3, 4, 2], ["relu", "linear"], seed=0)
@@ -459,7 +477,7 @@ class TestFlatStorage:
 
     def test_copy_shares_no_memory(self):
         net = mlp_init([3, 8, 2], ["relu", "linear"], seed=2)
-        twin = net.copy()
+        twin = Mlp(net.layer_sizes, net.activations, net.params.copy())
         assert np.array_equal(twin.params, net.params)
         for a in [twin.params] + twin.weights + twin.biases:
             for b in [net.params] + net.weights + net.biases:
@@ -543,6 +561,20 @@ class TestWorkspace:
             assert np.array_equal(reused.grads, fresh.grads)
             assert np.array_equal(net.input_gradient(cache, dy), net.input_gradient(fresh_cache, dy))
 
+    @pytest.mark.parametrize("n", [1, 64, BLOCK + 1])
+    def test_cache_pairs_each_layer_input_with_its_output(self, n):
+        net = mlp_init([3, 64, 64, 1], ["relu", "relu", "sigmoid"], seed=4)
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        y, cache = net.forward_cached(x)
+        assert all(len(entry) == 2 for entry in cache)
+        assert cache[0][0] is x and y is cache[-1][1]
+        h = x
+        for layer, (h_in, out) in enumerate(cache):
+            assert layer == 0 or h_in is cache[layer - 1][1]
+            h = _activate(net.activations[layer], h @ net.weights[layer] + net.biases[layer])
+            assert out.tobytes() == h.tobytes()
+        assert y.tobytes() == net.forward(x).tobytes()
+
     def test_tape_for_another_net_is_rejected_by_backward(self):
         net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
         other = mlp_init([2, 3, 1], ["tanh", "linear"], seed=0)
@@ -575,8 +607,8 @@ class TestWorkspace:
         _, cache = net.forward_cached(rng.normal(size=(n, sizes[0])))
         weight_grads, dh = [], dy
         for layer in range(len(cache) - 1, -1, -1):
-            h_in, z, out = cache[layer]
-            dz = _pre_activation_grad(acts[layer], dh, z, out)
+            h_in, out = cache[layer]
+            dz = _pre_activation_grad(acts[layer], dh, out)
             weight_grads.append(h_in.T @ dz)
             dh = np.matmul(dz, net.weights[layer].T)
         tape = net.backward(cache, dy)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -64,6 +65,71 @@ def reference_find(tree: SumTree, values) -> np.ndarray:
         idx = np.where(go_right, left + 1, left)
         values = np.where(go_right, values - left_sum, values)
     return idx - (leaves - 1)
+
+
+class WalkTree:
+    """The one-leaf write that ``SumTree.set`` replaced, kept as its oracle:
+    the leaf takes its mass and every ancestor adds the change, root-ward.
+    ``nodes`` has ``SumTree.nodes``' heap layout."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.leaves = 1
+        while self.leaves < capacity:
+            self.leaves *= 2
+        self.heap = np.zeros(2 * self.leaves)
+        self.nodes = self.heap[1:]
+
+    def set(self, idx: int, mass: float) -> None:
+        node = idx + self.leaves
+        delta = mass - self.heap[node]
+        self.heap[node] = mass
+        while node > 1:
+            node >>= 1
+            self.heap[node] += delta
+
+    def leaf_masses(self) -> np.ndarray:
+        return self.heap[self.leaves : self.leaves + self.capacity]
+
+    def min_mass(self) -> float:
+        masses = self.leaf_masses()
+        return float(masses[masses > 0].min()) if (masses > 0).any() else math.inf
+
+
+class WalkSampler:
+    """Proportional PER as it was when every store walked its leaf into the
+    tree at once (with numpy's scalar ``**``), on a buffer of its own: the
+    oracle for the sampler's queued store writes."""
+
+    def __init__(self, capacity: int, config: PerConfig, seed: int):
+        self.buffer = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+        self.config = config
+        self.tree = WalkTree(capacity)
+        self.priorities = np.zeros(capacity)
+        self.rng = np.random.default_rng(seed)
+
+    def store(self, transition: Transition) -> None:
+        live_before = len(self.buffer)  # the evicted slot included
+        idx = self.buffer.store(transition)
+        self.priorities[idx] = self.priorities[:live_before].max() if live_before else 1.0
+        self.tree.set(idx, self.priorities[idx] ** self.config.alpha)
+
+    def update_priorities(self, indices, td_errors, expected_insert_steps) -> None:
+        ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
+        for idx, td in zip(indices[ok], td_errors[ok]):
+            self.priorities[idx] = abs(td) + self.config.epsilon
+            self.tree.set(idx, math.pow(self.priorities[idx], self.config.alpha))
+
+    def sample(self, batch_size: int) -> np.ndarray | None:
+        """The indices a draw returns, or None where it must raise ``DegeneratePriorityError``."""
+        total = self.tree.heap[1]
+        if total <= 0.0:
+            return None
+        values = (np.arange(batch_size) + self.rng.random(batch_size)) / batch_size * total
+        indices = reference_find(self.tree, values)
+        if indices.max() >= len(self.buffer) or not (self.tree.leaf_masses()[indices] > 0).all():
+            return None
+        return indices
 
 
 def filled_buffer(n: int, capacity: int = 64, **kwargs) -> ReplayBuffer:
@@ -190,7 +256,7 @@ class TestUniformSampler:
 class TestSumTree:
     def test_point_mass(self):
         tree = SumTree(4)
-        tree.set(0, 1.0)
+        tree.set(np.array([0]), np.array([1.0]))
         idx = tree.find(np.random.default_rng(0).random(1000))
         assert np.all(idx == 0)
 
@@ -198,11 +264,12 @@ class TestSumTree:
         rng = np.random.default_rng(42)
         tree = SumTree(37)  # deliberately not a power of two
         ref = np.zeros(37)
-        for _ in range(10_000):
-            i = int(rng.integers(0, 37))
-            v = float(rng.random() * 10)
-            tree.set(i, v)
-            ref[i] = v
+        for _ in range(100):
+            indices = rng.integers(0, 37, size=100)
+            masses = rng.random(100) * 10
+            tree.set(indices, masses)
+            for i, v in zip(indices, masses):
+                ref[i] = v
         assert np.array_equal(tree.leaf_masses(), ref)
         # brute-force subtree sums
         nodes = tree.nodes
@@ -217,8 +284,7 @@ class TestSumTree:
         masses = rng.random(100)
         masses[rng.choice(100, size=20, replace=False)] = 0.0
         tree = SumTree(100)
-        for i, m in enumerate(masses):
-            tree.set(i, m)
+        tree.set(np.arange(100), masses)
         values = rng.random(50_000) * tree.total()
         via_tree = tree.find(values)
         via_prefix = np.searchsorted(np.cumsum(masses), values, side="right")
@@ -228,7 +294,7 @@ class TestSumTree:
     def test_negative_mass_rejected(self):
         tree = SumTree(4)
         with pytest.raises(ContractViolation):
-            tree.set(0, -1.0)
+            tree.set(np.array([0]), np.array([-1.0]))
 
     @pytest.mark.parametrize(
         "indices, masses",
@@ -239,6 +305,7 @@ class TestSumTree:
             ([0, 5, 2], [1.0, 1.0, 2.0]),
             ([0, -1, 2], [1.0, 1.0, 2.0]),
             ([0, 1], [1.0, 1.0, 2.0]),
+            (0, 1.0),  # one leaf is a length-1 array, not a scalar
         ],
     )
     def test_bad_array_write_rejected_before_writing(self, indices, masses):
@@ -251,7 +318,7 @@ class TestSumTree:
 
     def test_array_write_equals_scalar_writes_in_order(self):
         rng = np.random.default_rng(8)
-        batched, scalar = SumTree(1000), SumTree(1000)
+        batched, scalar = SumTree(1000), WalkTree(1000)
         for _ in range(200):
             # a narrow index range makes repeated leaves common
             high = 40 if rng.random() < 0.5 else 1000
@@ -260,7 +327,7 @@ class TestSumTree:
             batched.set(indices, masses)
             for idx, mass in zip(indices, masses):
                 scalar.set(int(idx), float(mass))
-            assert np.array_equal(batched.nodes, scalar.nodes)
+            assert batched.nodes.tobytes() == scalar.nodes.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -276,11 +343,11 @@ class TestSumTree:
     def test_interleaved_scalar_and_array_writes(self, capacity, writes):
         # quarter-integer masses keep every sum exact, so the descent must
         # agree with the prefix-sum oracle at every value, boundaries included
-        tree, reference = SumTree(capacity), SumTree(capacity)
+        tree, reference = SumTree(capacity), WalkTree(capacity)
         for write in writes:
             if isinstance(write, tuple):
                 idx, mass = write[0] % capacity, write[1] / 4
-                tree.set(idx, mass)
+                tree.set(np.array([idx]), np.array([mass]))
                 reference.set(idx, mass)
             else:
                 indices = np.array([i % capacity for i, _ in write], dtype=np.int64)
@@ -288,7 +355,7 @@ class TestSumTree:
                 tree.set(indices, masses)
                 for idx, mass in zip(indices, masses):
                     reference.set(int(idx), float(mass))
-            assert np.array_equal(tree.nodes, reference.nodes)
+            assert tree.nodes.tobytes() == reference.nodes.tobytes()
         leaves = tree.leaf_masses()
         if tree.total() > 0:
             values = np.concatenate([np.arange(4 * int(tree.total())) / 4, [tree.total() / 3]])
@@ -314,7 +381,7 @@ class TestPerProportional:
         idx = buf.store(make_transition(4))  # evicts slot 0, the largest priority
         s.on_store(idx)
         assert idx == 0 and s.priorities[0] == 5.0
-        assert s.tree.get(0) == 5.0**0.6
+        assert s.tree.leaf_masses()[0] == 5.0**0.6
 
     def test_point_mass_always_sampled(self):
         s = self.sampler_with_priorities([1.0, 0.0, 0.0, 0.0])
@@ -388,7 +455,7 @@ class TestPerProportional:
         s.config = PerConfig(alpha=1.0, epsilon=0.01)
         root_before = s.tree.total()
         s.update_priorities(np.array([3]), np.array([0.0]))
-        assert s.tree.get(3) == pytest.approx(0.01)
+        assert s.tree.leaf_masses()[3] == pytest.approx(0.01)
         assert s.tree.total() == pytest.approx(root_before - 1.0 + 0.01)
 
     def test_empty_update_is_noop(self):
@@ -425,7 +492,7 @@ class TestPerProportional:
         s.update_priorities(np.array([0]), np.array([2.5]))
         idx = buf.store(make_transition(1))
         s.on_store(idx)
-        assert s.tree.get(idx) == pytest.approx(2.5)
+        assert s.tree.leaf_masses()[idx] == pytest.approx(2.5)
 
 
 class TestBatchedPriorityWrite:
@@ -547,6 +614,71 @@ class TestCachedExtrema:
             self.assert_caches_exact(s)
 
 
+class TestQueuedStores:
+    """Stores queue their slots and a tree read writes them: the same tree as
+    writing each store at once, after every operation."""
+
+    def assert_same_state(self, sampler, oracle, read_tree=True):
+        """Priorities, the cached max priority and, when ``read_tree``, the
+        tree (reading it writes the queued stores)."""
+        assert sampler.priorities.tobytes() == oracle.priorities.tobytes()
+        cached, live = sampler._max_priority, len(oracle.buffer)
+        assert cached is None or cached == oracle.priorities[:live].max()
+        assert sampler.buffer.stale_updates == oracle.buffer.stale_updates
+        if read_tree:
+            tree = sampler.tree
+            assert not sampler._stored
+            assert tree.nodes.tobytes() == oracle.tree.nodes.tobytes()
+            assert tree.min_mass() == oracle.tree.min_mass()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        epsilon=st.sampled_from([0.0, 0.01]),
+        alpha=st.sampled_from([1.0, 0.6]),
+        data=st.data(),
+    )
+    def test_matches_the_walk_oracle(self, capacity, epsilon, alpha, data):
+        # no warmup: draws and priority writes may follow the first store, and
+        # a run of up to 2 * capacity + 1 stores queues a slot more than once.
+        # A store run may stay queued, so that a later update or draw, perhaps
+        # after more store runs, is the read that writes it.
+        config = PerConfig(alpha=alpha, epsilon=epsilon)
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+        s = PerProportionalSampler(buf, config, np.random.default_rng(0))
+        oracle = WalkSampler(capacity, config, seed=0)
+        td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
+        step = 0
+        snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
+        for _ in range(data.draw(st.integers(1, 30))):
+            op = data.draw(st.sampled_from(["store", "update", "sample", "snapshot"]))
+            read_tree = True
+            if op == "store" or len(buf) == 0:
+                read_tree = data.draw(st.booleans())
+                for _ in range(data.draw(st.integers(1, 2 * capacity + 1))):
+                    step += 1
+                    s.on_store(buf.store(make_transition(step)))
+                    oracle.store(make_transition(step))
+            elif op == "update":
+                slots = data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8))
+                slots = np.array(slots, dtype=np.int64)
+                tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
+                expected = snapshot[slots] if data.draw(st.booleans()) else None
+                s.update_priorities(slots, tds, expected)
+                oracle.update_priorities(slots, tds, expected)
+            elif op == "sample":
+                expected = oracle.sample(4)
+                if expected is None:
+                    with pytest.raises(DegeneratePriorityError):
+                        s.sample(4)
+                else:
+                    assert np.array_equal(s.sample(4).indices, expected)
+            else:
+                snapshot = buf.insert_timesteps.copy()
+            self.assert_same_state(s, oracle, read_tree)
+        self.assert_same_state(s, oracle)
+
+
 class TestSumTreeFind:
     """``find`` against the full descent from the root, bit for bit."""
 
@@ -576,8 +708,7 @@ class TestSumTreeFind:
     )
     def test_matches_the_full_descent_after_any_writes(self, capacity, writes, fractions):
         tree = SumTree(capacity)
-        for idx, mass in writes:
-            tree.set(idx % capacity, mass / 8)
+        tree.set(np.array([idx % capacity for idx, _ in writes]), np.array([mass / 8 for _, mass in writes]))
         total = tree.total()
         if total <= 0.0:
             return
