@@ -109,6 +109,9 @@ class RunConfig:
         for name in ("actor_lr", "critic_lr", "ero_lr"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # NaN compares False with every mean return, so it would never stop a run
+        if math.isnan(self.early_stop_threshold):
+            raise ConfigError("early_stop_threshold must be a number, got nan")
         # the buffer never holds more than its capacity, so training would never start
         if self.warmup_transitions > self.buffer_capacity:
             raise ConfigError(
@@ -504,10 +507,6 @@ def write_summary_csv(rows: list[SummaryRow], out) -> None:
 
 def write_eval_csv(records: list[EvalRecord], out) -> None:
     write_csv(EvalRecord, records, out)
-
-
-def read_episode_csv(path) -> list[EpisodeRecord]:
-    return read_csv(EpisodeRecord, path)
 
 
 def read_trace_csv(path) -> list[TraceRecord]:

@@ -95,18 +95,6 @@ _KERNELS = {
 }
 
 
-def _activate(name: str, z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
-    """Apply the activation tagged ``name`` to ``z`` (see ``_KERNELS``)."""
-    return _KERNELS[name][0](z, dst)
-
-
-def _pre_activation_grad(
-    name: str, dh: np.ndarray, out: np.ndarray, dst: np.ndarray | None = None
-) -> np.ndarray:
-    """Chain ``dh`` through the activation tagged ``name``, given its output (see ``_KERNELS``)."""
-    return _KERNELS[name][1](dh, out, dst)
-
-
 def row_blocks(n: int) -> list[tuple[int, int]]:
     """``(start, stop)`` ranges covering ``range(n)``, ``BLOCK`` rows each but the last.
 
@@ -377,8 +365,7 @@ def mlp_init(layer_sizes, activations, seed, output_scale: float | None = None) 
 class AdamState:
     """Adam moments and learning rate for one Mlp's parameters.
 
-    ``m`` and ``v`` are float64 vectors laid out like ``Mlp.params``;
-    ``m_w``/``m_b`` and ``v_w``/``v_b`` are per-layer views into them.
+    ``m`` and ``v`` are float64 vectors laid out like ``Mlp.params``.
     ``scratch`` holds two more such vectors that ``adam_step`` works in.
     """
 
@@ -388,8 +375,6 @@ class AdamState:
         self.m = np.zeros(_param_count(layer_sizes))
         self.v = np.zeros_like(self.m)
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
-        self.m_w, self.m_b = _layer_views(self.m, layer_sizes)
-        self.v_w, self.v_b = _layer_views(self.v, layer_sizes)
 
     @classmethod
     def for_net(cls, net: Mlp, learning_rate: float) -> "AdamState":

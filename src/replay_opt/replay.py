@@ -292,24 +292,21 @@ class SumTree:
             self._leaves *= 2
         self._heap = np.zeros(2 * self._leaves)
         self.nodes = self._heap[1:]
-        # right shifts taking a heap number to each of its ancestors
-        self._shifts = np.arange(1, self._leaves.bit_length())[:, None]
-        self._tiled = np.empty((len(self._shifts), 0))  # one batch's deltas, once per level
+        # right shifts taking a leaf's heap number to itself and each ancestor
+        self._shifts = np.arange(self._leaves.bit_length())[:, None]
         self._written = 0  # one past the highest leaf ever written
         self._min_mass = math.inf  # smallest positive leaf mass (inf: none); None until rescanned
 
     def set(self, idx: np.ndarray, mass: np.ndarray) -> None:
-        """Write leaf masses and propagate the change to every ancestor.
+        """Write leaf masses and recompute every ancestor from its children.
 
         ``idx`` and ``mass`` are 1-D arrays of equal length; a leaf may
-        repeat. The write gives the same bits in ``nodes`` as one-leaf
-        root-ward walks made one by one in array order: each leaf's delta is
-        taken against the mass the previous write to that leaf left, the last
-        write to a leaf wins, and every internal node adds its deltas in
-        array order (one ``np.add.at`` over the ancestors, level by level,
-        each level in array order). Deltas are added rather than parents
-        recomputed from their children, so the sums drift exactly as the
-        walks' do.
+        repeat, and then its last write lands. The leaves land first; then,
+        level by level towards the root, each touched node is set to the sum
+        of its two children. So every internal node is the exact sum of its
+        children after each write, whatever the order of the writes before
+        it: a sibling is read only after the level below it is written, and
+        ``a + b == b + a``, so two paths that meet write the same value.
 
         The whole batch is validated before anything is written: a negative,
         non-finite or out-of-range entry raises and leaves ``nodes``
@@ -331,51 +328,37 @@ class SumTree:
             return
         if indices.dtype.kind not in "iu":
             raise ContractViolation(f"leaf indices must be integers, got dtype {indices.dtype}")
-        lightest = np.minimum.reduce(masses)
-        if not (lightest >= 0 and math.isfinite(np.maximum.reduce(masses))):
+        if not (np.minimum.reduce(masses) >= 0 and math.isfinite(np.maximum.reduce(masses))):
             bad = ~np.isfinite(masses) | (masses < 0)
             raise ContractViolation(
                 f"leaf mass must be finite and non-negative, got {masses[bad][0]}"
             )
-        if np.minimum.reduce(indices) < 0 or np.maximum.reduce(indices) >= self.capacity:
+        highest = np.maximum.reduce(indices)
+        if np.minimum.reduce(indices) < 0 or highest >= self.capacity:
             out = (indices < 0) | (indices >= self.capacity)
             raise ContractViolation(
                 f"leaf index {indices[out][0]} out of range for capacity {self.capacity}"
             )
         heap = self._heap
-        nodes = np.add(indices, self._leaves, dtype=np.int64)
-        prev = heap[nodes]
-        ordered = np.sort(nodes)
-        if (ordered[1:] == ordered[:-1]).any():
-            # a repeated leaf's delta starts from the mass its previous write
-            # left, and only its last write lands
-            order = np.argsort(indices, kind="stable")
-            repeat = nodes[order[1:]] == nodes[order[:-1]]
-            prev[order[1:][repeat]] = masses[order[:-1][repeat]]
-            last = np.ones(len(nodes), dtype=bool)
-            last[order[:-1][repeat]] = False
-            final = masses[last]
-            heap[nodes[last]] = final
-            lightest = np.minimum.reduce(final)
-        else:
-            final = masses
-            heap[nodes] = masses
-        self._written = max(self._written, int(ordered[-1]) - self._leaves + 1)
+        path_nodes = np.add(indices, self._leaves, dtype=np.int64) >> self._shifts
+        nodes = path_nodes[0]
+        prev = heap.take(nodes)  # every touched leaf's mass before the batch
+        heap[nodes] = masses
+        path = heap.take(nodes)  # the masses that landed
+        self._written = max(self._written, int(highest) + 1)
         low = self._min_mass
         if low is not None:
+            lightest = np.minimum.reduce(path)
             if lightest == 0.0:
-                lightest = np.minimum.reduce(final, where=final > 0, initial=math.inf)
+                lightest = np.minimum.reduce(path, where=path > 0, initial=math.inf)
             if lightest <= low:
                 self._min_mass = lightest
-            # ``prev`` holds every touched leaf's mass before the batch (and, for
-            # a repeat, a mass the batch itself wrote: at worst a spare rescan)
             elif np.minimum.reduce(prev) <= low and low in prev:
                 self._min_mass = None
-        # ancestors level by level, each level in array order
-        if self._tiled.shape[1] != len(masses):
-            self._tiled = np.empty((len(self._shifts), len(masses)))
-        np.subtract(masses, prev, out=self._tiled)
-        np.add.at(heap, (nodes >> self._shifts).ravel(), self._tiled.ravel())
+        siblings = path_nodes ^ 1
+        for level in range(1, len(path_nodes)):
+            path += heap.take(siblings[level - 1])
+            heap[path_nodes[level]] = path
 
     def total(self) -> float:
         return float(self._heap[1])
@@ -398,13 +381,12 @@ class SumTree:
 
         The descent starts at the deepest internal node on the tree's left
         edge whose subtree holds every leaf ever written. Every node above
-        it has its left child on that edge, and that child took the same
-        deltas in the same order, so the left sum equals ``total`` bit for
-        bit and a value below the total never goes right there: starting
-        lower returns the same leaves as a descent from the root. (A leaf
-        holds its mass, not the sum of its deltas, so the start is never a
-        leaf.) Each level works in place: the same comparisons and
-        subtractions, without temporaries.
+        it has its left child on that edge and a right child that covers
+        only unwritten leaves and so holds 0.0; since ``x + 0.0 == x``, the
+        left sum equals ``total`` bit for bit and a value below the total
+        never goes right there: starting lower returns the same leaves as a
+        descent from the root. Each level works in place: the same
+        comparisons and subtractions, without temporaries.
         """
         values = np.array(values, dtype=np.float64)
         # leaves under the start node: a power of two >= 2 covering the written ones
@@ -492,11 +474,10 @@ class PerProportionalSampler:
     through ``on_store`` and ``update_priorities``.
 
     ``on_store`` writes only the priority and queues the slot. Reading
-    ``tree`` first writes the queued slots' masses in one ``SumTree.set``,
-    in store order, so every reader sees the same tree bits as if each
-    store had written its leaf at once. (Between two reads the priority
-    ``on_store`` gives is constant, so a slot queued twice gets the same
-    mass from either store.)
+    ``tree`` first writes the queued slots' masses in one ``SumTree.set``.
+    The tree's internal nodes are exact sums of their children whatever the
+    order of the writes, so every reader sees the same tree bits as if each
+    store had written its leaf at once.
     """
 
     kind = "per_prop"
@@ -546,11 +527,9 @@ class PerProportionalSampler:
 
         values = _stratified_values(batch_size, total, self.rng)
         indices = tree.find(values)
-        # the tree's ``+= delta`` drift can leave the total above the sum of the
-        # leaves (at epsilon 0 even after every leaf went back to 0), and a draw
-        # then lands past the live slots or on a leaf without mass
+        # safety checks: a draw must land on a live slot with mass
         if np.maximum.reduce(indices, initial=0) >= n:
-            raise DegeneratePriorityError(f"a draw landed past the {n} live slots (sum-tree drift)")
+            raise DegeneratePriorityError(f"a draw landed past the {n} live slots")
         masses = tree.leaf_masses()[indices]
         if not np.minimum.reduce(masses, initial=math.inf) > 0.0:
             raise DegeneratePriorityError("a draw landed on a slot without priority mass")

@@ -6,7 +6,7 @@ import pytest
 
 from replay_opt import cli, ddpg, ero, gradchecks
 from replay_opt.errors import ConfigError
-from replay_opt.harness import EvalRecord, read_csv, read_episode_csv, read_trace_csv
+from replay_opt.harness import EpisodeRecord, EvalRecord, read_csv, read_trace_csv
 
 
 def write_config(tmp_path, name="run.cfg", **kwargs):
@@ -113,6 +113,7 @@ class TestRunCommand:
             ("ou_theta=-1", "ou_theta must be >= 0"),
             ("ou_sigma=nan", "ou_sigma must be >= 0"),
             ("seed=-1", "seed must be >= 0"),
+            ("early_stop_threshold=nan", "early_stop_threshold must be a number, got nan"),
         ],
     )
     def test_invalid_learning_setting_exits_2_before_training(self, tmp_path, monkeypatch, capsys, setting, message):
@@ -290,7 +291,7 @@ class TestEvalOutput:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--set", "eval_every=2"]) == 0
         assert (out / "evals.csv").read_text().splitlines()[0] == "global_step,eval_return,length"
-        episodes = read_episode_csv(out / "episodes.csv")
+        episodes = read_csv(EpisodeRecord, out / "episodes.csv")
         evals = read_csv(EvalRecord, out / "evals.csv")
         assert len(episodes) == 5
         assert [e.global_step for e in evals] == [episodes[1].global_step, episodes[3].global_step]
@@ -420,4 +421,5 @@ class TestEndToEndDeterminism:
         cli.main(["run", "--config", str(cfg), "--out", str(out_b)])
         assert (out_a / "episodes.csv").read_bytes() == (out_b / "episodes.csv").read_bytes()
         assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
-        assert read_episode_csv(out_a / "episodes.csv") == read_episode_csv(out_b / "episodes.csv")
+        episodes = [read_csv(EpisodeRecord, out / "episodes.csv") for out in (out_a, out_b)]
+        assert episodes[0] == episodes[1]

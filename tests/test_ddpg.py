@@ -7,7 +7,7 @@ import pytest
 
 from replay_opt.ddpg import DdpgAgent, OuNoise, td_loss
 from replay_opt.errors import NumericFault
-from replay_opt.nn import Mlp, _activate, _pre_activation_grad, grad_check, mlp_init
+from replay_opt.nn import Mlp, _KERNELS, grad_check, mlp_init
 from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
 
 
@@ -58,7 +58,7 @@ class ReferenceTrainer:
     def forward_cached(net, x):
         h, cache = x, []
         for w, b, act in zip(net.weights, net.biases, net.activations):
-            out = _activate(act, h @ w + b)
+            out = _KERNELS[act][0](h @ w + b)
             cache.append((h, out))
             h = out
         return h, cache
@@ -69,7 +69,7 @@ class ReferenceTrainer:
         dh = output_grad
         for layer in range(len(cache) - 1, -1, -1):
             h_in, out = cache[layer]
-            dz = _pre_activation_grad(net.activations[layer], dh, out)
+            dz = _KERNELS[net.activations[layer]][1](dh, out)
             weight_grads[layer] = h_in.T @ dz
             bias_grads[layer] = dz.sum(axis=0)
             dh = dz @ net.weights[layer].T

@@ -17,7 +17,6 @@ from replay_opt.harness import (
     SummaryRow,
     TraceRecord,
     read_csv,
-    read_episode_csv,
     read_trace_csv,
     run,
     run_suite,
@@ -110,6 +109,7 @@ class TestRun:
             ({"ou_theta": -0.1}, "ou_theta must be >= 0"),
             ({"ou_sigma": float("nan")}, "ou_sigma must be >= 0"),
             ({"seed": -1}, "seed must be >= 0"),
+            ({"early_stop_threshold": float("nan")}, "early_stop_threshold must be a number, got nan"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):
@@ -268,7 +268,7 @@ class TestCsv:
         ]
         path = tmp_path / "episodes.csv"
         write_episode_csv(records, path)
-        assert read_episode_csv(path) == records
+        assert read_csv(EpisodeRecord, path) == records
 
     def test_trace_round_trip(self, tmp_path):
         records = [TraceRecord(1000, 0.123456789012345678, 17.25, -3.5)]

@@ -11,8 +11,8 @@ from replay_opt.nn import (
     AdamState,
     GradTape,
     Mlp,
-    _activate,
-    _pre_activation_grad,
+    _KERNELS,
+    _layer_views,
     adam_step,
     grad_check,
     mlp_init,
@@ -58,11 +58,17 @@ def reference_adam_step(
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+def layer_views(flat: np.ndarray, net: Mlp) -> list[np.ndarray]:
+    """Per-layer weight views, then bias views, of a vector laid out like ``net.params``."""
+    weights, biases = _layer_views(flat, net.layer_sizes)
+    return weights + biases
+
+
 def reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Whole-input forward pass with fresh arrays per layer, the reference for the blocked one."""
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        h = _activate(act, h @ w + b)
+        h = _KERNELS[act][0](h @ w + b)
     return h
 
 
@@ -227,7 +233,7 @@ class TestBackward:
         z[0, :3] = 0.0
         dh = rng.normal(size=(64, 8))
         dh[1, :2] = (-0.0, np.inf)
-        out = _activate(act, z)
+        out = _KERNELS[act][0](z)
         derivative = {
             "tanh": 1.0 - out * out,
             "relu": (z > 0.0).astype(z.dtype),
@@ -236,7 +242,7 @@ class TestBackward:
         }[act]
         with np.errstate(invalid="ignore"):  # inf * 0 where relu is off
             expected = dh * derivative
-            got = _pre_activation_grad(act, dh, out)
+            got = _KERNELS[act][1](dh, out)
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -251,10 +257,10 @@ class TestBackward:
         bits = rng.integers(0, 2**64, size=4096, dtype=np.uint64).view(np.float64)  # any bit pattern
         z = np.concatenate([specials, bits, rng.normal(size=256)])[:, None].repeat(3, axis=1)
         dh = np.column_stack([rng.normal(size=len(z)), np.full(len(z), -0.0), np.full(len(z), np.inf)])
-        out = _activate("relu", z)
+        out = _KERNELS["relu"][0](z)
         with np.errstate(invalid="ignore"):  # inf * 0 where relu is off
             from_z = dh * np.greater(z, 0.0)
-            from_out = _pre_activation_grad("relu", dh, out)
+            from_out = _KERNELS["relu"][1](dh, out)
         assert from_out.tobytes() == from_z.tobytes()
 
     def test_output_grad_shape_contract(self):
@@ -297,9 +303,9 @@ class TestAdam:
         tape = GradTape.zeros_like(net)
         tape.weight_grads[0][0, 0] = 1.0
         adam_step(net, tape, state)
-        m_before = state.m_w[0][0, 0]
+        m_before = state.m[0]  # the one weight's first moment
         adam_step(net, GradTape.zeros_like(net), state)
-        assert state.m_w[0][0, 0] == pytest.approx(0.9 * m_before)
+        assert state.m[0] == pytest.approx(0.9 * m_before)
         assert state.step_count == 2
 
     def test_hand_computed_first_step(self):
@@ -400,7 +406,7 @@ class TestAdam:
                 weights, biases, tape.weight_grads, tape.bias_grads, moments, t, lr=1e-3
             )
             for flat, ref in zip(
-                (net.weights + net.biases, state.m_w + state.m_b, state.v_w + state.v_b),
+                (net.weights + net.biases, layer_views(state.m, net), layer_views(state.v, net)),
                 (weights + biases, moments[0] + moments[2], moments[1] + moments[3]),
             ):
                 assert all(np.array_equal(a, b) for a, b in zip(flat, ref))
@@ -448,12 +454,7 @@ class TestFlatStorage:
     def test_every_view_lies_inside_its_vector(self):
         net = mlp_init([3, 8, 8, 2], ["relu", "relu", "tanh"], seed=1)
         _, cache = net.forward_cached(np.ones((4, 3)))
-        state = AdamState.for_net(net, learning_rate=0.1)
-        owners = [
-            (net.params, net.weights + net.biases),
-            (state.m, state.m_w + state.m_b),
-            (state.v, state.v_w + state.v_b),
-        ]
+        owners = [(net.params, net.weights + net.biases)]
         for tape in (GradTape.zeros_like(net), net.backward(cache, np.ones((4, 2)))):
             owners.append((tape.grads, tape.weight_grads + tape.bias_grads))
         for flat, views in owners:
@@ -571,7 +572,7 @@ class TestWorkspace:
         h = x
         for layer, (h_in, out) in enumerate(cache):
             assert layer == 0 or h_in is cache[layer - 1][1]
-            h = _activate(net.activations[layer], h @ net.weights[layer] + net.biases[layer])
+            h = _KERNELS[net.activations[layer]][0](h @ net.weights[layer] + net.biases[layer])
             assert out.tobytes() == h.tobytes()
         assert y.tobytes() == net.forward(x).tobytes()
 
@@ -608,7 +609,7 @@ class TestWorkspace:
         weight_grads, dh = [], dy
         for layer in range(len(cache) - 1, -1, -1):
             h_in, out = cache[layer]
-            dz = _pre_activation_grad(acts[layer], dh, out)
+            dz = _KERNELS[acts[layer]][1](dh, out)
             weight_grads.append(h_in.T @ dz)
             dh = np.matmul(dz, net.weights[layer].T)
         tape = net.backward(cache, dy)

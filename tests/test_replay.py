@@ -67,10 +67,22 @@ def reference_find(tree: SumTree, values) -> np.ndarray:
     return idx - (leaves - 1)
 
 
+def rebuilt_nodes(tree: SumTree) -> np.ndarray:
+    """``tree.nodes`` rebuilt bottom-up from its leaf masses: each level
+    holds the pairwise sums of the level below, in heap order, root first."""
+    level = np.zeros((len(tree.nodes) + 1) // 2)
+    level[: tree.capacity] = tree.leaf_masses()
+    levels = [level]
+    while len(level) > 1:
+        level = level[0::2] + level[1::2]
+        levels.append(level)
+    return np.concatenate(levels[::-1])
+
+
 class WalkTree:
-    """The one-leaf write that ``SumTree.set`` replaced, kept as its oracle:
-    the leaf takes its mass and every ancestor adds the change, root-ward.
-    ``nodes`` has ``SumTree.nodes``' heap layout."""
+    """One-leaf writes, kept as the oracle for ``SumTree.set``: the leaf
+    takes its mass and each ancestor, root-ward, is recomputed as the sum
+    of its two children. ``nodes`` has ``SumTree.nodes``' heap layout."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -82,11 +94,10 @@ class WalkTree:
 
     def set(self, idx: int, mass: float) -> None:
         node = idx + self.leaves
-        delta = mass - self.heap[node]
         self.heap[node] = mass
         while node > 1:
             node >>= 1
-            self.heap[node] += delta
+            self.heap[node] = self.heap[2 * node] + self.heap[2 * node + 1]
 
     def leaf_masses(self) -> np.ndarray:
         return self.heap[self.leaves : self.leaves + self.capacity]
@@ -316,18 +327,24 @@ class TestSumTree:
             tree.set(np.array(indices), np.array(masses))
         assert np.array_equal(tree.nodes, before)
 
-    def test_array_write_equals_scalar_writes_in_order(self):
-        rng = np.random.default_rng(8)
-        batched, scalar = SumTree(1000), WalkTree(1000)
-        for _ in range(200):
-            # a narrow index range makes repeated leaves common
-            high = 40 if rng.random() < 0.5 else 1000
-            indices = rng.integers(0, high, size=int(rng.integers(0, 80)))
-            masses = rng.random(len(indices)) * 10.0 ** rng.uniform(-6, 6)
-            batched.set(indices, masses)
-            for idx, mass in zip(indices, masses):
-                scalar.set(int(idx), float(mass))
-            assert batched.nodes.tobytes() == scalar.nodes.tobytes()
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 40),
+        batches=st.lists(
+            st.lists(
+                # 40 indices folded onto at most 40 leaves: repeats are common
+                st.tuples(st.integers(0, 39), st.one_of(st.just(0.0), st.floats(1e-300, 1e6))),
+                max_size=16,
+            ),
+            max_size=12,
+        ),
+    )
+    def test_every_node_is_the_exact_sum_of_its_children(self, capacity, batches):
+        tree = SumTree(capacity)
+        for batch in batches:
+            indices = np.array([idx % capacity for idx, _ in batch], dtype=np.int64)
+            tree.set(indices, np.array([mass for _, mass in batch], dtype=np.float64))
+            assert tree.nodes.tobytes() == rebuilt_nodes(tree).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -413,9 +430,7 @@ class TestPerProportional:
 
     @pytest.mark.parametrize("tds", [[0.1, 0.2], [0.1, 0.2, 0.3]])
     def test_masses_written_back_to_zero_are_degenerate(self, tds):
-        # at epsilon 0 every leaf can return to zero mass while the root keeps
-        # a drift residue (2.8e-17 for two slots); three slots made the descent
-        # land on leaf 3, which was never written
+        # at epsilon 0 every leaf can return to zero mass, and the root with it
         n = len(tds)
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, PerConfig(epsilon=0.0, alpha=1.0), np.random.default_rng(0))
@@ -423,24 +438,24 @@ class TestPerProportional:
             s.on_store(buf.store(make_transition(i)))
         s.update_priorities(np.arange(n), np.array(tds))
         s.update_priorities(np.arange(n), np.zeros(n))
-        assert s.tree.total() > 0.0 and not s.tree.leaf_masses().any()
-        with pytest.raises(DegeneratePriorityError):
+        assert s.tree.total() == 0.0 and not s.tree.leaf_masses().any()
+        with pytest.raises(DegeneratePriorityError, match="total priority mass is zero"):
             s.sample(4)
 
     @pytest.mark.parametrize("first", [[0.2, 0.9, 0.4], [0.3, 0.7, 0.9]])
-    def test_drift_sending_a_draw_to_a_massless_slot_is_degenerate(self, first):
-        # slot 0 keeps 1e-180 of mass, but the root keeps a drift residue of
-        # about 3e-16, so a draw lands on leaf 3, which was never written
-        # (first writes), or on slot 1, which has no mass (second writes)
+    def test_tiny_mass_left_after_heavier_writes_is_drawn(self, first):
+        # slot 0 keeps 1e-180 of mass and the others none; the root holds
+        # exactly that, with no residue of the heavier first writes
         buf = ReplayBuffer(3, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
         for i in range(3):
             s.on_store(buf.store(make_transition(i)))
         s.update_priorities([0, 1, 2], first)
         s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0])
-        assert s.tree.total() > 1e-16 and s.tree.leaf_masses()[0] > 0.0
-        with pytest.raises(DegeneratePriorityError):
-            s.sample(4)
+        assert s.tree.total() == s.tree.leaf_masses()[0] > 0.0
+        batch = s.sample(4)
+        assert np.array_equal(batch.indices, [0, 0, 0, 0])
+        assert np.all(np.isfinite(batch.is_weights))
 
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
@@ -686,7 +701,7 @@ class TestSumTreeFind:
     def test_matches_the_full_descent_at_each_fill(self, fill):
         tree = SumTree(3000)
         rng = np.random.default_rng(fill)
-        # three passes of batched writes, so the internal sums drift
+        # three passes of batched writes, so leaves are rewritten
         for _ in range(3):
             for start in range(0, fill, 64):
                 idx = rng.integers(start, min(start + 64, fill), size=64)
