@@ -1,13 +1,15 @@
 """The learned replay policy in isolation: score transitions, draw a mask,
 compute the replay reward from a return window, and watch one policy-gradient
-step push scores in the reward's direction.
+step push scores in the reward's direction. The policy is driven through the
+learned sampler (``SubsetSampler``), which owns the mask bits and draws the
+agent's batches from the subset they select.
 
 Run: python3 demos/learned_replay_policy.py
 """
 
 import numpy as np
 
-from replay_opt import EroPolicy, ReplayBuffer, ReplayRewardTracker, Transition
+from replay_opt import EroPolicy, ReplayBuffer, ReplayRewardTracker, SubsetSampler, Transition
 from replay_opt.ero import mask_surrogate
 
 rng = np.random.default_rng(0)
@@ -15,6 +17,7 @@ buf = ReplayBuffer(64, obs_dim=2, action_dim=1)
 # lazy_refresh keeps per-slot scores in policy.priority_scores (scored at store
 # time, rescored when replayed), which is what this demo prints
 policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=np.random.default_rng(1))
+sampler = SubsetSampler(buf, np.random.default_rng(2), policy)
 
 print("== Store transitions; each gets scored as it arrives ==")
 for i in range(32):
@@ -28,14 +31,16 @@ for i in range(32):
             insert_timestep=i + 1,
         )
     )
-    policy.observe_store(buf, idx, current_step=i + 1)
+    sampler.on_store(idx, i + 1)  # the sampler shows the policy each stored slot
 scores = policy.priority_scores[:32]
 print(f"initial scores hover near 0.5: min={scores.min():.3f} max={scores.max():.3f}")
 
 print("\n== Draw a Bernoulli mask over the whole buffer ==")
-size = policy.refresh_subset(buf, current_step=32)
+size = policy.refresh_subset(buf, 32, sampler)
 print(f"subset holds {size} of {len(buf)} transitions")
-print(f"mask bits for the first 16 slots: {buf.mask_drawn[:16].tolist()}")
+print(f"mask bits for the first 16 slots: {sampler.mask_drawn[:16].tolist()}")
+batch = sampler.sample(8)
+print(f"a batch of 8 comes from the subset only: {set(batch.indices) <= set(sampler.subset_indices())}")
 
 print("\n== Replay reward from the episode-return window ==")
 tracker = ReplayRewardTracker(window=100)
@@ -46,18 +51,18 @@ for ret in (-1500.0, -1400.0, -1300.0):
     print(f"episode return {ret:+.0f} -> window mean {tracker.window_mean:+.1f}, replay reward {shown}")
 
 print("\n== Policy-gradient steps with a positive replay reward ==")
-selected = buf.mask_drawn[:32] == 1
+selected = sampler.mask_drawn[:32] == 1
 before = policy.priority_scores[:32].copy()
 
 
 def mask_log_likelihood() -> float:
     # the surrogate the update descends is -replay_reward * log-likelihood
-    return -mask_surrogate(policy.priority_scores[:32, None], buf.mask_drawn[:32], 1.0)[0]
+    return -mask_surrogate(policy.priority_scores[:32, None], sampler.mask_drawn[:32], 1.0)[0]
 
 
 log_lik_before = mask_log_likelihood()
 for _ in range(200):
-    policy.update_policy(buf, replay_reward=25.0, current_step=32)
+    policy.update_policy(buf, 25.0, 32, sampler)
 policy.refresh_scores(buf, np.arange(32), current_step=32)
 after = policy.priority_scores[:32]
 

@@ -43,7 +43,7 @@ print("\n== Proportional: mass (|td| + eps)^alpha on the sum tree ==")
 cfg = PerConfig(alpha=0.6, beta0=0.4, epsilon=0.01)
 prop = PerProportionalSampler(buf, cfg, np.random.default_rng(2))
 for i in range(N):
-    prop.update_priorities(np.array([i]), np.array([buf.td_errors[i]]))
+    prop.update_priorities(np.array([i]), np.array([buf.td_errors[i]]), None, 0)
 batch = prop.sample(64)
 order = np.argsort(-buf.td_errors[:N])
 hot, cold = order[0], order[-1]

@@ -67,11 +67,11 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     buf = ReplayBuffer(CAPACITY, OBS_DIM, ACTION_DIM)
     sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(1))
     for step in range(1, fill + 1):
-        sampler.on_store(buf.store(transition(rng, step)))
+        sampler.on_store(buf.store(transition(rng, step)), step)
     # spread the priorities the way training does: every slot written once
     for start in range(0, fill, BATCH):
         idx = np.arange(start, min(start + BATCH, fill))
-        sampler.update_priorities(idx, rng.normal(size=len(idx)))
+        sampler.update_priorities(idx, rng.normal(size=len(idx)), None, 0)
 
     # store and on_store in pairs, as a run makes them, each call timed alone
     store_us, on_store_us = [], []
@@ -80,7 +80,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
         start = time.perf_counter()
         idx = buf.store(t)
         middle = time.perf_counter()
-        sampler.on_store(idx)
+        sampler.on_store(idx, step)
         store_us.append((middle - start) * 1e6)
         on_store_us.append((time.perf_counter() - middle) * 1e6)
     costs = {
@@ -94,7 +94,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
 
     def update():
         batch = next(drawn)
-        sampler.update_priorities(batch.indices, next(tds), batch.insert_timesteps)
+        sampler.update_priorities(batch.indices, next(tds), batch.insert_timesteps, 0)
 
     costs["update_priorities_64"] = per_call_us(update, calls, rounds)
 
@@ -102,7 +102,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
 
     def store_phase():
         for _ in range(STORE_PHASE):
-            sampler.on_store(buf.store(next(stored)))
+            sampler.on_store(buf.store(next(stored)), 0)
         sampler.sample(BATCH)
 
     costs["store_phase_100"] = per_call_us(store_phase, max(calls // 10, 1), rounds)

@@ -5,7 +5,7 @@ The package bundles, in plain numpy:
 * a dense-network substrate with hand-written backprop and Adam (``nn``),
 * two desk-scale continuous-control tasks (``envs``),
 * a ring replay buffer with uniform, proportional, rank-based, and
-  mask-subset samplers (``replay``),
+  mask-subset samplers that share four hooks (``replay``),
 * the learned replay policy that scores transitions, draws Bernoulli
   masks, and trains itself on the change in recent returns (``ero``),
 * a DDPG-style actor-critic agent (``ddpg``),
@@ -29,6 +29,7 @@ from .harness import (
     RunConfig,
     RunSummary,
     TraceRecord,
+    make_sampler,
     run,
     run_suite,
     summarize,
@@ -44,7 +45,6 @@ from .replay import (
     SumTree,
     Transition,
     UniformSampler,
-    make_sampler,
 )
 
 __version__ = "0.1.0"

@@ -27,16 +27,24 @@ EXIT_GRADCHECK = 4
 # -------------------------------------------------------------- config files
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped.
+
+    A key may be set once (``per.alpha`` and ``per_alpha`` are one key).
+    """
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace(".", "_")
+        if name in first_line:
+            raise ConfigError(f"{source}:{lineno}: {key!r} is set again (first on line {first_line[name]})")
+        first_line[name] = lineno
+        mapping[key] = value
     return mapping
 
 
@@ -44,7 +52,21 @@ def load_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(p.read_text(), source=path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, source=path)
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory ``path`` (and its parents) if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    return out
 
 
 def build_run_config(mapping: dict[str, str], overrides: dict[str, str]) -> harness.RunConfig:
@@ -81,8 +103,7 @@ def write_effective_config(config: harness.RunConfig, path: Path) -> None:
 def cmd_run(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
     config = build_run_config(mapping, parse_set_flags(args.set or []))
-    out_dir = Path(args.out or config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out or config.out_dir)
 
     summary = harness.run(config)
 
@@ -136,8 +157,7 @@ def cmd_compare(args) -> int:
     if len(errors) == len(configs):
         raise errors[0]
 
-    out_dir = Path(args.out or configs[0].out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out or configs[0].out_dir)
 
     results = harness.run_suite(configs)
     failures = [r for r in results if r.error is not None]
@@ -183,9 +203,7 @@ def cmd_trace(args) -> int:
             )
         )
 
-    out_path = Path(args.out) / "trace_smoothed.csv" if args.out else None
-    if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = make_out_dir(args.out) / "trace_smoothed.csv" if args.out else None
     harness.write_trace_csv(smoothed, out_path or sys.stdout)
 
     for name in ("mean_abs_td", "mean_step_diff", "mean_reward"):

@@ -16,7 +16,7 @@ from collections import deque
 import numpy as np
 
 from .nn import AdamState, adam_step, mlp_init
-from .replay import MASK_UNDRAWN, ReplayBuffer
+from .replay import ReplayBuffer
 from .seeding import as_generator
 
 FEATURE_DIM = 3          # transition reward, cached TD error, age ratio
@@ -110,7 +110,7 @@ def mask_surrogate(out: np.ndarray, bits: np.ndarray, replay_reward: float):
 
 
 class EroPolicy:
-    """Scoring network, feature pipeline, mask bookkeeping, and its optimizer.
+    """Scoring network, feature pipeline, mask draws, and the network's optimizer.
 
     Features are (reward, cached TD error, insert_step / current_step). The
     first two are standardized by running statistics accumulated at store
@@ -139,14 +139,9 @@ class EroPolicy:
         self.lazy_refresh = lazy_refresh
         self._rng = as_generator(draw_rng)
         self.priority_scores: np.ndarray | None = None  # lazy mode only, see cached_scores
-
-        self.last_refresh_step: int | None = None
-        self.last_replay_reward: float | None = None
         self.last_update_indices: np.ndarray | None = None
         self.skipped_nonfinite = 0
         self.skipped_no_candidates = 0
-
-    # ------------------------------------------------------------------ features
 
     def raw_features(self, buffer: ReplayBuffer, indices, current_step: int) -> np.ndarray:
         """One (reward, TD error, age ratio) row per slot; ``indices`` is an index array or a slice."""
@@ -163,8 +158,6 @@ class EroPolicy:
     def score(self, features: np.ndarray) -> np.ndarray:
         """Inclusion probabilities in (0, 1), one per feature row."""
         return self.score_net.forward(features)[:, 0]
-
-    # ------------------------------------------------------------- store hooks
 
     def cached_scores(self, buffer: ReplayBuffer) -> np.ndarray:
         """Lazy mode's per-slot scores (0.5 until scored), allocated at ``buffer``'s capacity on first use."""
@@ -187,10 +180,10 @@ class EroPolicy:
         indices = np.unique(indices[indices < buffer.size])
         self.cached_scores(buffer)[indices] = self.score(self.features(buffer, indices, current_step))
 
-    # ---------------------------------------------------------- episode hooks
+    def refresh_subset(self, buffer: ReplayBuffer, current_step: int, subset, rng=None) -> int:
+        """Draw a fresh Bernoulli mask over every live slot into ``subset``; returns subset size.
 
-    def refresh_subset(self, buffer: ReplayBuffer, current_step: int, rng=None) -> int:
-        """Draw a fresh Bernoulli mask over every live slot; returns subset size.
+        ``subset`` is the ``replay.SubsetSampler`` that owns the mask bits.
 
         Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
         set, in which case the cached (lazily updated) scores are used as-is.
@@ -208,29 +201,25 @@ class EroPolicy:
         else:
             scores = self.score(self.features(buffer, slice(0, n), current_step))
         bits = draw_mask(scores, rng)
-        buffer.set_subset_mask(bits)
-        self.last_refresh_step = current_step
+        subset.set_subset_mask(bits)
         return int(bits.sum())
 
     def update_policy(
-        self,
-        buffer: ReplayBuffer,
-        replay_reward: float,
-        current_step: int,
-        rng=None,
+        self, buffer: ReplayBuffer, replay_reward: float, current_step: int, subset, rng=None
     ) -> float | None:
         """One REINFORCE update of the scoring network.
 
-        Samples a uniform mini-batch over slots that carry a drawn mask bit
-        (slots stored after the last draw have no realized action and are
-        excluded) and descends ``mask_surrogate`` over the batch. Returns the
-        minimized surrogate value, or None when the update was skipped.
+        Samples a uniform mini-batch over the slots that carry a bit of
+        ``subset``'s mask (slots stored after the last draw have no realized
+        action and are excluded) and descends ``mask_surrogate`` over the
+        batch. Returns the minimized surrogate value, or None when the update
+        was skipped.
         """
         if replay_reward is None or not np.isfinite(replay_reward):
             self.skipped_nonfinite += 1
             return None
         rng = self._rng if rng is None else rng
-        candidates = np.flatnonzero(buffer.mask_drawn[: buffer.size] != MASK_UNDRAWN)
+        candidates = subset.drawn_slots()
         if len(candidates) == 0:
             self.skipped_no_candidates += 1
             return None
@@ -238,7 +227,7 @@ class EroPolicy:
         loss = None
         for _ in range(self.update_steps):
             indices = candidates[rng.integers(0, len(candidates), size=self.update_batch_size)]
-            bits = buffer.mask_drawn[indices].astype(np.float64)
+            bits = subset.mask_drawn[indices].astype(np.float64)
             feats = self.features(buffer, indices, current_step)
             out, cache = self.score_net.forward_cached(feats)
             loss, dloss_dout = mask_surrogate(out, bits, replay_reward)
@@ -246,18 +235,3 @@ class EroPolicy:
             adam_step(self.score_net, tape, self.adam)
             self.last_update_indices = indices
         return loss
-
-    def on_episode_end(self, tracker: ReplayRewardTracker, buffer: ReplayBuffer, current_step: int) -> int:
-        """Episode-end composite: replay reward, policy update, mask refresh.
-
-        The caller records the episode return on ``tracker`` first. The mask
-        is redrawn whenever an update ran; an absent replay reward (only at
-        the first episode end) skips both. Returns the current subset size
-        either way.
-        """
-        reward = tracker.replay_reward()
-        self.last_replay_reward = reward
-        if reward is not None:
-            self.update_policy(buffer, reward, current_step)
-            return self.refresh_subset(buffer, current_step)
-        return len(buffer.subset_indices())

@@ -23,7 +23,8 @@ from .ddpg import DdpgAgent, OuNoise
 from .envs import ENV_NAMES, make_env
 from .ero import EroPolicy, ReplayRewardTracker
 from .errors import ConfigError, NumericFault
-from .replay import SAMPLER_KINDS, PerConfig, ReplayBuffer, Transition, make_sampler
+from .replay import PerConfig, ReplayBuffer, Transition
+from .replay import PerProportionalSampler, PerRankSampler, SubsetSampler, UniformSampler
 from .seeding import named_streams
 
 
@@ -129,6 +130,44 @@ class RunConfig:
         return out
 
 
+SAMPLER_KINDS = ("uniform", "per_prop", "per_rank", "ero")
+
+
+def make_sampler(config: RunConfig, buffer: ReplayBuffer, streams: dict) -> UniformSampler:
+    """The sampler ``config.sampler`` names, over ``buffer``; the only code that maps a kind to a class.
+
+    It draws from the ``sampler`` stream. The PER samplers anneal beta over
+    the run's planned train steps; the learned sampler's policy takes its
+    init and its draws from the ``replay_policy_*`` streams.
+    """
+    kind, rng = config.sampler, streams["sampler"]
+    if kind == "uniform":
+        return UniformSampler(buffer, rng)
+    if kind == "ero":
+        policy = EroPolicy(
+            hidden_sizes=config.hidden_sizes,
+            learning_rate=config.ero_lr,
+            update_steps=config.replay_updating_steps,
+            update_batch_size=config.ero_batch_size,
+            lazy_refresh=config.lazy_refresh,
+            init_seed=streams["replay_policy_init"],
+            draw_rng=streams["replay_policy_draw"],
+        )
+        return SubsetSampler(buffer, rng, policy)
+    per = PerConfig(
+        alpha=config.per_alpha,
+        beta0=config.per_beta0,
+        beta_anneal_steps=(config.total_timesteps // config.rollout_steps) * config.train_steps_per_iter,
+        epsilon=config.per_epsilon,
+        rank_refresh_interval=config.rank_refresh_interval,
+    )
+    if kind == "per_prop":
+        return PerProportionalSampler(buffer, per, rng)
+    if kind == "per_rank":
+        return PerRankSampler(buffer, per, rng)
+    raise ConfigError(f"unknown sampler {kind!r}, expected one of {SAMPLER_KINDS}")
+
+
 @dataclass
 class EpisodeRecord:
     episode: int
@@ -199,27 +238,7 @@ def run(config: RunConfig) -> RunSummary:
     noise = OuNoise(spec.action_dim, theta=config.ou_theta, sigma=config.ou_sigma, rng=streams["noise"])
 
     buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.action_dim)
-    planned_train_steps = (config.total_timesteps // config.rollout_steps) * config.train_steps_per_iter
-    per_cfg = PerConfig(
-        alpha=config.per_alpha,
-        beta0=config.per_beta0,
-        beta_anneal_steps=planned_train_steps,
-        epsilon=config.per_epsilon,
-        rank_refresh_interval=config.rank_refresh_interval,
-    )
-    sampler = make_sampler(config.sampler, buffer, streams["sampler"], per_cfg)
-
-    policy = None
-    if config.sampler == "ero":
-        policy = EroPolicy(
-            hidden_sizes=config.hidden_sizes,
-            learning_rate=config.ero_lr,
-            update_steps=config.replay_updating_steps,
-            update_batch_size=config.ero_batch_size,
-            lazy_refresh=config.lazy_refresh,
-            init_seed=streams["replay_policy_init"],
-            draw_rng=streams["replay_policy_draw"],
-        )
+    sampler = make_sampler(config, buffer, streams)
     tracker = ReplayRewardTracker(window=config.reward_window)
 
     eval_env = None
@@ -255,56 +274,25 @@ def run(config: RunConfig) -> RunSummary:
                 action = agent.act(obs, noise)
                 result = env.step(action)
                 global_step += 1
-                idx = buffer.store(
-                    Transition(
-                        state=obs,
-                        action=action,
-                        reward=result.reward,
-                        next_state=result.next_obs,
-                        done=result.done,
-                        insert_timestep=global_step,
-                    )
-                )
-                sampler.on_store(idx)
-                if policy is not None:
-                    policy.observe_store(buffer, idx, global_step)
+                transition = Transition(obs, action, result.reward, result.next_obs, result.done, global_step)
+                sampler.on_store(buffer.store(transition), global_step)
                 episode_return += result.reward
                 episode_length += 1
 
                 if result.done or result.truncated:
                     tracker.record_episode(episode_return)
-                    replay_reward = None
-                    subset_size = None
-                    fallbacks = None
-                    if policy is not None:
-                        subset_size = policy.on_episode_end(tracker, buffer, global_step)
-                        replay_reward = policy.last_replay_reward
-                        fallbacks = buffer.subset_fallbacks
-                    episodes.append(
-                        EpisodeRecord(
-                            episode=len(episodes),
-                            global_step=global_step,
-                            episode_return=episode_return,
-                            length=episode_length,
-                            rc_window=tracker.window_mean,
-                            replay_reward=replay_reward,
-                            subset_size=subset_size,
-                            subset_fallbacks=fallbacks,
-                        )
-                    )
+                    replay_columns = sampler.on_episode_end(tracker, global_step) or ()
+                    record = (len(episodes), global_step, episode_return, episode_length, tracker.window_mean)
+                    episodes.append(EpisodeRecord(*record, *replay_columns))
                     episode_return = 0.0
                     episode_length = 0
                     obs = env.reset()
                     noise.reset()
                     if config.eval_every > 0 and len(episodes) % config.eval_every == 0:
                         run_eval_episode()
-                    if (
-                        config.early_stop_window > 0
-                        and len(episodes) >= config.early_stop_window
-                        and np.mean(
-                            [r.episode_return for r in episodes[-config.early_stop_window :]]
-                        )
-                        >= config.early_stop_threshold
+                    window = config.early_stop_window
+                    if window > 0 and len(episodes) >= window and (
+                        np.mean([r.episode_return for r in episodes[-window:]]) >= config.early_stop_threshold
                     ):
                         stopped_early = True
                         break
@@ -316,9 +304,7 @@ def run(config: RunConfig) -> RunSummary:
             for _ in range(config.train_steps_per_iter):
                 _, td_errors, batch = agent.train_step(sampler, config.batch_size)
                 train_count += 1
-                sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps)
-                if policy is not None:
-                    policy.refresh_scores(buffer, batch.indices, global_step)
+                sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps, global_step)
                 if train_count % config.trace_interval == 0:
                     traces.append(
                         TraceRecord(

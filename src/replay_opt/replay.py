@@ -5,8 +5,8 @@ One fixed-capacity ring buffer backs four interchangeable samplers:
 * uniform draws over every live transition,
 * proportional prioritization by TD-error magnitude on a sum tree,
 * rank-based prioritization with a power law over TD-error ranks,
-* uniform draws restricted to the mask-selected subset maintained by the
-  learned replay policy.
+* uniform draws restricted to the subset selected by the mask that the
+  learned replay policy draws (the sampler owns the mask bits).
 
 Storage is struct-of-arrays so a batch gather is one indexed read per column.
 """
@@ -125,8 +125,9 @@ class ReplayBuffer:
 
     Slot ``i`` for ``i < size`` is always live; once full, new stores
     overwrite the oldest slot. Per-slot state beyond the transition itself
-    is only what more than one component reads: a cached TD error and the
-    most recently drawn mask bit (or ``MASK_UNDRAWN``).
+    is only what more than one component reads: a cached TD error. State
+    that one sampler reads belongs to that sampler (``SubsetSampler`` only
+    counts its fallbacks in ``subset_fallbacks`` here).
 
     The buffer keeps the maximum live |TD| that ``store`` seeds new slots
     with, and rescans the column only after ``update_td_errors`` overwrote a
@@ -148,14 +149,12 @@ class ReplayBuffer:
         self.dones = _mapped_zeros(capacity, dtype=bool)
         self.insert_timesteps = _mapped_zeros(capacity, dtype=np.int64)
         self.td_errors = _mapped_zeros(capacity)
-        self.mask_drawn = np.full(capacity, MASK_UNDRAWN, dtype=np.int8)
 
         self.size = 0
         self.cursor = 0
         self.store_count = 0
         self.subset_fallbacks = 0
         self.stale_updates = 0
-        self._subset_cache: np.ndarray | None = None
         self._td_max = None  # max |TD| over live slots; None until (re)scanned
 
     def __len__(self) -> int:
@@ -198,12 +197,10 @@ class ReplayBuffer:
         self.insert_timesteps[idx] = transition.insert_timestep
         self.td_errors[idx] = td_init
         self._td_max = td_init
-        self.mask_drawn[idx] = MASK_UNDRAWN
 
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         self.store_count += 1
-        self._subset_cache = None
         return idx
 
     def gather(self, indices: np.ndarray, is_weights: np.ndarray | None = None) -> Batch:
@@ -219,21 +216,6 @@ class ReplayBuffer:
             insert_timesteps=self.insert_timesteps[indices],
             is_weights=is_weights,
         )
-
-    def subset_indices(self) -> np.ndarray:
-        """Live slots inside the active subset: drawn bit 1, or no bit yet
-        (``MASK_UNDRAWN``, stored since the last draw)."""
-        if self._subset_cache is None:
-            self._subset_cache = np.flatnonzero(self.mask_drawn[: self.size] != 0)
-        return self._subset_cache
-
-    def set_subset_mask(self, bits: np.ndarray) -> None:
-        """Overwrite subset membership for every live slot with drawn bits."""
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (self.size,):
-            raise ContractViolation(f"mask shape {bits.shape} does not match size {self.size}")
-        self.mask_drawn[: self.size] = bits.astype(np.int8)
-        self._subset_cache = None
 
     def update_td_errors(
         self,
@@ -421,13 +403,27 @@ def _is_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
 
 
 class UniformSampler:
-    """I.i.d. uniform draws with replacement over every live slot."""
+    """I.i.d. uniform draws with replacement over every live slot.
 
-    kind = "uniform"
+    The base of the other samplers, which replace the hooks they need.
+    ``harness.run`` calls the four hooks on every sampler, in this order:
+
+    * ``on_store(idx, step)`` after each store, at env step ``step``;
+    * ``sample(n)`` for each train step's batch;
+    * ``update_priorities(indices, td_errors, insert_steps, step)`` with the
+      batch's TD errors, skipping slots evicted since the draw unless
+      ``insert_steps`` is None;
+    * ``on_episode_end(tracker, step)`` once the episode's return is on the
+      ``ero.ReplayRewardTracker``; returns the episode's replay columns
+      ``(replay_reward, subset_size, subset_fallbacks)``, or None.
+    """
 
     def __init__(self, buffer: ReplayBuffer, rng: np.random.Generator):
         self.buffer = buffer
         self.rng = rng
+
+    def on_store(self, idx: int, step: int) -> None:
+        pass
 
     def sample(self, batch_size: int) -> Batch:
         if len(self.buffer) == 0:
@@ -435,26 +431,61 @@ class UniformSampler:
         indices = self.rng.integers(0, len(self.buffer), size=batch_size)
         return self.buffer.gather(indices)
 
-    def on_store(self, idx: int) -> None:
-        pass
+    def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
+        self.buffer.update_td_errors(indices, td_errors, insert_steps)
 
-    def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
-        self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
+    def on_episode_end(self, tracker, step: int):
+        return None
 
 
 class SubsetSampler(UniformSampler):
-    """Uniform draws restricted to the mask-selected subset.
+    """The learned replay policy's sampler (ERO): uniform draws over the subset its mask selects.
+
+    ``policy`` (an ``ero.EroPolicy``) scores the slots and draws the mask,
+    and the hooks drive it as Algorithm 1 of Zha et al. (2019) does:
+    ``on_store`` shows it each stored slot, ``update_priorities`` each
+    replayed batch, and ``on_episode_end`` turns the replay reward into a
+    policy update and a fresh mask. The sampler owns the mask bits, one per
+    slot: the bit the last mask drew, or ``MASK_UNDRAWN`` for a slot stored
+    since, which is in the subset until the next draw.
 
     An empty subset falls back to the whole buffer so training never stalls;
     each fallback increments ``buffer.subset_fallbacks``.
     """
 
-    kind = "ero"
+    def __init__(self, buffer: ReplayBuffer, rng: np.random.Generator, policy):
+        super().__init__(buffer, rng)
+        self.policy = policy
+        self.mask_drawn = np.full(buffer.capacity, MASK_UNDRAWN, dtype=np.int8)
+        self._subset: np.ndarray | None = None  # subset_indices(); None until recomputed
+
+    def on_store(self, idx: int, step: int) -> None:
+        self.mask_drawn[idx] = MASK_UNDRAWN
+        self._subset = None
+        self.policy.observe_store(self.buffer, idx, step)
+
+    def subset_indices(self) -> np.ndarray:
+        """Live slots inside the active subset: drawn bit 1, or no bit yet."""
+        if self._subset is None:
+            self._subset = np.flatnonzero(self.mask_drawn[: self.buffer.size] != 0)
+        return self._subset
+
+    def drawn_slots(self) -> np.ndarray:
+        """Live slots that carry a drawn bit (not stored since the last draw)."""
+        return np.flatnonzero(self.mask_drawn[: self.buffer.size] != MASK_UNDRAWN)
+
+    def set_subset_mask(self, bits: np.ndarray) -> None:
+        """Overwrite subset membership for every live slot with drawn bits."""
+        bits = np.asarray(bits, dtype=bool)
+        if bits.shape != (self.buffer.size,):
+            raise ContractViolation(f"mask shape {bits.shape} does not match size {self.buffer.size}")
+        self.mask_drawn[: self.buffer.size] = bits
+        self._subset = None
 
     def sample(self, batch_size: int) -> Batch:
         if len(self.buffer) == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
-        subset = self.buffer.subset_indices()
+        subset = self.subset_indices()
         if len(subset) == 0:
             self.buffer.subset_fallbacks += 1
             indices = self.rng.integers(0, len(self.buffer), size=batch_size)
@@ -462,8 +493,22 @@ class SubsetSampler(UniformSampler):
             indices = subset[self.rng.integers(0, len(subset), size=batch_size)]
         return self.buffer.gather(indices)
 
+    def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
+        self.buffer.update_td_errors(indices, td_errors, insert_steps)
+        self.policy.refresh_scores(self.buffer, indices, step)
 
-class PerProportionalSampler:
+    def on_episode_end(self, tracker, step: int):
+        """The replay reward, then (from the second episode end on) a policy update and a fresh mask."""
+        reward = tracker.replay_reward()
+        if reward is None:
+            size = len(self.subset_indices())
+        else:
+            self.policy.update_policy(self.buffer, reward, step, self)
+            size = self.policy.refresh_subset(self.buffer, step, self)
+        return reward, size, self.buffer.subset_fallbacks
+
+
+class PerProportionalSampler(UniformSampler):
     """Stratified proportional sampling on (|TD| + eps)^alpha leaf masses.
 
     The sampler owns the raw priorities and their sum tree. It keeps the
@@ -480,12 +525,9 @@ class PerProportionalSampler:
     store had written its leaf at once.
     """
 
-    kind = "per_prop"
-
     def __init__(self, buffer: ReplayBuffer, config: PerConfig, rng: np.random.Generator):
-        self.buffer = buffer
+        super().__init__(buffer, rng)
         self.config = config
-        self.rng = rng
         self._tree = SumTree(buffer.capacity)
         self.priorities = _mapped_zeros(buffer.capacity)  # raw |TD| + eps per slot
         self.sample_calls = 0
@@ -500,7 +542,7 @@ class PerProportionalSampler:
             self._tree.set(slots, _leaf_masses(self.priorities[slots], self.config.alpha))
         return self._tree
 
-    def on_store(self, idx: int) -> None:
+    def on_store(self, idx: int, step: int) -> None:
         """Start the stored slot at the largest priority live before the store (1 when none).
 
         The slots live before the store include the one it evicts. So the
@@ -536,9 +578,9 @@ class PerProportionalSampler:
         weights = _is_weights(n, masses / total, tree.min_mass() / total, beta)
         return self.buffer.gather(indices, is_weights=weights)
 
-    def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
+    def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
         stale_before = self.buffer.stale_updates
-        ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
+        ok = self.buffer.update_td_errors(indices, td_errors, insert_steps)
         indices = np.asarray(indices, dtype=np.int64)
         raw = np.abs(np.asarray(td_errors, dtype=np.float64))
         if self.buffer.stale_updates != stale_before:
@@ -552,7 +594,7 @@ class PerProportionalSampler:
         )
 
 
-class PerRankSampler:
+class PerRankSampler(UniformSampler):
     """Power-law sampling over TD-error ranks, re-sorted periodically.
 
     Ranks come from sorting live slots by |TD| descending, ties broken by
@@ -562,12 +604,9 @@ class PerRankSampler:
     usual cost of amortizing the sort.
     """
 
-    kind = "per_rank"
-
     def __init__(self, buffer: ReplayBuffer, config: PerConfig, rng: np.random.Generator):
-        self.buffer = buffer
+        super().__init__(buffer, rng)
         self.config = config
-        self.rng = rng
         self.sample_calls = 0
         self._sorted_slots = np.zeros(0, dtype=np.int64)
         self._probs = np.zeros(0)
@@ -575,7 +614,7 @@ class PerRankSampler:
         self._stores_since_sort = 0
         self._dirty = True
 
-    def on_store(self, idx: int) -> None:
+    def on_store(self, idx: int, step: int) -> None:
         self._stores_since_sort += 1
         if self._stores_since_sort >= self.config.rank_refresh_interval:
             self._dirty = True
@@ -608,21 +647,3 @@ class PerRankSampler:
         indices = self._sorted_slots[ranks]
         weights = _is_weights(n, self._probs[ranks], self._probs[-1], beta)
         return self.buffer.gather(indices, is_weights=weights)
-
-    def update_priorities(self, indices, td_errors, expected_insert_steps=None) -> None:
-        self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
-
-
-SAMPLER_KINDS = ("uniform", "per_prop", "per_rank", "ero")
-
-
-def make_sampler(kind: str, buffer: ReplayBuffer, rng: np.random.Generator, config: PerConfig | None = None):
-    if kind == "uniform":
-        return UniformSampler(buffer, rng)
-    if kind == "ero":
-        return SubsetSampler(buffer, rng)
-    if kind == "per_prop":
-        return PerProportionalSampler(buffer, config or PerConfig(), rng)
-    if kind == "per_rank":
-        return PerRankSampler(buffer, config or PerConfig(), rng)
-    raise ContractViolation(f"unknown sampler kind {kind!r}, expected one of {SAMPLER_KINDS}")

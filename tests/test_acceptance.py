@@ -21,7 +21,14 @@ from replay_opt.ddpg import DdpgAgent, td_loss
 from replay_opt.ero import EroPolicy, ReplayRewardTracker, mask_surrogate
 from replay_opt.harness import RunConfig, read_trace_csv, run
 from replay_opt.nn import Mlp, grad_check, mlp_init
-from replay_opt.replay import PerConfig, PerProportionalSampler, PerRankSampler, ReplayBuffer, Transition
+from replay_opt.replay import (
+    PerConfig,
+    PerProportionalSampler,
+    PerRankSampler,
+    ReplayBuffer,
+    SubsetSampler,
+    Transition,
+)
 
 
 def report(criterion: int, name: str) -> None:
@@ -147,13 +154,14 @@ def test_c03_bernoulli_mask_statistics():
     buf = random_buffer(n, seed=3)
     policy = EroPolicy(lazy_refresh=True, init_seed=3, draw_rng=np.random.default_rng(33))
     policy.cached_scores(buf)[:n] = 0.5  # lambda fixed at one half
+    subset = SubsetSampler(buf, np.random.default_rng(3), policy)
 
     refreshes = 200
     sizes = np.zeros(refreshes)
     inclusion = np.zeros(n)
     for k in range(refreshes):
-        sizes[k] = policy.refresh_subset(buf, current_step=n)
-        inclusion += buf.mask_drawn[:n]
+        sizes[k] = policy.refresh_subset(buf, n, subset)
+        inclusion += subset.mask_drawn[:n]
 
     mean_bound = 3 * (50 / np.sqrt(refreshes))
     assert abs(sizes.mean() - 5000) <= mean_bound, f"mean {sizes.mean()} outside {mean_bound}"
@@ -177,25 +185,26 @@ def test_c04_reinforce_sign_property():
                 init_seed=buf_seed,
                 draw_rng=np.random.default_rng(buf_seed + 1),
             )
-            policy.refresh_subset(buf, current_step=10)
-            return buf, policy
+            subset = SubsetSampler(buf, np.random.default_rng(buf_seed), policy)
+            policy.refresh_subset(buf, 10, subset)
+            return buf, policy, subset
 
-        def mask_log_likelihood(policy, buf, indices):
+        def mask_log_likelihood(policy, buf, subset, indices):
             feats = policy.features(buf, indices, current_step=10)
             phi = np.clip(policy.score(feats), 1e-8, 1 - 1e-8)
-            bits = buf.mask_drawn[indices].astype(float)
+            bits = subset.mask_drawn[indices].astype(float)
             return float(np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi)))
 
         for reward, expect in ((1.0, "up"), (-1.0, "down"), (0.0, "same")):
-            buf, policy = fresh(trial)
+            buf, policy, subset = fresh(trial)
             net = policy.score_net
             before_net = Mlp(net.layer_sizes, net.activations, net.params.copy())
-            policy.update_policy(buf, reward, current_step=10, rng=rng)
+            policy.update_policy(buf, reward, 10, subset, rng=rng)
             idx = policy.last_update_indices
-            after = mask_log_likelihood(policy, buf, idx)
+            after = mask_log_likelihood(policy, buf, subset, idx)
             saved = policy.score_net
             policy.score_net = before_net
-            before = mask_log_likelihood(policy, buf, idx)
+            before = mask_log_likelihood(policy, buf, subset, idx)
             policy.score_net = saved
             if expect == "up":
                 assert after > before, f"trial {trial}: {after} <= {before}"
@@ -231,12 +240,12 @@ def test_c05_sum_tree_oracle_equivalence():
                     insert_timestep=step,
                 )
             )
-            sampler.on_store(idx)
+            sampler.on_store(idx, step)
             brute[idx] = sampler.priorities[idx] ** cfg.alpha
         else:
             idx = int(rng.integers(0, buf.size))
             td = float(rng.normal() * 3)
-            sampler.update_priorities(np.array([idx]), np.array([td]))
+            sampler.update_priorities(np.array([idx]), np.array([td]), None, 0)
             brute[idx] = (abs(td) + cfg.epsilon) ** cfg.alpha
 
     # leaf masses agree exactly with the brute-force array

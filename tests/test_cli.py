@@ -59,6 +59,52 @@ class TestConfigParsing:
         config = cli.build_run_config({"hidden_sizes": "32,16"}, {})
         assert config.hidden_sizes == (32, 16)
 
+    @pytest.mark.parametrize("second", ["env = point_reacher", "env=pendulum", "per_alpha = 0.5"])
+    def test_key_set_twice_rejected_naming_both_lines(self, second):
+        first = "per.alpha = 0.7" if second.startswith("per") else "env = pendulum"
+        text = f"{first}\nseed = 1\n\n{second}\n"
+        key = second.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=rf"run.cfg:4: '{key}' is set again \(first on line 1\)"):
+            cli.parse_config_text(text, source="run.cfg")
+
+
+class TestConfigIO:
+    """Config files that cannot be read and output directories that cannot
+    be made are config errors (exit 2) naming the path, before any step runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_steps(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an env was made despite a config error")
+
+        monkeypatch.setattr(cli.harness, "make_env", fail)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_key_set_twice_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)  # env = pendulum is line 1
+        with open(cfg, "a") as fh:
+            fh.write("env = point_reacher\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:9: 'env' is set again (first on line 1)" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_config_not_utf8_exits_2_naming_path(self, tmp_path, capsys, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("env = pendulum  # caf\xe9\n".encode("latin-1"))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("below", ["", "out"])
+    def test_out_at_or_under_a_regular_file_exits_2_naming_path(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        assert cli.main([command, "--set", "total_timesteps=100", "--out", str(out)]) == 2
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_missing_config_exits_2_naming_path(self, tmp_path, capsys):
@@ -89,6 +135,12 @@ class TestRunCommand:
         cli.main(["run", "--config", str(cfg), "--set", "tau=0.5", "--out", str(out)])
         dump = (out / "config.txt").read_text()
         assert "tau = 0.5" in dump
+
+    def test_set_overrides_a_key_of_the_file(self, tmp_path):
+        cfg = write_config(tmp_path, total_timesteps=0)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--set", "env=point_reacher", "--out", str(out)]) == 0
+        assert "env = point_reacher" in (out / "config.txt").read_text()
 
     def test_bad_sampler_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, sampler="magic")

@@ -470,7 +470,7 @@ class TestTrainStep:
                     insert_timestep=i + 1,
                 )
             )
-            sampler.on_store(idx)
+            sampler.on_store(idx, 0)
         kwargs = dict(obs_dim=obs_dim, action_dim=len(action_high), action_high=np.array(action_high),
                       hidden_sizes=(64, 64), tau=0.01)
         agent, twin = make_agent(**kwargs), make_agent(**kwargs)
@@ -479,7 +479,7 @@ class TestTrainStep:
             batch_size = 17 if step % 50 == 49 else 64  # the reused arrays change size
             _, td_errors, batch = agent.train_step(sampler, batch_size)
             assert np.array_equal(td_errors, reference.step(batch))
-            sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps)
+            sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps, 0)
         for net, adam, ref_net in (
             (agent.actor, agent.actor_adam, twin.actor),
             (agent.critic, agent.critic_adam, twin.critic),

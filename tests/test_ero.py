@@ -15,7 +15,7 @@ from replay_opt.ero import (
 )
 from replay_opt.harness import RunConfig, run
 from replay_opt.nn import grad_check, mlp_init
-from replay_opt.replay import ReplayBuffer, Transition
+from replay_opt.replay import ReplayBuffer, SubsetSampler, Transition
 
 
 def make_buffer(n: int, capacity: int = 256, seed: int = 0) -> ReplayBuffer:
@@ -39,6 +39,11 @@ def fresh_policy(**kwargs) -> EroPolicy:
     kwargs.setdefault("init_seed", 0)
     kwargs.setdefault("draw_rng", np.random.default_rng(1))
     return EroPolicy(**kwargs)
+
+
+def subset_of(policy: EroPolicy, buf: ReplayBuffer) -> SubsetSampler:
+    """The learned sampler over ``buf`` that owns ``policy``'s mask bits."""
+    return SubsetSampler(buf, np.random.default_rng(2), policy)
 
 
 def force_constant_score(policy: EroPolicy, value_preactivation: float = 0.0) -> None:
@@ -176,7 +181,7 @@ class TestStoreScoring:
     def test_eager_refresh_scores_and_subset_leave_cache(self, monkeypatch):
         buf = make_buffer(20)
         policy = fresh_policy()
-        policy.refresh_subset(buf, current_step=20)
+        policy.refresh_subset(buf, 20, subset_of(policy, buf))
         self.no_scoring(monkeypatch, policy)
         policy.refresh_scores(buf, np.arange(20), current_step=20)
         assert policy.priority_scores is None
@@ -218,9 +223,10 @@ class TestMaskDraws:
         buf = make_buffer(50)
         policy = fresh_policy(lazy_refresh=True)
         policy.cached_scores(buf)[:50] = 1.0 - 1e-15
-        size = policy.refresh_subset(buf, current_step=50)
+        subset = subset_of(policy, buf)
+        size = policy.refresh_subset(buf, 50, subset)
         assert size == 50
-        assert len(buf.subset_indices()) == 50
+        assert len(subset.subset_indices()) == 50
 
     def test_half_scores_concentrate_binomially(self):
         rng = np.random.default_rng(3)
@@ -233,17 +239,18 @@ class TestMaskDraws:
     def test_fixed_rng_identical_mask(self):
         buf = make_buffer(100)
         policy = fresh_policy()
-        a = policy.refresh_subset(buf, current_step=100, rng=np.random.default_rng(5))
-        mask_a = buf.subset_indices().copy()
-        b = policy.refresh_subset(buf, current_step=100, rng=np.random.default_rng(5))
-        mask_b = buf.subset_indices().copy()
+        subset = subset_of(policy, buf)
+        a = policy.refresh_subset(buf, 100, subset, rng=np.random.default_rng(5))
+        mask_a = subset.subset_indices().copy()
+        b = policy.refresh_subset(buf, 100, subset, rng=np.random.default_rng(5))
+        mask_b = subset.subset_indices().copy()
         assert a == b
         assert np.array_equal(mask_a, mask_b)
 
     def test_empty_buffer_noop(self):
         buf = ReplayBuffer(8, obs_dim=3, action_dim=1)
         policy = fresh_policy()
-        assert policy.refresh_subset(buf, current_step=0) == 0
+        assert policy.refresh_subset(buf, 0, subset_of(policy, buf)) == 0
 
     def test_mask_bits_independent_across_slots(self):
         # covariance of pairs of bits under a fixed score vector is zero
@@ -304,44 +311,47 @@ class TestUpdatePolicy:
     def prepared(self, n=8, seed=0):
         buf = make_buffer(n, seed=seed)
         policy = fresh_policy(draw_rng=np.random.default_rng(seed + 100))
-        policy.refresh_subset(buf, current_step=n)
-        return buf, policy
+        subset = subset_of(policy, buf)
+        policy.refresh_subset(buf, n, subset)
+        return buf, policy, subset
 
     def test_zero_reward_first_step_leaves_params_unchanged(self):
-        buf, policy = self.prepared()
+        buf, policy, subset = self.prepared()
         before = [w.copy() for w in policy.score_net.weights]
-        policy.update_policy(buf, 0.0, current_step=8)
+        policy.update_policy(buf, 0.0, 8, subset)
         assert all(np.array_equal(a, b) for a, b in zip(before, policy.score_net.weights))
 
     def test_positive_reward_raises_score_of_selected_slot(self):
         buf = make_buffer(1)
         policy = fresh_policy()
-        buf.set_subset_mask(np.array([True]))
+        subset = subset_of(policy, buf)
+        subset.set_subset_mask(np.array([True]))
         before = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
-        policy.update_policy(buf, 1.0, current_step=1)
+        policy.update_policy(buf, 1.0, 1, subset)
         after = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
         assert after > before
 
     def test_negative_reward_lowers_score_of_selected_slot(self):
         buf = make_buffer(1)
         policy = fresh_policy()
-        buf.set_subset_mask(np.array([True]))
+        subset = subset_of(policy, buf)
+        subset.set_subset_mask(np.array([True]))
         before = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
-        policy.update_policy(buf, -1.0, current_step=1)
+        policy.update_policy(buf, -1.0, 1, subset)
         after = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
         assert after < before
 
     def test_nonfinite_reward_skipped_with_counter(self):
-        buf, policy = self.prepared()
+        buf, policy, subset = self.prepared()
         before = [w.copy() for w in policy.score_net.weights]
-        assert policy.update_policy(buf, float("nan"), current_step=8) is None
+        assert policy.update_policy(buf, float("nan"), 8, subset) is None
         assert policy.skipped_nonfinite == 1
         assert all(np.array_equal(a, b) for a, b in zip(before, policy.score_net.weights))
 
     def test_no_drawn_bits_skipped_with_counter(self):
         buf = make_buffer(4)
         policy = fresh_policy()
-        assert policy.update_policy(buf, 1.0, current_step=4) is None
+        assert policy.update_policy(buf, 1.0, 4, subset_of(policy, buf)) is None
         assert policy.skipped_no_candidates == 1
 
     def test_surrogate_gradient_matches_finite_differences(self):
@@ -355,7 +365,8 @@ class TestUpdatePolicy:
     def test_update_restricted_to_drawn_slots(self):
         buf = make_buffer(6)
         policy = fresh_policy()
-        policy.refresh_subset(buf, current_step=6)
+        subset = subset_of(policy, buf)
+        policy.refresh_subset(buf, 6, subset)
         idx = buf.store(
             Transition(
                 state=np.zeros(3),
@@ -366,49 +377,53 @@ class TestUpdatePolicy:
                 insert_timestep=7,
             )
         )
-        policy.update_policy(buf, 1.0, current_step=7)
+        subset.on_store(idx, 7)
+        policy.update_policy(buf, 1.0, 7, subset)
         assert idx not in policy.last_update_indices
 
 
 class TestOnEpisodeEnd:
+    """The learned sampler's episode end: replay reward, policy update, fresh mask."""
+
     def test_first_episode_primes_tracker_without_update(self):
         buf = make_buffer(10)
-        policy = fresh_policy()
+        subset = subset_of(fresh_policy(), buf)
         tracker = ReplayRewardTracker()
         tracker.record_episode(-100.0)
-        size = policy.on_episode_end(tracker, buf, current_step=10)
-        assert policy.last_replay_reward is None
+        reward, size, fallbacks = subset.on_episode_end(tracker, 10)
+        assert reward is None
         assert tracker.previous_mean == -100.0
-        # no refresh without a replay reward, subset is still the all-ones default
-        assert size == 10
-        assert policy.last_refresh_step is None
+        # no draw without a replay reward: every slot is still in the subset
+        assert (size, fallbacks) == (10, 0)
+        assert len(subset.drawn_slots()) == 0
 
     def test_second_episode_updates_then_refreshes(self):
         buf = make_buffer(10)
         policy = fresh_policy()
+        subset = subset_of(policy, buf)
         tracker = ReplayRewardTracker()
         tracker.record_episode(-100.0)
-        policy.on_episode_end(tracker, buf, current_step=10)
+        subset.on_episode_end(tracker, 10)
         tracker.record_episode(-50.0)
-        policy.on_episode_end(tracker, buf, current_step=20)
-        assert policy.last_replay_reward == pytest.approx(25.0)
-        assert policy.last_refresh_step == 20
+        reward, size, _ = subset.on_episode_end(tracker, 20)
+        assert reward == pytest.approx(25.0)
+        assert len(subset.drawn_slots()) == 10 and size == len(subset.subset_indices())
         # first update had no drawn bits yet; refresh happened anyway
         assert policy.skipped_no_candidates == 1
         tracker.record_episode(-40.0)
-        policy.on_episode_end(tracker, buf, current_step=30)
+        subset.on_episode_end(tracker, 30)
         assert policy.skipped_no_candidates == 1  # bits exist now
 
     def test_end_to_end_determinism_over_episodes(self):
         def run():
             buf = make_buffer(40, seed=7)
-            policy = fresh_policy(init_seed=3, draw_rng=np.random.default_rng(9))
+            subset = subset_of(fresh_policy(init_seed=3, draw_rng=np.random.default_rng(9)), buf)
             tracker = ReplayRewardTracker()
             rng = np.random.default_rng(17)
-            sizes = []
+            columns = []
             for ep in range(50):
                 tracker.record_episode(float(rng.normal()))
-                sizes.append(policy.on_episode_end(tracker, buf, current_step=40 + ep))
-            return sizes
+                columns.append(subset.on_episode_end(tracker, 40 + ep))
+            return columns
 
         assert run() == run()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import threading
 from pathlib import Path
 
@@ -190,6 +191,35 @@ class TestRun:
         assert len(with_eval.evals) == len(with_eval.episodes) // 2
         for e in with_eval.evals:
             assert np.isfinite(e.eval_return)
+
+
+def episodes_csv(summary) -> str:
+    out = io.StringIO()
+    write_episode_csv(summary.episodes, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "ero"])
+def test_episode_rows_are_a_prefix_of_a_longer_budget(sampler):
+    """A larger ``total_timesteps`` only extends a uniform or ERO run: its
+    ``episodes.csv`` starts with the shorter run's bytes, with early stopping
+    off and with a threshold that stops the run after training began."""
+
+    def rows(steps, **kwargs):
+        return run(RunConfig(sampler=sampler, seed=2, total_timesteps=steps, **kwargs))
+
+    free_long, free_short = rows(2500), rows(1500)
+    assert len(free_short.episodes) == 7 and len(free_long.episodes) == 12
+    assert episodes_csv(free_long).startswith(episodes_csv(free_short))
+
+    # an 8-episode window first closes at step 1600, after training began at 1000
+    threshold = float(np.mean([e.episode_return for e in free_long.episodes[:8]]))
+    stop = dict(early_stop_window=8, early_stop_threshold=threshold)
+    stop_long, stop_short = rows(3500, **stop), rows(1500, **stop)
+    assert stop_long.stopped_early and stop_long.total_steps == 1600 and stop_long.train_steps > 0
+    assert not stop_short.stopped_early
+    assert episodes_csv(stop_long).startswith(episodes_csv(stop_short))
+    assert episodes_csv(free_long).startswith(episodes_csv(stop_long))
 
 
 class TestSuite:

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replay_opt.ero import EroPolicy, ReplayRewardTracker
 from replay_opt.errors import (
+    ConfigError,
     ContractViolation,
     DegeneratePriorityError,
     EmptyBufferError,
 )
+from replay_opt.harness import SAMPLER_KINDS, RunConfig, make_sampler
 from replay_opt.replay import (
     MASK_UNDRAWN,
     Batch,
@@ -26,8 +29,8 @@ from replay_opt.replay import (
     SumTree,
     Transition,
     UniformSampler,
-    make_sampler,
 )
+from replay_opt.seeding import named_streams
 
 
 def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float | None = None) -> Transition:
@@ -49,7 +52,7 @@ def reference_update_priorities(sampler, indices, td_errors, expected_insert_ste
     indices = np.asarray(indices, dtype=np.int64)[ok]
     td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
     for idx, td in zip(indices, td_errors):
-        sampler.update_priorities(np.array([idx]), np.array([td]))
+        sampler.update_priorities(np.array([idx]), np.array([td]), None, 0)
 
 
 def reference_find(tree: SumTree, values) -> np.ndarray:
@@ -195,13 +198,13 @@ class TestRingStorage:
     def test_td_and_priority_init_track_live_maximum(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(0))
-        sampler.on_store(buf.store(make_transition(0)))
+        sampler.on_store(buf.store(make_transition(0)), 0)
         assert buf.td_errors[0] == 1.0
         assert sampler.priorities[0] == 1.0
-        sampler.update_priorities(np.array([0]), np.array([2.49]))  # 2.49 + epsilon == 2.5
+        sampler.update_priorities(np.array([0]), np.array([2.49]), None, 0)  # 2.49 + epsilon == 2.5
         buf.update_td_errors(np.array([0]), np.array([-3.0]))
         idx = buf.store(make_transition(1))
-        sampler.on_store(idx)
+        sampler.on_store(idx, 0)
         assert buf.td_errors[idx] == 3.0
         assert sampler.priorities[idx] == 2.5
 
@@ -386,17 +389,17 @@ class TestPerProportional:
         cfg = PerConfig(alpha=alpha, beta0=beta0, epsilon=0.0)
         s = PerProportionalSampler(buf, cfg, np.random.default_rng(seed))
         # epsilon is 0, so each priority is its TD magnitude
-        s.update_priorities(np.arange(len(priorities)), np.array(priorities, dtype=np.float64))
+        s.update_priorities(np.arange(len(priorities)), np.array(priorities, dtype=np.float64), None, 0)
         return s
 
     def test_store_starts_at_max_live_priority_evicted_slot_included(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
         for i in range(4):
-            s.on_store(buf.store(make_transition(i)))
-        s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]))
+            s.on_store(buf.store(make_transition(i)), 0)
+        s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]), None, 0)
         idx = buf.store(make_transition(4))  # evicts slot 0, the largest priority
-        s.on_store(idx)
+        s.on_store(idx, 0)
         assert idx == 0 and s.priorities[0] == 5.0
         assert s.tree.leaf_masses()[0] == 5.0**0.6
 
@@ -435,9 +438,9 @@ class TestPerProportional:
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, PerConfig(epsilon=0.0, alpha=1.0), np.random.default_rng(0))
         for i in range(n):
-            s.on_store(buf.store(make_transition(i)))
-        s.update_priorities(np.arange(n), np.array(tds))
-        s.update_priorities(np.arange(n), np.zeros(n))
+            s.on_store(buf.store(make_transition(i)), 0)
+        s.update_priorities(np.arange(n), np.array(tds), None, 0)
+        s.update_priorities(np.arange(n), np.zeros(n), None, 0)
         assert s.tree.total() == 0.0 and not s.tree.leaf_masses().any()
         with pytest.raises(DegeneratePriorityError, match="total priority mass is zero"):
             s.sample(4)
@@ -449,9 +452,9 @@ class TestPerProportional:
         buf = ReplayBuffer(3, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
         for i in range(3):
-            s.on_store(buf.store(make_transition(i)))
-        s.update_priorities([0, 1, 2], first)
-        s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0])
+            s.on_store(buf.store(make_transition(i)), 0)
+        s.update_priorities([0, 1, 2], first, None, 0)
+        s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0], None, 0)
         assert s.tree.total() == s.tree.leaf_masses()[0] > 0.0
         batch = s.sample(4)
         assert np.array_equal(batch.indices, [0, 0, 0, 0])
@@ -469,26 +472,26 @@ class TestPerProportional:
         s = self.sampler_with_priorities([1.0, 1.0, 1.0, 1.0])
         s.config = PerConfig(alpha=1.0, epsilon=0.01)
         root_before = s.tree.total()
-        s.update_priorities(np.array([3]), np.array([0.0]))
+        s.update_priorities(np.array([3]), np.array([0.0]), None, 0)
         assert s.tree.leaf_masses()[3] == pytest.approx(0.01)
         assert s.tree.total() == pytest.approx(root_before - 1.0 + 0.01)
 
     def test_empty_update_is_noop(self):
         s = self.sampler_with_priorities([1.0, 2.0])
         before = s.tree.leaf_masses().copy()
-        s.update_priorities(np.array([], dtype=np.int64), np.array([]))
+        s.update_priorities(np.array([], dtype=np.int64), np.array([]), None, 0)
         assert np.array_equal(s.tree.leaf_masses(), before)
 
     def test_stale_updates_skipped(self):
         buf = ReplayBuffer(2, obs_dim=2, action_dim=1)
         cfg = PerConfig(alpha=1.0)
         s = PerProportionalSampler(buf, cfg, np.random.default_rng(0))
-        s.on_store(buf.store(make_transition(0)))
-        s.on_store(buf.store(make_transition(1)))
+        s.on_store(buf.store(make_transition(0)), 0)
+        s.on_store(buf.store(make_transition(1)), 0)
         expected = buf.insert_timesteps[[0]].copy()
-        s.on_store(buf.store(make_transition(2)))  # evicts slot 0
+        s.on_store(buf.store(make_transition(2)), 0)  # evicts slot 0
         before = buf.td_errors[0]
-        s.update_priorities(np.array([0]), np.array([9.0]), expected)
+        s.update_priorities(np.array([0]), np.array([9.0]), expected, 0)
         assert buf.td_errors[0] == before
         assert buf.stale_updates == 1
 
@@ -503,10 +506,10 @@ class TestPerProportional:
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         cfg = PerConfig(alpha=1.0, epsilon=0.0)
         s = PerProportionalSampler(buf, cfg, np.random.default_rng(0))
-        s.on_store(buf.store(make_transition(0)))
-        s.update_priorities(np.array([0]), np.array([2.5]))
+        s.on_store(buf.store(make_transition(0)), 0)
+        s.update_priorities(np.array([0]), np.array([2.5]), None, 0)
         idx = buf.store(make_transition(1))
-        s.on_store(idx)
+        s.on_store(idx, 0)
         assert s.tree.leaf_masses()[idx] == pytest.approx(2.5)
 
 
@@ -519,7 +522,7 @@ class TestBatchedPriorityWrite:
             buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
             s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.01), np.random.default_rng(0))
             for i in range(stores):
-                s.on_store(buf.store(make_transition(i)))
+                s.on_store(buf.store(make_transition(i)), 0)
             twins.append(s)
         return twins
 
@@ -541,9 +544,9 @@ class TestBatchedPriorityWrite:
             # stores between sampling and write-back evict some sampled slots
             for _ in range(int(rng.integers(0, 20))):
                 for s in (batched, reference):
-                    s.on_store(s.buffer.store(make_transition(step)))
+                    s.on_store(s.buffer.store(make_transition(step)), step)
                 step += 1
-            batched.update_priorities(indices, td, expected)
+            batched.update_priorities(indices, td, expected, 0)
             reference_update_priorities(reference, indices, td, expected)
             self.assert_same_state(batched, reference)
         assert batched.buffer.stale_updates == reference.buffer.stale_updates > 0
@@ -552,7 +555,7 @@ class TestBatchedPriorityWrite:
         batched, reference = self.twin_samplers(capacity=8, stores=8)
         indices = np.array([3, 5, 3, 3, 5])
         td = np.array([1.0, -2.0, 0.5, 4.0, 0.0])
-        batched.update_priorities(indices, td)
+        batched.update_priorities(indices, td, None, 0)
         reference_update_priorities(reference, indices, td)
         self.assert_same_state(batched, reference)
         assert batched.priorities[3] == 4.0 + 0.01
@@ -561,7 +564,7 @@ class TestBatchedPriorityWrite:
         s, _ = self.twin_samplers(capacity=8, stores=8)
         before = s.tree.nodes.copy()
         with pytest.raises(ContractViolation):
-            s.update_priorities(np.array([1, 2]), np.array([1.0, np.nan]))
+            s.update_priorities(np.array([1, 2]), np.array([1.0, np.nan]), None, 0)
         assert np.array_equal(s.tree.nodes, before)
 
 
@@ -608,7 +611,7 @@ class TestCachedExtrema:
             if len(buf) == 0 or data.draw(st.booleans()):
                 for _ in range(data.draw(st.integers(1, capacity + 1))):
                     step += 1
-                    s.on_store(buf.store(make_transition(step)))
+                    s.on_store(buf.store(make_transition(step)), step)
                     self.assert_caches_exact(s)
                 if data.draw(st.booleans()):
                     snapshot = buf.insert_timesteps.copy()
@@ -618,13 +621,13 @@ class TestCachedExtrema:
                              dtype=np.int64)
             tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
             expected = snapshot[slots] if data.draw(st.booleans()) else None
-            s.update_priorities(slots, tds, expected)
+            s.update_priorities(slots, tds, expected, 0)
             self.assert_caches_exact(s)
             # the next store seeds the slot with the scanned maxima
             td_max, max_priority, _ = scanned_extrema(s)
             step += 1
             idx = buf.store(make_transition(step))
-            s.on_store(idx)
+            s.on_store(idx, 0)
             assert buf.td_errors[idx] == td_max and s.priorities[idx] == max_priority
             self.assert_caches_exact(s)
 
@@ -672,14 +675,14 @@ class TestQueuedStores:
                 read_tree = data.draw(st.booleans())
                 for _ in range(data.draw(st.integers(1, 2 * capacity + 1))):
                     step += 1
-                    s.on_store(buf.store(make_transition(step)))
+                    s.on_store(buf.store(make_transition(step)), step)
                     oracle.store(make_transition(step))
             elif op == "update":
                 slots = data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8))
                 slots = np.array(slots, dtype=np.int64)
                 tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
                 expected = snapshot[slots] if data.draw(st.booleans()) else None
-                s.update_priorities(slots, tds, expected)
+                s.update_priorities(slots, tds, expected, 0)
                 oracle.update_priorities(slots, tds, expected)
             elif op == "sample":
                 expected = oracle.sample(4)
@@ -771,11 +774,11 @@ class TestPerRank:
         s.sample(4)
         n_before = len(s._sorted_slots)
         for i in range(3):
-            s.on_store(buf.store(make_transition(100 + i)))
+            s.on_store(buf.store(make_transition(100 + i)), 0)
         s.sample(4)
         assert len(s._sorted_slots) == n_before  # not yet refreshed
         for i in range(2):
-            s.on_store(buf.store(make_transition(200 + i)))
+            s.on_store(buf.store(make_transition(200 + i)), 0)
         s.sample(4)
         assert len(s._sorted_slots) == 15
 
@@ -787,11 +790,17 @@ class TestPerRank:
         assert np.all(w > 0) and np.all(w <= 1.0 + 1e-12)
 
 
+def subset_sampler(buf: ReplayBuffer, seed: int = 0) -> SubsetSampler:
+    """The learned sampler over ``buf``, with an eager policy of its own."""
+    policy = EroPolicy(init_seed=seed, draw_rng=np.random.default_rng(seed + 1))
+    return SubsetSampler(buf, np.random.default_rng(seed), policy)
+
+
 class TestSubsetSampler:
     def test_full_subset_behaves_uniformly(self):
         buf = filled_buffer(100, capacity=128)
-        assert len(buf.subset_indices()) == 100
-        s = SubsetSampler(buf, np.random.default_rng(0))
+        s = subset_sampler(buf)
+        assert len(s.subset_indices()) == 100
         batch = s.sample(1000)
         assert batch.indices.min() >= 0 and batch.indices.max() < 100
         assert len(np.unique(batch.indices)) > 50
@@ -800,33 +809,46 @@ class TestSubsetSampler:
         buf = filled_buffer(20)
         mask = np.zeros(20, dtype=bool)
         mask[7] = True
-        buf.set_subset_mask(mask)
-        s = SubsetSampler(buf, np.random.default_rng(0))
+        s = subset_sampler(buf)
+        s.set_subset_mask(mask)
         assert np.all(s.sample(64).indices == 7)
 
     def test_empty_subset_falls_back_to_whole_buffer(self):
         buf = filled_buffer(20)
-        buf.set_subset_mask(np.zeros(20, dtype=bool))
-        s = SubsetSampler(buf, np.random.default_rng(0))
+        s = subset_sampler(buf)
+        s.set_subset_mask(np.zeros(20, dtype=bool))
         batch = s.sample(64)
         assert len(batch) == 64
         assert buf.subset_fallbacks == 1
 
     def test_mask_hygiene_after_eviction(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
+        s = subset_sampler(buf)
         for i in range(4):
-            buf.store(make_transition(i))
-        buf.set_subset_mask(np.array([False, True, False, False]))
-        buf.store(make_transition(10))  # evicts slot 0, whose drawn bit was 0
-        assert buf.mask_drawn[0] == MASK_UNDRAWN
-        assert np.array_equal(buf.subset_indices(), [0, 1])
+            s.on_store(buf.store(make_transition(i)), i + 1)
+        s.set_subset_mask(np.array([False, True, False, False]))
+        s.on_store(buf.store(make_transition(10)), 11)  # evicts slot 0, whose drawn bit was 0
+        assert s.mask_drawn[0] == MASK_UNDRAWN
+        assert np.array_equal(s.subset_indices(), [0, 1])
+        assert np.array_equal(s.drawn_slots(), [1, 2, 3])
 
     def test_immediate_join_by_default(self):
         buf = filled_buffer(4)
-        buf.set_subset_mask(np.zeros(4, dtype=bool))
+        s = subset_sampler(buf)
+        s.set_subset_mask(np.zeros(4, dtype=bool))
         idx = buf.store(make_transition(9))
-        assert idx in buf.subset_indices()
+        s.on_store(idx, 10)
+        assert idx in s.subset_indices()
 
+    def test_mask_of_the_wrong_length_is_rejected(self):
+        s = subset_sampler(filled_buffer(4))
+        with pytest.raises(ContractViolation, match="does not match size 4"):
+            s.set_subset_mask(np.ones(5, dtype=bool))
+
+    def test_buffer_holds_no_mask_state(self):
+        buf = filled_buffer(4)
+        for name in ("mask_drawn", "subset_indices", "set_subset_mask", "_subset_cache"):
+            assert not hasattr(buf, name)
 
 
 class OldMembership:
@@ -865,18 +887,18 @@ class TestMembershipFromMaskBits:
     )
     def test_matches_the_two_column_model(self, capacity, seed, data):
         buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-        sampler = SubsetSampler(buf, np.random.default_rng(seed))
+        sampler = subset_sampler(buf, seed)
         model_rng = np.random.default_rng(seed)
         model = OldMembership(capacity)
         fallbacks = 0
         ops = data.draw(st.lists(st.sampled_from(["store", "mask", "sample"]), max_size=40))
         for step, op in enumerate(ops):
             if op == "store":
-                buf.store(make_transition(step))
+                sampler.on_store(buf.store(make_transition(step)), step + 1)
                 model.store()
             elif op == "mask":
                 bits = data.draw(st.lists(st.booleans(), min_size=model.size, max_size=model.size))
-                buf.set_subset_mask(np.array(bits, dtype=bool))
+                sampler.set_subset_mask(np.array(bits, dtype=bool))
                 model.set_mask(bits)
             elif model.size > 0:
                 batch = sampler.sample(8)
@@ -887,16 +909,48 @@ class TestMembershipFromMaskBits:
                     fallbacks += 1
                     expected = model_rng.integers(0, model.size, size=8)
                 assert np.array_equal(batch.indices, expected)
-            assert buf.subset_indices().tolist() == model.subset()
-            assert buf.mask_drawn[: buf.size].tolist() == model.mask[: model.size]
+            assert sampler.subset_indices().tolist() == model.subset()
+            assert sampler.mask_drawn[: buf.size].tolist() == model.mask[: model.size]
             assert buf.subset_fallbacks == fallbacks
 
 
 class TestMakeSampler:
     def test_all_kinds_constructible(self):
         buf = filled_buffer(4)
-        rng = np.random.default_rng(0)
-        for kind in ("uniform", "per_prop", "per_rank", "ero"):
-            assert make_sampler(kind, buf, rng).kind == kind
-        with pytest.raises(ContractViolation):
-            make_sampler("heap", buf, rng)
+        kinds = {
+            "uniform": UniformSampler,
+            "per_prop": PerProportionalSampler,
+            "per_rank": PerRankSampler,
+            "ero": SubsetSampler,
+        }
+        assert tuple(kinds) == SAMPLER_KINDS
+        for kind, cls in kinds.items():
+            sampler = make_sampler(RunConfig(sampler=kind), buf, named_streams(0))
+            assert type(sampler) is cls and sampler.buffer is buf
+        with pytest.raises(ConfigError, match="unknown sampler 'heap'"):
+            make_sampler(RunConfig(sampler="heap"), buf, named_streams(0))
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_every_kind_runs_the_four_hooks(self, kind):
+        buf = ReplayBuffer(16, obs_dim=2, action_dim=1)
+        sampler = make_sampler(RunConfig(sampler=kind), buf, named_streams(0))
+        tracker = ReplayRewardTracker()
+        columns = []
+        for step in range(1, 41):  # 40 stores into 16 slots, so slots are evicted
+            sampler.on_store(buf.store(make_transition(step)), step)
+            batch = sampler.sample(8)
+            assert len(batch) == 8 and batch.indices.max() < len(buf)
+            sampler.update_priorities(batch.indices, np.full(8, 0.25 * step), batch.insert_timesteps, step)
+            assert np.all(buf.td_errors[batch.indices] == 0.25 * step)
+            if step % 10 == 0:
+                tracker.record_episode(float(step))
+                columns.append(sampler.on_episode_end(tracker, step))
+        if kind != "ero":
+            assert columns == [None] * 4
+            return
+        assert sampler.policy.normalizer.count == 40  # on_store showed the policy every slot
+        assert columns[0] == (None, 10, 0)  # no replay reward yet: no draw, all 10 slots in the subset
+        for reward, size, fallbacks in columns[1:]:
+            assert reward == 5.0  # the window mean rises by 5 per episode
+            assert 0 <= size <= 16 and fallbacks == buf.subset_fallbacks
+        assert size == len(sampler.subset_indices()) and len(sampler.drawn_slots()) == 16
