@@ -50,6 +50,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def load_config_file(path: str) -> dict[str, str]:
     p = Path(path)
+    if p.exists() and not p.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -84,12 +86,18 @@ def build_run_config(mapping: dict[str, str], overrides: dict[str, str]) -> harn
 
 
 def parse_set_flags(pairs: list[str]) -> dict[str, str]:
-    overrides = {}
+    """``--set key=value`` pairs as a mapping; a key may be set once, as in a config file."""
+    overrides: dict[str, str] = {}
+    first: dict[str, str] = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in pair.split("=", 1))
+        name = key.replace(".", "_")
+        if name in first:
+            raise ConfigError(f"--set {key!r} is set again (first as {first[name]!r})")
+        first[name] = pair
+        overrides[key] = value
     return overrides
 
 

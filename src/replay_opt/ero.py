@@ -180,7 +180,7 @@ class EroPolicy:
         indices = np.unique(indices[indices < buffer.size])
         self.cached_scores(buffer)[indices] = self.score(self.features(buffer, indices, current_step))
 
-    def refresh_subset(self, buffer: ReplayBuffer, current_step: int, subset, rng=None) -> int:
+    def refresh_subset(self, buffer: ReplayBuffer, current_step: int, subset) -> int:
         """Draw a fresh Bernoulli mask over every live slot into ``subset``; returns subset size.
 
         ``subset`` is the ``replay.SubsetSampler`` that owns the mask bits.
@@ -195,17 +195,16 @@ class EroPolicy:
         n = len(buffer)
         if n == 0:
             return 0
-        rng = self._rng if rng is None else rng
         if self.lazy_refresh:
             scores = self.cached_scores(buffer)[:n]
         else:
             scores = self.score(self.features(buffer, slice(0, n), current_step))
-        bits = draw_mask(scores, rng)
+        bits = draw_mask(scores, self._rng)
         subset.set_subset_mask(bits)
         return int(bits.sum())
 
     def update_policy(
-        self, buffer: ReplayBuffer, replay_reward: float, current_step: int, subset, rng=None
+        self, buffer: ReplayBuffer, replay_reward: float, current_step: int, subset
     ) -> float | None:
         """One REINFORCE update of the scoring network.
 
@@ -218,7 +217,6 @@ class EroPolicy:
         if replay_reward is None or not np.isfinite(replay_reward):
             self.skipped_nonfinite += 1
             return None
-        rng = self._rng if rng is None else rng
         candidates = subset.drawn_slots()
         if len(candidates) == 0:
             self.skipped_no_candidates += 1
@@ -226,7 +224,7 @@ class EroPolicy:
 
         loss = None
         for _ in range(self.update_steps):
-            indices = candidates[rng.integers(0, len(candidates), size=self.update_batch_size)]
+            indices = candidates[self._rng.integers(0, len(candidates), size=self.update_batch_size)]
             bits = subset.mask_drawn[indices].astype(np.float64)
             feats = self.features(buffer, indices, current_step)
             out, cache = self.score_net.forward_cached(feats)

@@ -152,7 +152,6 @@ class ReplayBuffer:
 
         self.size = 0
         self.cursor = 0
-        self.store_count = 0
         self.subset_fallbacks = 0
         self.stale_updates = 0
         self._td_max = None  # max |TD| over live slots; None until (re)scanned
@@ -200,7 +199,6 @@ class ReplayBuffer:
 
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-        self.store_count += 1
         return idx
 
     def gather(self, indices: np.ndarray, is_weights: np.ndarray | None = None) -> Batch:
@@ -511,49 +509,42 @@ class SubsetSampler(UniformSampler):
 class PerProportionalSampler(UniformSampler):
     """Stratified proportional sampling on (|TD| + eps)^alpha leaf masses.
 
-    The sampler owns the raw priorities and their sum tree. It keeps the
-    largest live priority, which ``on_store`` gives each new slot, and
-    rescans it only after ``update_priorities`` overwrote a slot that held
-    it; the tree likewise keeps the smallest positive mass that normalizes
-    the IS weights. Both are exact as long as every priority write goes
-    through ``on_store`` and ``update_priorities``.
+    The priorities are the buffer's TD column: a live slot's leaf holds
+    ``(|td_errors[slot]| + eps) ** alpha``. A new slot starts at the largest
+    live priority, because ``store`` seeds its TD with the largest live |TD|
+    and ``max|td| + eps == max(|td| + eps)`` in floating point. The sampler
+    owns only the sum tree, whose smallest positive mass normalizes the IS
+    weights, the slots stored since its last read, and ``sample_calls``. The
+    tree stays in step with the column only if every TD write after a store
+    goes through ``update_priorities``.
 
-    ``on_store`` writes only the priority and queues the slot. Reading
-    ``tree`` first writes the queued slots' masses in one ``SumTree.set``.
-    The tree's internal nodes are exact sums of their children whatever the
-    order of the writes, so every reader sees the same tree bits as if each
-    store had written its leaf at once.
+    ``on_store`` only queues the slot. Reading ``tree`` first writes the
+    queued slots' masses in one ``SumTree.set``. The tree's internal nodes
+    are exact sums of their children whatever the order of the writes, so
+    every reader sees the tree a fresh ``SumTree`` filled from the column
+    would hold.
     """
 
     def __init__(self, buffer: ReplayBuffer, config: PerConfig, rng: np.random.Generator):
         super().__init__(buffer, rng)
         self.config = config
         self._tree = SumTree(buffer.capacity)
-        self.priorities = _mapped_zeros(buffer.capacity)  # raw |TD| + eps per slot
         self.sample_calls = 0
-        self._max_priority = None  # over the live slots; None until (re)scanned
         self._stored: list[int] = []  # slots stored since the tree was last read
+
+    def _masses(self, slots: np.ndarray) -> np.ndarray:
+        priorities = np.abs(self.buffer.td_errors[slots]) + self.config.epsilon
+        return _leaf_masses(priorities, self.config.alpha)
 
     @property
     def tree(self) -> SumTree:
         """The sum tree, after writing the masses of the slots stored since the last read."""
         if self._stored:
             slots, self._stored = np.array(self._stored), []
-            self._tree.set(slots, _leaf_masses(self.priorities[slots], self.config.alpha))
+            self._tree.set(slots, self._masses(slots))
         return self._tree
 
     def on_store(self, idx: int, step: int) -> None:
-        """Start the stored slot at the largest priority live before the store (1 when none).
-
-        The slots live before the store include the one it evicts. So the
-        largest live priority is the same after the store, and it is cached.
-        """
-        live_before = min(self.buffer.store_count - 1, self.buffer.capacity)
-        if not live_before:
-            self._max_priority = 1.0
-        elif self._max_priority is None:
-            self._max_priority = self.priorities[:live_before].max()
-        self.priorities[idx] = self._max_priority
         self._stored.append(idx)
 
     def sample(self, batch_size: int) -> Batch:
@@ -579,19 +570,13 @@ class PerProportionalSampler(UniformSampler):
         return self.buffer.gather(indices, is_weights=weights)
 
     def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
-        stale_before = self.buffer.stale_updates
+        """Write the batch's TD errors, then the leaves of the slots written, from the column.
+
+        A slot that repeats gets its last write, the value the column holds.
+        """
         ok = self.buffer.update_td_errors(indices, td_errors, insert_steps)
-        indices = np.asarray(indices, dtype=np.int64)
-        raw = np.abs(np.asarray(td_errors, dtype=np.float64))
-        if self.buffer.stale_updates != stale_before:
-            indices, raw = indices[ok], raw[ok]
-        raw += self.config.epsilon
-        self.tree.set(indices, _leaf_masses(raw, self.config.alpha))
-        old = self.priorities[indices]
-        self.priorities[indices] = raw
-        self._max_priority = _max_after_write(
-            self._max_priority, old, raw, lambda: self.priorities[indices]
-        )
+        written = np.asarray(indices, dtype=np.int64)[ok]
+        self.tree.set(written, self._masses(written))
 
 
 class PerRankSampler(UniformSampler):
@@ -612,12 +597,9 @@ class PerRankSampler(UniformSampler):
         self._probs = np.zeros(0)
         self._cdf = np.zeros(0)
         self._stores_since_sort = 0
-        self._dirty = True
 
     def on_store(self, idx: int, step: int) -> None:
         self._stores_since_sort += 1
-        if self._stores_since_sort >= self.config.rank_refresh_interval:
-            self._dirty = True
 
     def _refresh_ranks(self) -> None:
         n = len(self.buffer)
@@ -630,12 +612,11 @@ class PerRankSampler(UniformSampler):
         self._cdf = np.cumsum(self._probs)
         self._cdf[-1] = 1.0
         self._stores_since_sort = 0
-        self._dirty = False
 
     def sample(self, batch_size: int) -> Batch:
         if len(self.buffer) == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
-        if self._dirty or len(self._sorted_slots) == 0:
+        if len(self._sorted_slots) == 0 or self._stores_since_sort >= self.config.rank_refresh_interval:
             self._refresh_ranks()
         beta = self.config.beta_at(self.sample_calls)
         self.sample_calls += 1

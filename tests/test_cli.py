@@ -90,6 +90,29 @@ class TestConfigIO:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("env=pendulum", "env=point_reacher"),
+            ("env=pendulum", " env = pendulum"),
+            ("per.alpha=0.7", "per_alpha=0.5"),
+        ],
+    )
+    def test_set_key_twice_exits_2(self, tmp_path, capsys, command, first, second):
+        argv = [command, "--set", first, "--set", "seed=1", "--set", second, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        key = second.split("=")[0].strip()
+        assert f"--set '{key}' is set again (first as '{first}')" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_config_directory_exits_2_saying_not_a_file(self, tmp_path, capsys, command):
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        assert cli.main([command, "--config", str(folder), "--out", str(tmp_path / "o")]) == 2
+        assert f"config path is not a file: {folder}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
     def test_config_not_utf8_exits_2_naming_path(self, tmp_path, capsys, command):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes("env = pendulum  # caf\xe9\n".encode("latin-1"))

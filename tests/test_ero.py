@@ -238,14 +238,14 @@ class TestMaskDraws:
 
     def test_fixed_rng_identical_mask(self):
         buf = make_buffer(100)
-        policy = fresh_policy()
-        subset = subset_of(policy, buf)
-        a = policy.refresh_subset(buf, 100, subset, rng=np.random.default_rng(5))
-        mask_a = subset.subset_indices().copy()
-        b = policy.refresh_subset(buf, 100, subset, rng=np.random.default_rng(5))
-        mask_b = subset.subset_indices().copy()
-        assert a == b
-        assert np.array_equal(mask_a, mask_b)
+        sizes, masks = [], []
+        for _ in range(2):
+            policy = fresh_policy(draw_rng=np.random.default_rng(5))
+            subset = subset_of(policy, buf)
+            sizes.append(policy.refresh_subset(buf, 100, subset))
+            masks.append(subset.subset_indices().copy())
+        assert sizes[0] == sizes[1]
+        assert np.array_equal(masks[0], masks[1])
 
     def test_empty_buffer_noop(self):
         buf = ReplayBuffer(8, obs_dim=3, action_dim=1)

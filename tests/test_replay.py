@@ -46,8 +46,7 @@ def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float
 
 def reference_update_priorities(sampler, indices, td_errors, expected_insert_steps=None) -> None:
     """The per-leaf loop that the batched priority write replaced: one-leaf
-    writes in array order, through the sampler so that its cached maximum
-    priority sees them."""
+    writes in array order, through the sampler."""
     ok = sampler.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
     indices = np.asarray(indices, dtype=np.int64)[ok]
     td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
@@ -111,28 +110,24 @@ class WalkTree:
 
 
 class WalkSampler:
-    """Proportional PER as it was when every store walked its leaf into the
-    tree at once (with numpy's scalar ``**``), on a buffer of its own: the
-    oracle for the sampler's queued store writes."""
+    """Proportional PER with every store walking its leaf into the tree at
+    once (with numpy's scalar ``**`` on the TD the buffer seeded), on a
+    buffer of its own: the oracle for the sampler's queued store writes."""
 
     def __init__(self, capacity: int, config: PerConfig, seed: int):
         self.buffer = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
         self.config = config
         self.tree = WalkTree(capacity)
-        self.priorities = np.zeros(capacity)
         self.rng = np.random.default_rng(seed)
 
     def store(self, transition: Transition) -> None:
-        live_before = len(self.buffer)  # the evicted slot included
         idx = self.buffer.store(transition)
-        self.priorities[idx] = self.priorities[:live_before].max() if live_before else 1.0
-        self.tree.set(idx, self.priorities[idx] ** self.config.alpha)
+        self.tree.set(idx, (abs(self.buffer.td_errors[idx]) + self.config.epsilon) ** self.config.alpha)
 
     def update_priorities(self, indices, td_errors, expected_insert_steps) -> None:
         ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
         for idx, td in zip(indices[ok], td_errors[ok]):
-            self.priorities[idx] = abs(td) + self.config.epsilon
-            self.tree.set(idx, math.pow(self.priorities[idx], self.config.alpha))
+            self.tree.set(idx, math.pow(abs(td) + self.config.epsilon, self.config.alpha))
 
     def sample(self, batch_size: int) -> np.ndarray | None:
         """The indices a draw returns, or None where it must raise ``DegeneratePriorityError``."""
@@ -180,8 +175,7 @@ class TestRingStorage:
         buf = ReplayBuffer(3000, obs_dim=2, action_dim=1)
         names = ("states", "actions", "rewards", "next_states", "dones", "insert_timesteps",
                  "td_errors")
-        sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(0))
-        columns = [getattr(buf, name) for name in names] + [sampler.priorities]
+        columns = [getattr(buf, name) for name in names]
         for col in columns:
             assert len(col) == 3000 and col.flags.writeable and not col.any()
         for i, a in enumerate(columns):
@@ -197,16 +191,16 @@ class TestRingStorage:
 
     def test_td_and_priority_init_track_live_maximum(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
-        sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(0))
+        sampler = PerProportionalSampler(buf, PerConfig(alpha=0.6), np.random.default_rng(0))
         sampler.on_store(buf.store(make_transition(0)), 0)
         assert buf.td_errors[0] == 1.0
-        assert sampler.priorities[0] == 1.0
-        sampler.update_priorities(np.array([0]), np.array([2.49]), None, 0)  # 2.49 + epsilon == 2.5
-        buf.update_td_errors(np.array([0]), np.array([-3.0]))
+        assert sampler.tree.leaf_masses()[0] == math.pow(1.0 + 0.01, 0.6)
+        sampler.update_priorities(np.array([0]), np.array([-3.0]), None, 0)
         idx = buf.store(make_transition(1))
         sampler.on_store(idx, 0)
         assert buf.td_errors[idx] == 3.0
-        assert sampler.priorities[idx] == 2.5
+        masses = sampler.tree.leaf_masses()
+        assert masses[idx] == masses[0] == math.pow(3.0 + 0.01, 0.6)
 
 
 class TestRingEviction:
@@ -400,7 +394,7 @@ class TestPerProportional:
         s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]), None, 0)
         idx = buf.store(make_transition(4))  # evicts slot 0, the largest priority
         s.on_store(idx, 0)
-        assert idx == 0 and s.priorities[0] == 5.0
+        assert idx == 0 and buf.td_errors[0] == 5.0
         assert s.tree.leaf_masses()[0] == 5.0**0.6
 
     def test_point_mass_always_sampled(self):
@@ -528,7 +522,6 @@ class TestBatchedPriorityWrite:
 
     def assert_same_state(self, a, b):
         assert np.array_equal(a.tree.nodes, b.tree.nodes)
-        assert np.array_equal(a.priorities, b.priorities)
         assert np.array_equal(a.buffer.td_errors, b.buffer.td_errors)
 
     def test_random_batches_with_repeats_and_stale_slots(self):
@@ -558,7 +551,7 @@ class TestBatchedPriorityWrite:
         batched.update_priorities(indices, td, None, 0)
         reference_update_priorities(reference, indices, td)
         self.assert_same_state(batched, reference)
-        assert batched.priorities[3] == 4.0 + 0.01
+        assert batched.tree.leaf_masses()[3] == math.pow(4.0 + 0.01, 0.6)
 
     def test_non_finite_td_leaves_tree_untouched(self):
         s, _ = self.twin_samplers(capacity=8, stores=8)
@@ -568,27 +561,25 @@ class TestBatchedPriorityWrite:
         assert np.array_equal(s.tree.nodes, before)
 
 
-def scanned_extrema(sampler: PerProportionalSampler) -> tuple[float, float, float]:
-    """Max |TD|, max priority and min positive mass over the live slots, by full scans."""
+def scanned_extrema(sampler: PerProportionalSampler) -> tuple[float, float]:
+    """Max |TD| and min positive mass over the live slots, by full scans."""
     n = len(sampler.buffer)
     masses = sampler.tree.leaf_masses()[:n]
     positive = masses[masses > 0]
     return (
         float(np.max(np.abs(sampler.buffer.td_errors[:n]))),
-        float(sampler.priorities[:n].max()),
         float(positive.min()) if len(positive) else np.inf,
     )
 
 
 class TestCachedExtrema:
-    """The cached max |TD|, max priority and min mass equal full scans after every operation."""
+    """The cached max |TD| and min mass equal full scans after every operation."""
 
     def assert_caches_exact(self, sampler):
-        td_max, max_priority, min_mass = scanned_extrema(sampler)
+        td_max, min_mass = scanned_extrema(sampler)
         # a cache may be unset (rescanned on next use); a set one is exact
         for cached, scanned in (
             (sampler.buffer._td_max, td_max),
-            (sampler._max_priority, max_priority),
             (sampler.tree._min_mass, min_mass),
         ):
             assert cached is None or cached == scanned
@@ -623,12 +614,15 @@ class TestCachedExtrema:
             expected = snapshot[slots] if data.draw(st.booleans()) else None
             s.update_priorities(slots, tds, expected, 0)
             self.assert_caches_exact(s)
-            # the next store seeds the slot with the scanned maxima
-            td_max, max_priority, _ = scanned_extrema(s)
+            # the next store seeds the slot with the scanned maximum, so its
+            # leaf gets the largest live mass
+            td_max, _ = scanned_extrema(s)
             step += 1
             idx = buf.store(make_transition(step))
             s.on_store(idx, 0)
-            assert buf.td_errors[idx] == td_max and s.priorities[idx] == max_priority
+            masses = s.tree.leaf_masses()
+            assert buf.td_errors[idx] == td_max
+            assert masses[idx] == masses[: len(buf)].max() == math.pow(td_max + epsilon, alpha)
             self.assert_caches_exact(s)
 
 
@@ -637,11 +631,9 @@ class TestQueuedStores:
     writing each store at once, after every operation."""
 
     def assert_same_state(self, sampler, oracle, read_tree=True):
-        """Priorities, the cached max priority and, when ``read_tree``, the
-        tree (reading it writes the queued stores)."""
-        assert sampler.priorities.tobytes() == oracle.priorities.tobytes()
-        cached, live = sampler._max_priority, len(oracle.buffer)
-        assert cached is None or cached == oracle.priorities[:live].max()
+        """The TD column and, when ``read_tree``, the tree (reading it writes
+        the queued stores)."""
+        assert sampler.buffer.td_errors.tobytes() == oracle.buffer.td_errors.tobytes()
         assert sampler.buffer.stale_updates == oracle.buffer.stale_updates
         if read_tree:
             tree = sampler.tree
@@ -695,6 +687,50 @@ class TestQueuedStores:
                 snapshot = buf.insert_timesteps.copy()
             self.assert_same_state(s, oracle, read_tree)
         self.assert_same_state(s, oracle)
+
+
+class TestTreeFromTdColumn:
+    """The proportional sampler's tree is a function of the buffer's TD column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        epsilon=st.sampled_from([0.0, 0.01]),
+        alpha=st.sampled_from([1.0, 0.6]),
+        data=st.data(),
+    )
+    def test_tree_equals_a_fresh_tree_of_the_column(self, capacity, epsilon, alpha, data):
+        # a store run of up to 2 * capacity + 1 evicts and queues a slot more
+        # than once before the check reads the tree; an update may name slots
+        # evicted since ``snapshot`` was taken, and the same slot twice
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+        s = PerProportionalSampler(buf, PerConfig(alpha=alpha, epsilon=epsilon), np.random.default_rng(0))
+        td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
+        step = 0
+        snapshot = buf.insert_timesteps.copy()
+        for _ in range(data.draw(st.integers(1, 30))):
+            op = data.draw(st.sampled_from(["store", "update", "sample", "snapshot"]))
+            if op == "store" or len(buf) == 0:
+                for _ in range(data.draw(st.integers(1, 2 * capacity + 1))):
+                    step += 1
+                    s.on_store(buf.store(make_transition(step)), step)
+            elif op == "update":
+                slots = np.array(data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8)), dtype=np.int64)
+                tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
+                expected = snapshot[slots] if data.draw(st.booleans()) else None
+                s.update_priorities(slots, tds, expected, step)
+            elif op == "sample":
+                try:
+                    s.sample(4)
+                except DegeneratePriorityError:
+                    assert s.tree.total() == 0.0
+            else:
+                snapshot = buf.insert_timesteps.copy()
+            fresh = SumTree(capacity)
+            priorities = np.abs(buf.td_errors[: len(buf)]) + epsilon
+            fresh.set(np.arange(len(buf)), np.array([math.pow(p, alpha) for p in priorities.tolist()]))
+            assert s.tree.nodes.tobytes() == fresh.nodes.tobytes()
+            assert s.tree.min_mass() == fresh.min_mass()
 
 
 class TestSumTreeFind:
