@@ -142,6 +142,10 @@ def cmd_compare(args) -> int:
     for key, values in (("samplers", samplers), ("seeds", seeds)):
         if not values:
             raise ConfigError(f"{key} is empty: compare needs at least one")
+        # a repeated entry would run one config twice into the same episodes CSV
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"{key} lists {repeated!r} more than once")
 
     configs = []
     for sampler in samplers:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericFault
+from .memory import mapped_zeros
 from .seeding import as_generator
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "linear")
@@ -162,13 +163,15 @@ class Mlp:
 
     Each net owns a workspace: one float64 array per layer, as wide as the
     layer's output and grown on demand to at most ``BLOCK`` rows, and a bool
-    array of the same shape for the relu masks. ``forward`` writes its hidden
-    layers there (running larger inputs in ``row_blocks``) and
-    ``backward``/``input_gradient`` their per-layer gradients and masks, so
-    those intermediates are reused from call to call; a request for more
-    than ``BLOCK`` rows gets fresh arrays instead. What the methods return
-    is never workspace memory: ``forward`` returns a fresh array on every
-    call. The workspace makes a net unsafe to run from two threads at once.
+    array of the same shape for the relu masks, each on its own memory map
+    (``memory.mapped_zeros``), so a dropped net gives its pages back to the
+    operating system. ``forward`` writes its hidden layers there (running
+    larger inputs in ``row_blocks``) and ``backward``/``input_gradient``
+    their per-layer gradients and masks, so those intermediates are reused
+    from call to call; a request for more than ``BLOCK`` rows gets fresh
+    arrays instead. What the methods return is never workspace memory:
+    ``forward`` returns a fresh array on every call. The workspace makes a
+    net unsafe to run from two threads at once.
 
     Each layer's activation and its chain rule are looked up once, at
     construction (``_KERNELS``), not dispatched on the tag at every call.
@@ -229,8 +232,8 @@ class Mlp:
         if grow or len(self._views) >= 4:
             self._views.clear()  # a few row counts recur (1 to act, the batch size to train)
         if grow:
-            self._workspace = [np.empty((rows, w)) for w in widths]
-            self._masks = [np.empty((rows, w), dtype=bool) for w in widths]
+            self._workspace = [mapped_zeros((rows, w)) for w in widths]
+            self._masks = [mapped_zeros((rows, w), dtype=bool) for w in widths]
         views = self._views[rows] = ([a[:rows] for a in self._workspace], [a[:rows] for a in self._masks])
         return views
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     DegeneratePriorityError,
     EmptyBufferError,
 )
+from .memory import mapped_zeros
 
 MASK_UNDRAWN = -1  # slot has never received a Bernoulli draw
 
@@ -82,20 +82,6 @@ class PerConfig:
         return self.beta0 + (1.0 - self.beta0) * frac
 
 
-def _mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
-    """Zero-filled array on its own anonymous memory map.
-
-    The kernel maps a page only when it is first written, so the rows of a
-    ring buffer that a run never reaches cost no resident memory. ``np.zeros``
-    does not promise that: once a freed buffer has raised the allocator's
-    mmap threshold (a second run in the same process), ``calloc`` serves the
-    next buffer from a heap and clears, so touches, every page of it.
-    """
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
-    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
-
-
 def _max_after_write(top, old: np.ndarray, new: np.ndarray, landed):
     """A column's maximum after a write, from its maximum before (``top``).
 
@@ -142,13 +128,13 @@ class ReplayBuffer:
         self.obs_dim = obs_dim
         self.action_dim = action_dim
 
-        self.states = _mapped_zeros((capacity, obs_dim))
-        self.actions = _mapped_zeros((capacity, action_dim))
-        self.rewards = _mapped_zeros(capacity)
-        self.next_states = _mapped_zeros((capacity, obs_dim))
-        self.dones = _mapped_zeros(capacity, dtype=bool)
-        self.insert_timesteps = _mapped_zeros(capacity, dtype=np.int64)
-        self.td_errors = _mapped_zeros(capacity)
+        self.states = mapped_zeros((capacity, obs_dim))
+        self.actions = mapped_zeros((capacity, action_dim))
+        self.rewards = mapped_zeros(capacity)
+        self.next_states = mapped_zeros((capacity, obs_dim))
+        self.dones = mapped_zeros(capacity, dtype=bool)
+        self.insert_timesteps = mapped_zeros(capacity, dtype=np.int64)
+        self.td_errors = mapped_zeros(capacity)
 
         self.size = 0
         self.cursor = 0
@@ -270,7 +256,8 @@ class SumTree:
         self._leaves = 1
         while self._leaves < capacity:
             self._leaves *= 2
-        self._heap = np.zeros(2 * self._leaves)
+        # on its own memory map: nodes above unwritten leaves cost no resident memory
+        self._heap = mapped_zeros(2 * self._leaves)
         self.nodes = self._heap[1:]
         # right shifts taking a leaf's heap number to itself and each ancestor
         self._shifts = np.arange(self._leaves.bit_length())[:, None]

@@ -317,6 +317,36 @@ class TestCompareCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("samplers=uniform,uniform", "samplers lists 'uniform' more than once"),
+            ("samplers=uniform, ero ,ero", "samplers lists 'ero' more than once"),
+            ("seeds=1,1", "seeds lists 1 more than once"),
+            ("seeds=3,2,03", "seeds lists 3 more than once"),
+        ],
+    )
+    def test_repeated_grid_entry_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting, message):
+        def no_runs(configs):
+            raise AssertionError("run_suite started despite a repeated grid entry")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        code = cli.main(["compare", "--set", setting, "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_repeated_grid_entry_in_config_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_runs(configs):
+            raise AssertionError("run_suite started despite a repeated grid entry")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        cfg = write_config(tmp_path, name="cmp.cfg")
+        with open(cfg, "a") as fh:
+            fh.write("samplers = uniform, uniform\nseeds = 3, 3\n")
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 2
+        assert "samplers lists 'uniform' more than once" in capsys.readouterr().err
+
     def test_warmup_above_capacity_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
         def no_runs(configs):
             raise AssertionError("run_suite started despite an invalid config")

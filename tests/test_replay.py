@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import replay_opt
 from replay_opt.ero import EroPolicy, ReplayRewardTracker
 from replay_opt.errors import (
     ConfigError,
@@ -262,6 +268,15 @@ class TestUniformSampler:
 
 
 class TestSumTree:
+    def test_fresh_heap_is_zeroed_writable_and_separate(self):
+        trees = [SumTree(100_000), SumTree(100_000)]
+        for tree in trees:
+            assert len(tree.nodes) == 2 * 131072 - 1 and tree.nodes.flags.writeable
+            assert not tree.nodes.any() and tree.total() == 0.0
+        assert not np.shares_memory(trees[0].nodes, trees[1].nodes)
+        trees[0].set(np.array([5]), np.array([2.0]))
+        assert trees[0].total() == 2.0 and trees[1].total() == 0.0 and not trees[1].nodes.any()
+
     def test_point_mass(self):
         tree = SumTree(4)
         tree.set(np.array([0]), np.array([1.0]))
@@ -990,3 +1005,48 @@ class TestMakeSampler:
             assert reward == 5.0  # the window mean rises by 5 per episode
             assert 0 <= size <= 16 and fallbacks == buf.subset_fallbacks
         assert size == len(sampler.subset_indices()) and len(sampler.drawn_slots()) == 16
+
+
+# Five cycles of: build a score-net-shaped Mlp and run 3000 rows through it
+# (its workspace grows to 1024 rows), build a 100k-leaf SumTree and write
+# 1,429 leaves, drop both. Prints the process's peak RSS (KiB) after each
+# cycle. It reads VmHWM, the peak of this process's own memory: ru_maxrss
+# carries the peak of the process that started it across exec, so a child
+# of the test runner would report the runner's larger peak throughout.
+_RSS_CYCLES = textwrap.dedent(
+    """
+    import numpy as np
+    from replay_opt.nn import mlp_init
+    from replay_opt.replay import SumTree
+
+    def peak_kib():
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+    peaks = []
+    for cycle in range(5):
+        net = mlp_init([3, 64, 64, 1], ["relu", "relu", "sigmoid"], seed=cycle)
+        net.forward(np.random.default_rng(cycle).standard_normal((3000, 3)))
+        tree = SumTree(100_000)
+        tree.set(np.arange(1429), np.ones(1429))
+        del net, tree
+        peaks.append(peak_kib())
+    print(*peaks)
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_dropped_trees_and_workspaces_do_not_ratchet_peak_rss():
+    """Later runs in one process reuse memory: the tree and the workspaces
+    are mapped, so dropping them returns their pages, and the next ones
+    touch only the pages they write."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(replay_opt.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RSS_CYCLES], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peaks = [int(kib) for kib in proc.stdout.split()]
+    growth_kib = max(peaks) - peaks[0]
+    assert growth_kib < 1024, f"peak RSS grew {growth_kib} KiB after the first cycle: {peaks}"
