@@ -6,8 +6,8 @@ Prints one JSON document with the median microseconds per call of
 ``ReplayBuffer.store``, ``PerProportionalSampler.on_store``, ``sample(64)``
 and ``update_priorities`` (64 slots) at 1.3k, 10k and 100k live rows in a
 100k-slot buffer with ``PerConfig()`` defaults, and of ``DdpgAgent.act`` at
-batch 1 and ``DdpgAgent.train_step`` at batch 64 (pendulum shapes, uniform
-sampler). ``store`` and ``on_store`` are timed call by call over
+batch 1 and of one train step at batch 64: a uniform ``sample(64)`` and
+``DdpgAgent.train_step`` on its batch (pendulum shapes). ``store`` and ``on_store`` are timed call by call over
 ``--calls`` store/on_store pairs (the median call). ``on_store`` only
 queues its slot, and the next read of the sum tree writes the queued
 slots, so ``store_phase_100`` times a run's whole store phase: 100
@@ -17,7 +17,7 @@ calls per round (``--calls`` / 10 phases for ``store_phase_100``). The
 store phases run last, and their stores raise the fill of the two smaller
 buffers by 10 x ``--calls`` x ``--rounds`` rows.
 Point ``PYTHONPATH`` at another tree's ``src`` to measure that tree with
-the same script.
+the same script (one whose ``train_step`` takes a ``Batch``).
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def agent_costs(calls: int, rounds: int) -> dict[str, float]:
     noise = OuNoise(ACTION_DIM, rng=3)
     obs = rng.normal(size=OBS_DIM)
     for _ in range(20):  # warm the agent's reused arrays
-        agent.train_step(sampler, BATCH)
+        agent.train_step(sampler.sample(BATCH))
     return {
         "act_batch1": per_call_us(lambda: agent.act(obs, noise), calls, rounds),
-        "train_step_batch64": per_call_us(lambda: agent.train_step(sampler, BATCH), calls, rounds),
+        "train_step_batch64": per_call_us(lambda: agent.train_step(sampler.sample(BATCH)), calls, rounds),
     }
 
 

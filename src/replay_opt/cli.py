@@ -135,7 +135,10 @@ def cmd_compare(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
     overrides = parse_set_flags(args.set or [])
     mapping.update(overrides)
-    samplers = [s.strip() for s in mapping.pop("samplers", "uniform,ero").split(",") if s.strip()]
+    for key in mapping:
+        if key.replace(".", "_") in ("seed", "sampler", "config_id"):
+            raise ConfigError(f"compare sets {key!r} per run; list the grid in 'samplers' and 'seeds'")
+    samplers =[s.strip() for s in mapping.pop("samplers", "uniform,ero").split(",") if s.strip()]
     seeds = [
         harness.parse_field("seeds", s, int) for s in mapping.pop("seeds", "0").split(",") if s.strip()
     ]
@@ -197,7 +200,7 @@ def cmd_trace(args) -> int:
     path = Path(args.input)
     if not path.is_file():
         raise ConfigError(f"trace file not found: {args.input}")
-    records = harness.read_trace_csv(path)
+    records = harness.read_csv(harness.TraceRecord, path)
 
     window = args.window
     if window < 1:

@@ -2,8 +2,7 @@
 
 The actor maps observations through a tanh head scaled to the action bound;
 the critic consumes observation and action concatenated at the first layer.
-Targets are slow convex blends of the online networks. Any sampler from the
-replay module can feed ``train_step``.
+Targets are slow convex blends of the online networks.
 """
 
 from __future__ import annotations
@@ -47,17 +46,13 @@ def td_loss(q, targets, is_weights=None):
     """Mean IS-weighted squared TD error of critic outputs ``q``: ``(loss, dloss_dq, td_errors)``.
 
     ``td_errors`` is ``targets - q[:, 0]``. Without ``is_weights`` every
-    sample weighs 1, and the exact multiplications by 1.0 are skipped.
+    sample weighs 1.0, which changes no bit: ``1.0 * x == x``.
     """
     n = len(q)
     td_errors = targets - q[:, 0]
-    if is_weights is None:
-        loss = float(np.add.reduce(td_errors**2) / n)  # np.mean's bits, without its wrapper
-        dloss_dq = -2.0 * td_errors
-    else:
-        weights = np.asarray(is_weights, dtype=np.float64)
-        loss = float(np.add.reduce(weights * td_errors**2) / n)
-        dloss_dq = -2.0 * weights * td_errors
+    weights = 1.0 if is_weights is None else np.asarray(is_weights, dtype=np.float64)
+    loss = float(np.add.reduce(weights * td_errors**2) / n)  # np.mean's bits, without its wrapper
+    dloss_dq = -2.0 * weights * td_errors
     dloss_dq /= n
     return loss, dloss_dq[:, None], td_errors
 
@@ -228,16 +223,15 @@ class DdpgAgent:
         target *= 1.0 - self.tau
         target += blend
 
-    def train_step(self, sampler, batch_size: int):
-        """Sample, update critic and actor, blend targets.
+    def train_step(self, batch):
+        """Update critic and actor on a ``replay.Batch``, then blend targets.
 
-        Returns (critic loss, per-sample TD errors, the sampled batch) so the
-        caller can push the fresh TD errors back into the replay structures.
+        Returns (critic loss, per-sample TD errors) so the caller can push
+        the fresh TD errors back into the replay structures.
         """
-        batch = sampler.sample(batch_size)
         loss, td_errors = self.critic_update(
             batch.states, batch.actions, batch.rewards, batch.next_states, batch.dones, batch.is_weights
         )
         self.actor_update(batch.states)
         self.soft_update()
-        return loss, td_errors, batch
+        return loss, td_errors

@@ -139,7 +139,6 @@ class EroPolicy:
         self.lazy_refresh = lazy_refresh
         self._rng = as_generator(draw_rng)
         self.priority_scores: np.ndarray | None = None  # lazy mode only, see cached_scores
-        self.last_update_indices: np.ndarray | None = None
         self.skipped_nonfinite = 0
         self.skipped_no_candidates = 0
 
@@ -231,5 +230,4 @@ class EroPolicy:
             loss, dloss_dout = mask_surrogate(out, bits, replay_reward)
             tape = self.score_net.backward(cache, dloss_dout)
             adam_step(self.score_net, tape, self.adam)
-            self.last_update_indices = indices
         return loss

@@ -241,7 +241,8 @@ def run(config: RunConfig) -> RunSummary:
     sampler = make_sampler(config, buffer, streams)
     tracker = ReplayRewardTracker(window=config.reward_window)
 
-    eval_env = None
+    eval_env = make_env(config.env)
+    eval_env.reset(seed=streams["eval_env"])
     episodes: list[EpisodeRecord] = []
     traces: list[TraceRecord] = []
     evals: list[EvalRecord] = []
@@ -252,10 +253,6 @@ def run(config: RunConfig) -> RunSummary:
     stopped_early = False
 
     def run_eval_episode() -> None:
-        nonlocal eval_env
-        if eval_env is None:
-            eval_env = make_env(config.env)
-            eval_env.reset(seed=streams["eval_env"])
         eval_obs = eval_env.reset()
         total, length = 0.0, 0
         while True:
@@ -302,7 +299,8 @@ def run(config: RunConfig) -> RunSummary:
             if stopped_early or len(buffer) < config.warmup_transitions:
                 continue
             for _ in range(config.train_steps_per_iter):
-                _, td_errors, batch = agent.train_step(sampler, config.batch_size)
+                batch = sampler.sample(config.batch_size)
+                _, td_errors = agent.train_step(batch)
                 train_count += 1
                 sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps, global_step)
                 if train_count % config.trace_interval == 0:
@@ -494,6 +492,3 @@ def write_summary_csv(rows: list[SummaryRow], out) -> None:
 def write_eval_csv(records: list[EvalRecord], out) -> None:
     write_csv(EvalRecord, records, out)
 
-
-def read_trace_csv(path) -> list[TraceRecord]:
-    return read_csv(TraceRecord, path)

@@ -162,10 +162,11 @@ class Mlp:
     longer see it.
 
     Each net owns a workspace: one float64 array per layer, as wide as the
-    layer's output and grown on demand to at most ``BLOCK`` rows, and a bool
-    array of the same shape for the relu masks, each on its own memory map
-    (``memory.mapped_zeros``), so a dropped net gives its pages back to the
-    operating system. ``forward`` writes its hidden layers there (running
+    layer's output and ``BLOCK`` rows long, and a bool array of the same
+    shape for the relu masks, each mapped on first use on its own memory map
+    (``memory.mapped_zeros``). Only the pages a call writes become
+    resident, and a dropped net gives its pages back to the operating
+    system. ``forward`` writes its hidden layers there (running
     larger inputs in ``row_blocks``) and ``backward``/``input_gradient``
     their per-layer gradients and masks, so those intermediates are reused
     from call to call; a request for more than ``BLOCK`` rows gets fresh
@@ -228,12 +229,11 @@ class Mlp:
         widths = self.layer_sizes[1:]
         if rows > BLOCK:
             return [np.empty((rows, w)) for w in widths], [np.empty((rows, w), bool) for w in widths]
-        grow = not self._workspace or len(self._workspace[0]) < rows
-        if grow or len(self._views) >= 4:
+        if not self._workspace:  # a page is resident only once a call writes it
+            self._workspace = [mapped_zeros((BLOCK, w)) for w in widths]
+            self._masks = [mapped_zeros((BLOCK, w), dtype=bool) for w in widths]
+        if len(self._views) >= 4:
             self._views.clear()  # a few row counts recur (1 to act, the batch size to train)
-        if grow:
-            self._workspace = [mapped_zeros((rows, w)) for w in widths]
-            self._masks = [mapped_zeros((rows, w), dtype=bool) for w in widths]
         views = self._views[rows] = ([a[:rows] for a in self._workspace], [a[:rows] for a in self._masks])
         return views
 

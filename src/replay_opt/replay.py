@@ -82,30 +82,6 @@ class PerConfig:
         return self.beta0 + (1.0 - self.beta0) * frac
 
 
-def _max_after_write(top, old: np.ndarray, new: np.ndarray, landed):
-    """A column's maximum after a write, from its maximum before (``top``).
-
-    ``old`` holds the overwritten slots' values before the write, ``new`` the
-    values written in write order, and ``landed()`` returns those slots'
-    values after the write (where a slot repeats, only its last write
-    lands). Returns None, meaning "rescan the column", when the write may
-    have removed a slot holding ``top``, or when ``top`` is None already.
-    Otherwise the result is exact: a maximum is one of the column's values.
-    """
-    if top is None or not len(new):
-        return top
-    if not np.maximum.reduce(new) < top:  # the new maximum may have landed (or a NaN)
-        landed_top = np.maximum.reduce(landed())
-        if landed_top >= top:
-            return landed_top
-        if landed_top != landed_top:
-            return None
-    # every overwritten slot held at most ``top``
-    if np.maximum.reduce(old) < top:
-        return top
-    return None  # a NaN, or the old maximum may be gone
-
-
 class ReplayBuffer:
     """Fixed-capacity ring store of transitions with per-slot caches.
 
@@ -215,19 +191,24 @@ class ReplayBuffer:
         """
         indices = np.asarray(indices, dtype=np.int64)
         td_errors = np.asarray(td_errors, dtype=np.float64)
-        if len(indices) == 0:
-            return np.zeros(0, dtype=bool)
         ok = indices < self.size
         if expected_insert_steps is not None:
             ok &= self.insert_timesteps[indices] == expected_insert_steps
         stale = len(ok) - np.count_nonzero(ok)
         self.stale_updates += stale
         written, values = (indices[ok], td_errors[ok]) if stale else (indices, td_errors)
-        old = np.abs(self.td_errors[written])
-        self.td_errors[written] = values
-        self._td_max = _max_after_write(
-            self._td_max, old, np.abs(values), lambda: np.abs(self.td_errors[written])
-        )
+        column = self.td_errors
+        old = np.maximum.reduce(np.abs(column[written]), initial=0.0)
+        column[written] = values  # where a slot repeats, its last write lands
+        landed = np.maximum.reduce(np.abs(column[written]), initial=0.0)
+        top = self._td_max
+        if top is not None:
+            # exact: a maximum is one of the column's values, so ``top`` stays
+            # only while no overwritten slot held it and no NaN landed
+            if landed >= top:
+                self._td_max = landed
+            elif not (old < top and landed == landed):
+                self._td_max = None
         return ok
 
 
@@ -468,15 +449,11 @@ class SubsetSampler(UniformSampler):
         self._subset = None
 
     def sample(self, batch_size: int) -> Batch:
-        if len(self.buffer) == 0:
-            raise EmptyBufferError("cannot sample from an empty buffer")
         subset = self.subset_indices()
         if len(subset) == 0:
             self.buffer.subset_fallbacks += 1
-            indices = self.rng.integers(0, len(self.buffer), size=batch_size)
-        else:
-            indices = subset[self.rng.integers(0, len(subset), size=batch_size)]
-        return self.buffer.gather(indices)
+            return super().sample(batch_size)
+        return self.buffer.gather(subset[self.rng.integers(0, len(subset), size=batch_size)])
 
     def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
         self.buffer.update_td_errors(indices, td_errors, insert_steps)
@@ -485,12 +462,10 @@ class SubsetSampler(UniformSampler):
     def on_episode_end(self, tracker, step: int):
         """The replay reward, then (from the second episode end on) a policy update and a fresh mask."""
         reward = tracker.replay_reward()
-        if reward is None:
-            size = len(self.subset_indices())
-        else:
+        if reward is not None:
             self.policy.update_policy(self.buffer, reward, step, self)
-            size = self.policy.refresh_subset(self.buffer, step, self)
-        return reward, size, self.buffer.subset_fallbacks
+            self.policy.refresh_subset(self.buffer, step, self)
+        return reward, len(self.subset_indices()), self.buffer.subset_fallbacks
 
 
 class PerProportionalSampler(UniformSampler):

@@ -19,7 +19,7 @@ import pytest
 
 from replay_opt.ddpg import DdpgAgent, td_loss
 from replay_opt.ero import EroPolicy, ReplayRewardTracker, mask_surrogate
-from replay_opt.harness import RunConfig, read_trace_csv, run
+from replay_opt.harness import RunConfig, TraceRecord, read_csv, run
 from replay_opt.nn import Mlp, grad_check, mlp_init
 from replay_opt.replay import (
     PerConfig,
@@ -173,7 +173,7 @@ def test_c03_bernoulli_mask_statistics():
     report(3, "Bernoulli mask size and per-slot inclusion statistics")
 
 
-def test_c04_reinforce_sign_property():
+def test_c04_reinforce_sign_property(monkeypatch):
     start = time.perf_counter()
     for trial in range(50):
         def fresh(buf_seed):
@@ -197,8 +197,17 @@ def test_c04_reinforce_sign_property():
             buf, policy, subset = fresh(trial)
             net = policy.score_net
             before_net = Mlp(net.layer_sizes, net.activations, net.params.copy())
-            policy.update_policy(buf, reward, 10, subset)
-            idx = policy.last_update_indices
+            featured = []  # the slots the update step reads features for
+            features = policy.features
+
+            def recording_features(buffer, indices, current_step):
+                featured.append(indices)
+                return features(buffer, indices, current_step)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(policy, "features", recording_features)
+                policy.update_policy(buf, reward, 10, subset)
+            (idx,) = featured
             after = mask_log_likelihood(policy, buf, subset, idx)
             saved = policy.score_net
             policy.score_net = before_net
@@ -450,7 +459,7 @@ def test_c11_trace_emission(tmp_path):
 
     path = tmp_path / "trace.csv"
     write_trace_csv(summary.traces, path)
-    records = read_trace_csv(path)
+    records = read_csv(TraceRecord, path)
     assert records, "trace CSV is empty"
     for rec in records:
         assert np.isfinite([rec.mean_abs_td, rec.mean_step_diff, rec.mean_reward]).all()

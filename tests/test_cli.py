@@ -6,7 +6,7 @@ import pytest
 
 from replay_opt import cli, ddpg, ero, gradchecks
 from replay_opt.errors import ConfigError
-from replay_opt.harness import EpisodeRecord, EvalRecord, read_csv, read_trace_csv
+from replay_opt.harness import EpisodeRecord, EvalRecord, TraceRecord, read_csv
 
 
 def write_config(tmp_path, name="run.cfg", **kwargs):
@@ -22,8 +22,13 @@ def write_config(tmp_path, name="run.cfg", **kwargs):
     )
     defaults.update(kwargs)
     path = tmp_path / name
-    path.write_text("\n".join(f"{k} = {v}" for k, v in defaults.items()) + "\n")
+    path.write_text("\n".join(f"{k} = {v}" for k, v in defaults.items() if v is not None) + "\n")
     return path
+
+
+def write_grid_config(tmp_path, **kwargs):
+    """A ``compare`` config: ``write_config`` without the keys the grid sets per run."""
+    return write_config(tmp_path, name="cmp.cfg", sampler=None, seed=None, **kwargs)
 
 
 class TestConfigParsing:
@@ -228,7 +233,7 @@ class TestRunCommand:
 
 class TestCompareCommand:
     def test_singleton_grid(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, name="cmp.cfg")
+        cfg = write_grid_config(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform\nseeds = 0\n")
         out = tmp_path / "cmp"
@@ -237,7 +242,7 @@ class TestCompareCommand:
         assert len(rows) == 2  # header + one config row
 
     def test_grid_counts(self, tmp_path):
-        cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)
+        cfg = write_grid_config(tmp_path, total_timesteps=300, warmup_transitions=1000)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, per_prop, per_rank, ero\nseeds = 0, 1, 2\n")
         out = tmp_path / "cmp"
@@ -248,7 +253,7 @@ class TestCompareCommand:
         assert len(per_run) == 12
 
     def test_partial_failure_exits_1_and_continues(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)
+        cfg = write_grid_config(tmp_path, total_timesteps=300, warmup_transitions=1000)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, bogus\nseeds = 0\n")
         out = tmp_path / "cmp"
@@ -262,7 +267,7 @@ class TestCompareCommand:
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
-        cfg = write_config(tmp_path, name="cmp.cfg")
+        cfg = write_grid_config(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, per_prop\nseeds = 0, 1\n")
         code = cli.main(["compare", "--config", str(cfg), "--set", "env=bogus", "--out", str(tmp_path / "cmp")])
@@ -275,7 +280,7 @@ class TestCompareCommand:
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
-        cfg = write_config(tmp_path, name="cmp.cfg")
+        cfg = write_grid_config(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, per_prop\nseeds = 0\n")
         code = cli.main(["compare", "--config", str(cfg), "--set", "per_epsilon=-1", "--out", str(tmp_path / "cmp")])
@@ -291,7 +296,7 @@ class TestCompareCommand:
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
-        cfg = write_config(tmp_path, name="cmp.cfg")
+        cfg = write_grid_config(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, ero\nseeds = 0\n")
         code = cli.main(["compare", "--config", str(cfg), "--set", setting, "--out", str(tmp_path / "cmp")])
@@ -341,18 +346,38 @@ class TestCompareCommand:
             raise AssertionError("run_suite started despite a repeated grid entry")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
-        cfg = write_config(tmp_path, name="cmp.cfg")
+        cfg = write_grid_config(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, uniform\nseeds = 3, 3\n")
         assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 2
         assert "samplers lists 'uniform' more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["seed=7", "sampler=ero", "config_id=x", "config.id=x"])
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_per_run_key_exits_2_pointing_to_the_grid(self, tmp_path, monkeypatch, capsys, setting, source):
+        def no_runs(configs):
+            raise AssertionError("run_suite started despite a per-run key")
+
+        monkeypatch.setattr(cli.harness, "run_suite", no_runs)
+        key = setting.split("=")[0]
+        if source == "set":
+            argv = ["compare", "--set", "samplers=uniform", "--set", setting]
+        else:
+            cfg = write_grid_config(tmp_path, samplers="uniform")
+            with open(cfg, "a") as fh:
+                fh.write(setting.replace("=", " = ") + "\n")
+            argv = ["compare", "--config", str(cfg)]
+        assert cli.main([*argv, "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert f"compare sets '{key}' per run; list the grid in 'samplers' and 'seeds'" in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_warmup_above_capacity_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
         def no_runs(configs):
             raise AssertionError("run_suite started despite an invalid config")
 
         monkeypatch.setattr(cli.harness, "run_suite", no_runs)
-        cfg = write_config(tmp_path, name="cmp.cfg")
+        cfg = write_grid_config(tmp_path)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, per_rank\nseeds = 0\n")
         code = cli.main(["compare", "--config", str(cfg), "--set", "buffer_capacity=150", "--out", str(tmp_path / "cmp")])
@@ -363,7 +388,7 @@ class TestCompareCommand:
     def test_jobs_is_ignored_episode_bytes_match(self, tmp_path):
         # --jobs still parses; runs execute one at a time whatever its value.
         # summary.csv is not compared: it holds wall seconds.
-        cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=400)
+        cfg = write_grid_config(tmp_path, total_timesteps=400)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform, ero\nseeds = 0, 1\n")
         out_1, out_2 = tmp_path / "jobs1", tmp_path / "jobs2"
@@ -376,7 +401,7 @@ class TestCompareCommand:
             assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
 
     def test_repeat_invocation_identical_summary_modulo_walltime(self, tmp_path):
-        cfg = write_config(tmp_path, name="cmp.cfg", total_timesteps=300, warmup_transitions=1000)
+        cfg = write_grid_config(tmp_path, total_timesteps=300, warmup_transitions=1000)
         with open(cfg, "a") as fh:
             fh.write("samplers = uniform\nseeds = 0, 1\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -424,7 +449,7 @@ class TestTraceCommand:
         trace = self.run_for_trace(tmp_path)
         out = tmp_path / "smoothed"
         assert cli.main(["trace", str(trace), "--window", "1", "--out", str(out)]) == 0
-        assert read_trace_csv(out / "trace_smoothed.csv") == read_trace_csv(trace)
+        assert read_csv(TraceRecord, out / "trace_smoothed.csv") == read_csv(TraceRecord, trace)
 
     def test_empty_trace_ok_with_header(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"

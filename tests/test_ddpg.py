@@ -412,7 +412,7 @@ class TestParameterBlock:
         source = make_agent(**kwargs)
         warmup = UniformSampler(buf, np.random.default_rng(3))
         for _ in range(30):
-            source.train_step(warmup, 64)
+            source.train_step(warmup.sample(64))
         restored = make_agent(actor_seed=7, critic_seed=8, **kwargs)
         restored.params[...] = source.params
         adams = ((restored.actor_adam, source.actor_adam), (restored.critic_adam, source.critic_adam))
@@ -420,8 +420,8 @@ class TestParameterBlock:
             mine.m[...], mine.v[...], mine.step_count = theirs.m, theirs.v, theirs.step_count
         samplers = [UniformSampler(buf, np.random.default_rng(4)) for _ in range(2)]
         for _ in range(50):  # Adam's step 64 flushes subnormal moments in both
-            loss, td_errors, _ = source.train_step(samplers[0], 64)
-            twin_loss, twin_td_errors, _ = restored.train_step(samplers[1], 64)
+            loss, td_errors = source.train_step(samplers[0].sample(64))
+            twin_loss, twin_td_errors = restored.train_step(samplers[1].sample(64))
             assert loss == twin_loss and td_errors.tobytes() == twin_td_errors.tobytes()
         assert restored.params.tobytes() == source.params.tobytes()
         for mine, theirs in adams:
@@ -434,7 +434,8 @@ class TestTrainStep:
         buf = fill_buffer(1)
         agent = make_agent()
         sampler = UniformSampler(buf, np.random.default_rng(0))
-        loss, td, batch = agent.train_step(sampler, 64)
+        batch = sampler.sample(64)
+        loss, td = agent.train_step(batch)
         assert len(batch.indices) == 64
         assert np.all(batch.indices == 0)
         assert np.isfinite(loss)
@@ -444,7 +445,7 @@ class TestTrainStep:
             buf = fill_buffer()
             agent = make_agent()
             sampler = UniformSampler(buf, np.random.default_rng(5))
-            return [agent.train_step(sampler, 64)[0] for _ in range(10)]
+            return [agent.train_step(sampler.sample(64))[0] for _ in range(10)]
 
         assert run() == run()
 
@@ -477,7 +478,8 @@ class TestTrainStep:
         reference = ReferenceTrainer(twin)
         for step in range(200):
             batch_size = 17 if step % 50 == 49 else 64  # the reused arrays change size
-            _, td_errors, batch = agent.train_step(sampler, batch_size)
+            batch = sampler.sample(batch_size)
+            _, td_errors = agent.train_step(batch)
             assert np.array_equal(td_errors, reference.step(batch))
             sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps, 0)
         for net, adam, ref_net in (
@@ -496,6 +498,7 @@ class TestTrainStep:
         agent = make_agent()
         sampler = UniformSampler(buf, np.random.default_rng(2))
         for _ in range(5):
-            _, td, batch = agent.train_step(sampler, 64)
+            batch = sampler.sample(64)
+            _, td = agent.train_step(batch)
             assert len(batch.indices) == 64
             assert td.shape == (64,)

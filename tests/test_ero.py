@@ -362,7 +362,7 @@ class TestUpdatePolicy:
         rr = 1.7
         assert grad_check(net, lambda y: mask_surrogate(y, bits, rr), feats) < 1e-4
 
-    def test_update_restricted_to_drawn_slots(self):
+    def test_update_restricted_to_drawn_slots(self, monkeypatch):
         buf = make_buffer(6)
         policy = fresh_policy()
         subset = subset_of(policy, buf)
@@ -378,8 +378,17 @@ class TestUpdatePolicy:
             )
         )
         subset.on_store(idx, 7)
+        featured = []  # the slots each update step reads features for
+        features = policy.features
+
+        def recording_features(buffer, indices, current_step):
+            featured.append(indices)
+            return features(buffer, indices, current_step)
+
+        monkeypatch.setattr(policy, "features", recording_features)
         policy.update_policy(buf, 1.0, 7, subset)
-        assert idx not in policy.last_update_indices
+        assert len(featured) == policy.update_steps
+        assert idx not in featured[0]
 
 
 class TestOnEpisodeEnd:

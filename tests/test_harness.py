@@ -18,7 +18,6 @@ from replay_opt.harness import (
     SummaryRow,
     TraceRecord,
     read_csv,
-    read_trace_csv,
     run,
     run_suite,
     summarize,
@@ -304,7 +303,7 @@ class TestCsv:
         records = [TraceRecord(1000, 0.123456789012345678, 17.25, -3.5)]
         path = tmp_path / "trace.csv"
         write_trace_csv(records, path)
-        assert read_trace_csv(path) == records
+        assert read_csv(TraceRecord, path) == records
 
     def test_newlines_are_unix(self, tmp_path):
         path = tmp_path / "episodes.csv"

@@ -641,6 +641,49 @@ class TestCachedExtrema:
             self.assert_caches_exact(s)
 
 
+class TestTdMaxCache:
+    """The buffer's cached max |TD| on its own: None or the scanned maximum after every operation."""
+
+    @staticmethod
+    def scanned_td_max(buf: ReplayBuffer) -> float:
+        return float(np.max(np.abs(buf.td_errors[: buf.size])))
+
+    def assert_cache_exact(self, buf: ReplayBuffer) -> None:
+        cached = buf._td_max
+        if buf.size and cached is not None:
+            scanned = self.scanned_td_max(buf)
+            assert cached == scanned or (math.isnan(cached) and math.isnan(scanned))
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 8), data=st.data())
+    def test_cache_matches_full_scan_with_nan_inf_and_stale_writes(self, capacity, data):
+        buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+        special = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0])
+        td = st.one_of(special, st.floats(-1e3, 1e3, allow_nan=False))
+        step = 0
+        snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
+        for _ in range(data.draw(st.integers(1, 30))):
+            if data.draw(st.booleans()):
+                for _ in range(data.draw(st.integers(1, capacity + 1))):
+                    # the store seeds its slot with the scanned maximum (1 when empty)
+                    seed = self.scanned_td_max(buf) if buf.size else 1.0
+                    step += 1
+                    idx = buf.store(make_transition(step))
+                    assert buf.td_errors[idx] == seed or (math.isnan(seed) and math.isnan(buf.td_errors[idx]))
+                    self.assert_cache_exact(buf)
+                if data.draw(st.booleans()):
+                    snapshot = buf.insert_timesteps.copy()
+                continue
+            # empty batches, repeated slots, slots past the live ones, and
+            # stale ones when ``snapshot`` predates an eviction
+            slots = np.array(data.draw(st.lists(st.integers(0, capacity - 1), max_size=6)), dtype=np.int64)
+            tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
+            expected = snapshot[slots] if data.draw(st.booleans()) else None
+            ok = buf.update_td_errors(slots, tds, expected)
+            assert ok.shape == slots.shape
+            self.assert_cache_exact(buf)
+
+
 class TestQueuedStores:
     """Stores queue their slots and a tree read writes them: the same tree as
     writing each store at once, after every operation."""
