@@ -133,12 +133,25 @@ class RunConfig:
 SAMPLER_KINDS = ("uniform", "per_prop", "per_rank", "ero")
 
 
+def planned_train_steps(config: RunConfig) -> int:
+    """Train steps a run of ``config`` makes unless it stops early.
+
+    Each rollout phase ends at the next multiple of ``rollout_steps`` (the
+    last at ``total_timesteps``), and ``train_steps_per_iter`` steps follow
+    it once the buffer holds ``warmup_transitions``.
+    """
+    total, rollout = config.total_timesteps, config.rollout_steps
+    live = (min(end, total, config.buffer_capacity) for end in range(rollout, total + rollout, rollout))
+    return sum(size >= config.warmup_transitions for size in live) * config.train_steps_per_iter
+
+
 def make_sampler(config: RunConfig, buffer: ReplayBuffer, streams: dict) -> UniformSampler:
     """The sampler ``config.sampler`` names, over ``buffer``; the only code that maps a kind to a class.
 
     It draws from the ``sampler`` stream. The PER samplers anneal beta over
-    the run's planned train steps; the learned sampler's policy takes its
-    init and its draws from the ``replay_policy_*`` streams.
+    the run's planned train steps, so the last planned draw uses beta = 1;
+    the learned sampler's policy takes its init and its draws from the
+    ``replay_policy_*`` streams.
     """
     kind, rng = config.sampler, streams["sampler"]
     if kind == "uniform":
@@ -157,7 +170,7 @@ def make_sampler(config: RunConfig, buffer: ReplayBuffer, streams: dict) -> Unif
     per = PerConfig(
         alpha=config.per_alpha,
         beta0=config.per_beta0,
-        beta_anneal_steps=(config.total_timesteps // config.rollout_steps) * config.train_steps_per_iter,
+        beta_anneal_steps=max(planned_train_steps(config) - 1, 0),
         epsilon=config.per_epsilon,
         rank_refresh_interval=config.rank_refresh_interval,
     )

@@ -17,6 +17,7 @@ from replay_opt.harness import (
     RunConfig,
     SummaryRow,
     TraceRecord,
+    planned_train_steps,
     read_csv,
     run,
     run_suite,
@@ -26,6 +27,7 @@ from replay_opt.harness import (
     write_summary_csv,
     write_trace_csv,
 )
+from replay_opt.replay import PerConfig
 
 
 def quick_config(**kwargs) -> RunConfig:
@@ -128,6 +130,36 @@ class TestRun:
     def test_warmup_equal_to_capacity_trains(self):
         summary = run(quick_config(total_timesteps=400, buffer_capacity=300, warmup_transitions=300))
         assert summary.train_steps > 0
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(warmup_transitions=0),
+            dict(total_timesteps=400, buffer_capacity=300, warmup_transitions=300),
+            dict(total_timesteps=450, rollout_steps=60),  # the last phase is 30 steps
+            dict(total_timesteps=150),  # below the warm-up: no training
+            dict(total_timesteps=0),
+        ],
+    )
+    def test_planned_train_steps_counts_the_run(self, settings):
+        config = quick_config(train_steps_per_iter=3, batch_size=8, **settings)
+        assert planned_train_steps(config) == run(config).train_steps
+
+    @pytest.mark.parametrize("sampler", ["per_prop", "per_rank"])
+    def test_per_beta_reaches_one_on_the_last_draw(self, monkeypatch, sampler):
+        betas = []
+        beta_at = PerConfig.beta_at
+
+        def recording_beta_at(self, calls):
+            betas.append(beta_at(self, calls))
+            return betas[-1]
+
+        monkeypatch.setattr(PerConfig, "beta_at", recording_beta_at)
+        config = quick_config(sampler=sampler, total_timesteps=650, train_steps_per_iter=4, batch_size=8)
+        summary = run(config)
+        assert len(betas) == summary.train_steps == planned_train_steps(config)
+        assert betas[0] == config.per_beta0 and betas[-1] == 1.0
+        assert betas == sorted(betas) and betas[-2] < 1.0
 
     @pytest.mark.parametrize("sampler", ["uniform", "per_prop", "per_rank", "ero"])
     def test_each_sampler_runs_and_repeats_identically(self, sampler):
