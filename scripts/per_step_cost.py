@@ -7,11 +7,11 @@ Prints one JSON document with the median microseconds per call of
 and ``update_priorities`` (64 slots) at 1.3k, 10k and 100k live rows in a
 100k-slot buffer with ``PerConfig()`` defaults, and of ``DdpgAgent.act`` at
 batch 1 and of one train step at batch 64: a uniform ``sample(64)`` and
-``DdpgAgent.train_step`` on its batch (pendulum shapes). ``store`` and ``on_store`` are timed call by call over
-``--calls`` store/on_store pairs (the median call). ``on_store`` only
-queues its slot, and the next read of the sum tree writes the queued
-slots, so ``store_phase_100`` times a run's whole store phase: 100
-store/on_store pairs, then one ``sample(64)``. Every other figure is the
+``DdpgAgent.train_step`` on its batch (pendulum shapes). ``store`` and
+``on_store`` are timed call by call over ``--calls`` store/on_store pairs
+(the median call). ``on_store`` only queues its slot, and the next read of
+the sum tree writes the queued slots, so ``store_phase_100`` times a run's
+whole store phase: 100 store/on_store pairs, then one ``sample(64)``. Every other figure is the
 median over ``--rounds`` rounds of the mean per call, over ``--calls``
 calls per round (``--calls`` / 10 phases for ``store_phase_100``). The
 store phases run last, and their stores raise the fill of the two smaller

@@ -138,7 +138,7 @@ def cmd_compare(args) -> int:
     for key in mapping:
         if key.replace(".", "_") in ("seed", "sampler", "config_id"):
             raise ConfigError(f"compare sets {key!r} per run; list the grid in 'samplers' and 'seeds'")
-    samplers =[s.strip() for s in mapping.pop("samplers", "uniform,ero").split(",") if s.strip()]
+    samplers = [s.strip() for s in mapping.pop("samplers", "uniform,ero").split(",") if s.strip()]
     seeds = [
         harness.parse_field("seeds", s, int) for s in mapping.pop("seeds", "0").split(",") if s.strip()
     ]
