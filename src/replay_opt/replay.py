@@ -93,8 +93,8 @@ class ReplayBuffer:
 
     The buffer keeps the maximum live |TD| that ``store`` seeds new slots
     with, and rescans the column only after ``update_td_errors`` overwrote a
-    slot that held it. The cache is exact only if every TD write goes
-    through ``update_td_errors``; do not write ``td_errors`` directly.
+    slot that held it or wrote a NaN. Write ``td_errors`` only through
+    ``update_td_errors``, or the cache goes stale.
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
