@@ -198,6 +198,8 @@ def cmd_compare(args) -> int:
 
 def cmd_trace(args) -> int:
     path = Path(args.input)
+    if path.exists() and not path.is_file():
+        raise ConfigError(f"trace path is not a file: {args.input}")
     if not path.is_file():
         raise ConfigError(f"trace file not found: {args.input}")
     records = harness.read_csv(harness.TraceRecord, path)

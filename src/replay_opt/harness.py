@@ -10,6 +10,7 @@ written with full round-trip float precision.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import time
@@ -100,6 +101,9 @@ class RunConfig:
         for name in non_negative:
             if not getattr(self, name) >= 0:  # also rejects NaN
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # an empty tuple is valid: the nets then have no hidden layer
+        if any(not isinstance(width, (int, np.integer)) or width < 1 for width in self.hidden_sizes):
+            raise ConfigError(f"hidden_sizes must be integers >= 1, got {self.hidden_sizes}")
         if not 0.0 <= self.per_beta0 <= 1.0:
             raise ConfigError(f"per_beta0 must be in [0, 1], got {self.per_beta0}")
         # every comparison below is False for NaN, so NaN is rejected too
@@ -469,24 +473,29 @@ def write_csv(record_type, records, out) -> None:
 def read_csv(record_type, path) -> list:
     """Read a file written by ``write_csv`` back into records; blank lines are skipped.
 
-    Raises ConfigError naming ``path:line`` when the header is not the
-    record type's, a row has the wrong width, or a cell does not parse.
+    Raises ConfigError naming ``path`` when it cannot be read as UTF-8, and
+    ``path:line`` when the header is not the record type's, a row has the
+    wrong width, or a cell does not parse.
     """
     types = field_types(record_type)
     header = _header(record_type)
     records = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        got = next(rows, [])
-        if got != header:
-            raise ConfigError(f"{path}:1: header {','.join(got)!r} is not {','.join(header)!r}")
-        for row in filter(None, rows):
-            try:
-                if len(row) != len(header):
-                    raise ConfigError(f"expected {len(header)} columns, got {len(row)}")
-                records.append(record_type(*map(parse_field, types, row, types.values())))
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{rows.line_num}: {exc}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    rows = csv.reader(io.StringIO(text, newline=""))
+    got = next(rows, [])
+    if got != header:
+        raise ConfigError(f"{path}:1: header {','.join(got)!r} is not {','.join(header)!r}")
+    for row in filter(None, rows):
+        try:
+            if len(row) != len(header):
+                raise ConfigError(f"expected {len(header)} columns, got {len(row)}")
+            records.append(record_type(*map(parse_field, types, row, types.values())))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{rows.line_num}: {exc}") from exc
     return records
 
 

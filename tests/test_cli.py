@@ -194,6 +194,8 @@ class TestRunCommand:
             ("ou_sigma=nan", "ou_sigma must be >= 0"),
             ("seed=-1", "seed must be >= 0"),
             ("early_stop_threshold=nan", "early_stop_threshold must be a number, got nan"),
+            ("hidden_sizes=0", "hidden_sizes must be integers >= 1, got (0,)"),
+            ("hidden_sizes=64,-3", "hidden_sizes must be integers >= 1, got (64, -3)"),
         ],
     )
     def test_invalid_learning_setting_exits_2_before_training(self, tmp_path, monkeypatch, capsys, setting, message):
@@ -289,7 +291,18 @@ class TestCompareCommand:
         assert "per_epsilon must be >= 0" in err and "FAILED" not in err
 
     @pytest.mark.parametrize(
-        "setting", ["gamma=5.0", "tau=nan", "critic_lr=-1", "actor_lr=nan", "ero_lr=0", "ou_theta=-1", "ou_sigma=nan"]
+        "setting",
+        [
+            "gamma=5.0",
+            "tau=nan",
+            "critic_lr=-1",
+            "actor_lr=nan",
+            "ero_lr=0",
+            "ou_theta=-1",
+            "ou_sigma=nan",
+            "hidden_sizes=0",
+            "hidden_sizes=-3",
+        ],
     )
     def test_invalid_learning_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, setting):
         def no_runs(configs):
@@ -479,6 +492,16 @@ class TestTraceCommand:
 
     def test_missing_trace_exit_2(self, tmp_path):
         assert cli.main(["trace", str(tmp_path / "none.csv")]) == 2
+
+    def test_trace_directory_exits_2_saying_not_a_file(self, tmp_path, capsys):
+        assert cli.main(["trace", str(tmp_path)]) == 2
+        assert f"trace path is not a file: {tmp_path}" in capsys.readouterr().err
+
+    def test_trace_not_utf8_exits_2_naming_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("global_step,mean_abs_td,mean_step_diff,mean_reward\n# caf\xe9\n".encode("latin-1"))
+        assert cli.main(["trace", str(path)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, text",

@@ -28,6 +28,7 @@ from replay_opt.harness import (
     write_trace_csv,
 )
 from replay_opt.replay import PerConfig
+from test_acceptance import gate_step
 
 
 def quick_config(**kwargs) -> RunConfig:
@@ -112,6 +113,8 @@ class TestRun:
             ({"ou_sigma": float("nan")}, "ou_sigma must be >= 0"),
             ({"seed": -1}, "seed must be >= 0"),
             ({"early_stop_threshold": float("nan")}, "early_stop_threshold must be a number, got nan"),
+            ({"hidden_sizes": (0,)}, r"hidden_sizes must be integers >= 1, got \(0,\)"),
+            ({"hidden_sizes": (16, -3)}, r"hidden_sizes must be integers >= 1, got \(16, -3\)"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):
@@ -121,6 +124,8 @@ class TestRun:
     def test_learning_setting_bounds_accepted(self):
         quick_config(tau=1.0).validate()
         quick_config(gamma=0.999, actor_lr=1e-12, critic_lr=10.0, ero_lr=1e-6).validate()
+        quick_config(hidden_sizes=()).validate()  # nets with no hidden layer
+        quick_config(hidden_sizes=(1,)).validate()
 
     def test_warmup_above_capacity_rejected(self):
         # the buffer stops growing at its capacity, so such a run never trains
@@ -234,7 +239,9 @@ def episodes_csv(summary) -> str:
 def test_episode_rows_are_a_prefix_of_a_longer_budget(sampler):
     """A larger ``total_timesteps`` only extends a uniform or ERO run: its
     ``episodes.csv`` starts with the shorter run's bytes, with early stopping
-    off and with a threshold that stops the run after training began."""
+    off and with a threshold that stops the run after training began. c09's
+    ``gate_step``, read off the run without early stopping, finds the step at
+    which the stopped run ends."""
 
     def rows(steps, **kwargs):
         return run(RunConfig(sampler=sampler, seed=2, total_timesteps=steps, **kwargs))
@@ -251,6 +258,11 @@ def test_episode_rows_are_a_prefix_of_a_longer_budget(sampler):
     assert not stop_short.stopped_early
     assert episodes_csv(stop_long).startswith(episodes_csv(stop_short))
     assert episodes_csv(free_long).startswith(episodes_csv(stop_long))
+    assert gate_step(free_long.episodes, 8, threshold) == stop_long.total_steps
+    assert gate_step(stop_long.episodes, 8, threshold) == stop_long.total_steps  # its last episode
+    assert gate_step(stop_short.episodes, 8, threshold) is None  # 7 episodes, no full window
+    highest = max(e.episode_return for e in free_long.episodes)
+    assert gate_step(free_long.episodes, 8, highest + 1.0) is None
 
 
 class TestSuite:
