@@ -3,9 +3,11 @@
 Each case is a 3k-step run (seed 0, ``trace_interval=50``, every other
 setting at its ``RunConfig`` default) of each sampler on each env, and of
 ERO with ``lazy_refresh``, plus a proportional-PER and an ERO case with a
-1500-slot buffer, so that half of their stores evict. The gate compares
-the sha256 of a case's ``episodes.csv`` and ``trace.csv`` with the
-digests in ``golden_digests.json``.
+1500-slot buffer, so that half of their stores evict, and a uniform case
+that runs an eval episode every second episode and stops early after
+training has begun. The gate compares the sha256 of a case's
+``episodes.csv``, ``trace.csv`` and, when the run wrote evals,
+``evals.csv`` with the digests in ``golden_digests.json``.
 
 The last bits of a run depend on the host: numpy picks SIMD math kernels at
 run time (AVX512F among them) and OpenBLAS's ``DYNAMIC_ARCH`` build picks
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replay_opt.harness import RunConfig, run, write_episode_csv, write_trace_csv
+from replay_opt.harness import RunConfig, run, write_episode_csv, write_eval_csv, write_trace_csv
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -43,6 +45,14 @@ CASES = {
     # a 1500-slot buffer: the second half of each run overwrites the oldest slots
     "per_prop_evict-point_reacher": dict(sampler="per_prop", env="point_reacher", buffer_capacity=1500),
     "ero_evict-pendulum": dict(sampler="ero", env="pendulum", buffer_capacity=1500),
+    # the last two returns first reach -120 at env step 1889, inside a rollout phase
+    "uniform_eval_stop-point_reacher": dict(
+        sampler="uniform",
+        env="point_reacher",
+        eval_every=2,
+        early_stop_window=2,
+        early_stop_threshold=-120.0,
+    ),
 }
 
 
@@ -62,11 +72,14 @@ def host_tag() -> str:
 
 def digests(case: str) -> dict[str, str]:
     summary = run(RunConfig(total_timesteps=3000, trace_interval=50, seed=0, **CASES[case]))
-    out = {}
-    for name, write, records in (
+    files = [
         ("episodes.csv", write_episode_csv, summary.episodes),
         ("trace.csv", write_trace_csv, summary.traces),
-    ):
+    ]
+    if summary.evals:
+        files.append(("evals.csv", write_eval_csv, summary.evals))
+    out = {}
+    for name, write, records in files:
         text = io.StringIO()
         write(records, text)
         out[name] = hashlib.sha256(text.getvalue().encode()).hexdigest()
