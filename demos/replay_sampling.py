@@ -8,7 +8,6 @@ Run: python3 demos/replay_sampling.py
 import numpy as np
 
 from replay_opt import (
-    PerConfig,
     PerProportionalSampler,
     PerRankSampler,
     ReplayBuffer,
@@ -40,8 +39,7 @@ counts = np.bincount(uni.sample(100_000).indices, minlength=N)
 print(f"expected 100 draws per slot; observed min={counts.min()} max={counts.max()}")
 
 print("\n== Proportional: mass (|td| + eps)^alpha on the sum tree ==")
-cfg = PerConfig(alpha=0.6, beta0=0.4, epsilon=0.01)
-prop = PerProportionalSampler(buf, cfg, np.random.default_rng(2))
+prop = PerProportionalSampler(buf, np.random.default_rng(2), alpha=0.6, beta0=0.4, epsilon=0.01)
 for i in range(N):
     prop.update_priorities(np.array([i]), np.array([buf.td_errors[i]]), None, 0)
 batch = prop.sample(64)
@@ -55,7 +53,7 @@ counts = np.bincount(prop.sample(100_000).indices, minlength=N)
 print(f"hot slot drawn {counts[hot]} times, cold slot {counts[cold]} times")
 
 print("\n== Rank-based: p(rank) ~ rank^-alpha ==")
-rank = PerRankSampler(buf, PerConfig(alpha=0.7), np.random.default_rng(3))
+rank = PerRankSampler(buf, np.random.default_rng(3), alpha=0.7)
 counts = np.bincount(rank.sample(100_000).indices, minlength=N)
 z = np.sum(np.arange(1, N + 1, dtype=float) ** -0.7)
 for r in (1, 2, 10, 100):

@@ -5,7 +5,7 @@
 Prints one JSON document with the median microseconds per call of
 ``ReplayBuffer.store``, ``PerProportionalSampler.on_store``, ``sample(64)``
 and ``update_priorities`` (64 slots) at 1.3k, 10k and 100k live rows in a
-100k-slot buffer with ``PerConfig()`` defaults, and of ``DdpgAgent.act`` at
+100k-slot buffer with the sampler's default settings, and of ``DdpgAgent.act`` at
 batch 1 and of one train step at batch 64: a uniform ``sample(64)`` and
 ``DdpgAgent.train_step`` on its batch (pendulum shapes). ``store`` and
 ``on_store`` are timed call by call over ``--calls`` store/on_store pairs
@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from replay_opt.ddpg import DdpgAgent, OuNoise
-from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
+from replay_opt.replay import PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
 
 CAPACITY = 100_000
 FILLS = (1_300, 10_000, 100_000)
@@ -65,7 +65,7 @@ def per_call_us(fn, calls: int, rounds: int) -> float:
 def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     rng = np.random.default_rng(fill)
     buf = ReplayBuffer(CAPACITY, OBS_DIM, ACTION_DIM)
-    sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(1))
+    sampler = PerProportionalSampler(buf, np.random.default_rng(1))
     for step in range(1, fill + 1):
         sampler.on_store(buf.store(transition(rng, step)), step)
     # spread the priorities the way training does: every slot written once

@@ -37,7 +37,6 @@ from .harness import (
 from .nn import AdamState, GradTape, Mlp, adam_step, grad_check, mlp_init
 from .replay import (
     Batch,
-    PerConfig,
     PerProportionalSampler,
     PerRankSampler,
     ReplayBuffer,
@@ -65,7 +64,6 @@ __all__ = [
     "NumericFault",
     "OuNoise",
     "Pendulum",
-    "PerConfig",
     "PerProportionalSampler",
     "PerRankSampler",
     "PointReacher",

@@ -61,13 +61,20 @@ def load_config_file(path: str) -> dict[str, str]:
     return parse_config_text(text, source=path)
 
 
-def make_out_dir(path) -> Path:
-    """Create the output directory ``path`` (and its parents) if missing."""
+def make_out_dir(path, files=()) -> Path:
+    """Create the output directory ``path`` (and its parents) if missing.
+
+    Commands call it before any run, so that it fails before any step when
+    one of the ``files`` they write there is an existing directory.
+    """
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"output path {out / name} is a directory")
     return out
 
 
@@ -111,7 +118,8 @@ def write_effective_config(config: harness.RunConfig, path: Path) -> None:
 def cmd_run(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
     config = build_run_config(mapping, parse_set_flags(args.set or []))
-    out_dir = make_out_dir(args.out or config.out_dir)
+    files = ("config.txt", "episodes.csv", "trace.csv", "summary.csv", "evals.csv")
+    out_dir = make_out_dir(args.out or config.out_dir, files)
 
     summary = harness.run(config)
 
@@ -172,21 +180,16 @@ def cmd_compare(args) -> int:
     if len(errors) == len(configs):
         raise errors[0]
 
-    out_dir = make_out_dir(args.out or configs[0].out_dir)
+    episode_files = [f"episodes-{c.resolved_id()}-seed{c.seed}.csv" for c in configs]
+    out_dir = make_out_dir(args.out or configs[0].out_dir, ["summary.csv", *episode_files])
 
     results = harness.run_suite(configs)
     failures = [r for r in results if r.error is not None]
-    for res in results:
+    for res, name in zip(results, episode_files):  # results come back in config order
         if res.error is not None:
-            print(
-                f"FAILED {res.config.resolved_id()} seed={res.config.seed}: {res.error}",
-                file=sys.stderr,
-            )
+            print(f"FAILED {res.config.resolved_id()} seed={res.config.seed}: {res.error}", file=sys.stderr)
         else:
-            harness.write_episode_csv(
-                res.summary.episodes,
-                out_dir / f"episodes-{res.config.resolved_id()}-seed{res.config.seed}.csv",
-            )
+            harness.write_episode_csv(res.summary.episodes, out_dir / name)
 
     rows = sorted(harness.summarize(results), key=lambda r: -r.final_mean)
     harness.write_summary_csv(rows, out_dir / "summary.csv")

@@ -16,7 +16,7 @@ import os
 import time
 import typing
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .ddpg import DdpgAgent, OuNoise
 from .envs import ENV_NAMES, make_env
 from .ero import EroPolicy, ReplayRewardTracker
 from .errors import ConfigError, NumericFault
-from .replay import PerConfig, ReplayBuffer, Transition
+from .replay import ReplayBuffer, Transition
 from .replay import PerProportionalSampler, PerRankSampler, SubsetSampler, UniformSampler
 from .seeding import named_streams
 
@@ -99,8 +99,8 @@ class RunConfig:
             "ou_sigma",
         )
         for name in non_negative:
-            if not getattr(self, name) >= 0:  # also rejects NaN
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         # an empty tuple is valid: the nets then have no hidden layer
         if any(not isinstance(width, (int, np.integer)) or width < 1 for width in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be integers >= 1, got {self.hidden_sizes}")
@@ -171,17 +171,12 @@ def make_sampler(config: RunConfig, buffer: ReplayBuffer, streams: dict) -> Unif
             draw_rng=streams["replay_policy_draw"],
         )
         return SubsetSampler(buffer, rng, policy)
-    per = PerConfig(
-        alpha=config.per_alpha,
-        beta0=config.per_beta0,
-        beta_anneal_steps=max(planned_train_steps(config) - 1, 0),
-        epsilon=config.per_epsilon,
-        rank_refresh_interval=config.rank_refresh_interval,
-    )
+    per = dict(alpha=config.per_alpha, beta0=config.per_beta0,
+               beta_anneal_steps=max(planned_train_steps(config) - 1, 0))
     if kind == "per_prop":
-        return PerProportionalSampler(buffer, per, rng)
+        return PerProportionalSampler(buffer, rng, epsilon=config.per_epsilon, **per)
     if kind == "per_rank":
-        return PerRankSampler(buffer, per, rng)
+        return PerRankSampler(buffer, rng, refresh_interval=config.rank_refresh_interval, **per)
     raise ConfigError(f"unknown sampler {kind!r}, expected one of {SAMPLER_KINDS}")
 
 
@@ -214,13 +209,15 @@ class EvalRecord:
 
 @dataclass
 class RunSummary:
+    """A run's records and counters; ``Trainer`` fills it in place as the run goes."""
+
     config: RunConfig
-    episodes: list[EpisodeRecord]
-    traces: list[TraceRecord]
-    evals: list[EvalRecord]
-    total_steps: int
-    train_steps: int
-    wall_seconds: float
+    episodes: list[EpisodeRecord] = field(default_factory=list)
+    traces: list[TraceRecord] = field(default_factory=list)
+    evals: list[EvalRecord] = field(default_factory=list)
+    total_steps: int = 0
+    train_steps: int = 0
+    wall_seconds: float = 0.0
     stopped_early: bool = False
 
     @property
@@ -230,120 +227,125 @@ class RunSummary:
         return self.episodes[-1].rc_window
 
 
-def run(config: RunConfig) -> RunSummary:
-    """Execute one training run; deterministic in (config, seed)."""
-    config.validate()
-    start = time.perf_counter()
-    streams = named_streams(config.seed)
+class Trainer:
+    """One run's state, advanced by the phases of Algorithm 1 of Zha et al. (2019).
 
-    env = make_env(config.env)
-    spec = env.spec()
-    obs = env.reset(seed=streams["env"])
+    ``rollout_phase`` interacts and stores, ``end_episode`` closes an episode
+    (the sampler's replay-policy update, an eval episode, the early-stop test)
+    and ``train_phase`` trains on replayed batches. ``summary`` holds every
+    record and counter and refers to no part of the trainer.
+    """
 
-    agent = DdpgAgent(
-        obs_dim=spec.obs_dim,
-        action_dim=spec.action_dim,
-        action_high=spec.action_high,
-        hidden_sizes=config.hidden_sizes,
-        actor_lr=config.actor_lr,
-        critic_lr=config.critic_lr,
-        gamma=config.gamma,
-        tau=config.tau,
-        actor_seed=streams["actor_init"],
-        critic_seed=streams["critic_init"],
-    )
-    noise = OuNoise(spec.action_dim, theta=config.ou_theta, sigma=config.ou_sigma, rng=streams["noise"])
+    def __init__(self, config: RunConfig):
+        config.validate()
+        self.config = config
+        streams = named_streams(config.seed)
 
-    buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.action_dim)
-    sampler = make_sampler(config, buffer, streams)
-    tracker = ReplayRewardTracker(window=config.reward_window)
+        self.env = make_env(config.env)
+        spec = self.env.spec()
+        self.obs = self.env.reset(seed=streams["env"])
+        self.agent = DdpgAgent(
+            spec.obs_dim, spec.action_dim, spec.action_high, config.hidden_sizes,
+            actor_lr=config.actor_lr, critic_lr=config.critic_lr, gamma=config.gamma, tau=config.tau,
+            actor_seed=streams["actor_init"], critic_seed=streams["critic_init"],
+        )
+        self.noise = OuNoise(spec.action_dim, config.ou_theta, config.ou_sigma, rng=streams["noise"])
+        self.buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.action_dim)
+        self.sampler = make_sampler(config, self.buffer, streams)
+        self.tracker = ReplayRewardTracker(window=config.reward_window)
+        self.eval_env = make_env(config.env)
+        self.eval_env.reset(seed=streams["eval_env"])
 
-    eval_env = make_env(config.env)
-    eval_env.reset(seed=streams["eval_env"])
-    episodes: list[EpisodeRecord] = []
-    traces: list[TraceRecord] = []
-    evals: list[EvalRecord] = []
-    global_step = 0
-    train_count = 0
-    episode_return = 0.0
-    episode_length = 0
-    stopped_early = False
+        self.episode_return, self.episode_length = 0.0, 0  # of the open episode
+        self.summary = RunSummary(config)
 
-    def run_eval_episode() -> None:
-        eval_obs = eval_env.reset()
+    def rollout_phase(self) -> None:
+        """Act and store up to ``rollout_steps`` env steps, or until an early stop."""
+        config, summary = self.config, self.summary
+        act, step_env, noise = self.agent.act, self.env.step, self.noise
+        store, on_store = self.buffer.store, self.sampler.on_store
+        for _ in range(min(config.rollout_steps, config.total_timesteps - summary.total_steps)):
+            obs = self.obs
+            action = act(obs, noise)
+            result = step_env(action)
+            step = summary.total_steps = summary.total_steps + 1
+            on_store(store(Transition(obs, action, result.reward, result.next_obs, result.done, step)), step)
+            self.episode_return += result.reward
+            self.episode_length += 1
+            if result.done or result.truncated:
+                if self.end_episode():
+                    return
+            else:
+                self.obs = result.next_obs
+
+    def end_episode(self) -> bool:
+        """Record the open episode and start the next; returns True when the run stops early."""
+        config, summary, tracker = self.config, self.summary, self.tracker
+        episodes = summary.episodes
+        tracker.record_episode(self.episode_return)
+        replay_columns = self.sampler.on_episode_end(tracker, summary.total_steps) or ()
+        record = (summary.total_steps, self.episode_return, self.episode_length, tracker.window_mean)
+        episodes.append(EpisodeRecord(len(episodes), *record, *replay_columns))
+        self.episode_return, self.episode_length = 0.0, 0
+        self.obs = self.env.reset()
+        self.noise.reset()
+        if config.eval_every > 0 and len(episodes) % config.eval_every == 0:
+            self.eval_episode()
+        window = config.early_stop_window
+        if window > 0 and len(episodes) >= window and (
+            np.mean([r.episode_return for r in episodes[-window:]]) >= config.early_stop_threshold
+        ):
+            summary.stopped_early = True
+        return summary.stopped_early
+
+    def eval_episode(self) -> None:
+        """One episode on the eval env with the noise-free policy."""
+        env, act = self.eval_env, self.agent.act
+        obs = env.reset()
         total, length = 0.0, 0
         while True:
-            res = eval_env.step(agent.act(eval_obs))
-            total += res.reward
+            result = env.step(act(obs))
+            total += result.reward
             length += 1
-            eval_obs = res.next_obs
-            if res.done or res.truncated:
+            if result.done or result.truncated:
                 break
-        evals.append(EvalRecord(global_step, total, length))
+            obs = result.next_obs
+        self.summary.evals.append(EvalRecord(self.summary.total_steps, total, length))
 
+    def train_phase(self) -> None:
+        """``train_steps_per_iter`` steps on replayed batches, once the buffer holds the warm-up."""
+        config, summary = self.config, self.summary
+        if len(self.buffer) < config.warmup_transitions:
+            return
+        sample, update_priorities = self.sampler.sample, self.sampler.update_priorities
+        train_step, traces, step = self.agent.train_step, summary.traces, summary.total_steps
+        for _ in range(config.train_steps_per_iter):
+            batch = sample(config.batch_size)
+            _, td_errors = train_step(batch)
+            summary.train_steps += 1
+            update_priorities(batch.indices, td_errors, batch.insert_timesteps, step)
+            if summary.train_steps % config.trace_interval == 0:
+                mean_abs_td = float(np.mean(np.abs(td_errors)))
+                mean_step_diff = float(np.mean(step - batch.insert_timesteps))
+                traces.append(TraceRecord(step, mean_abs_td, mean_step_diff, float(np.mean(batch.rewards))))
+
+
+def run(config: RunConfig) -> RunSummary:
+    """Execute one training run; deterministic in (config, seed)."""
+    start = time.perf_counter()
+    trainer = Trainer(config)
+    summary = trainer.summary
     try:
-        while global_step < config.total_timesteps and not stopped_early:
-            rollout = min(config.rollout_steps, config.total_timesteps - global_step)
-            for _ in range(rollout):
-                action = agent.act(obs, noise)
-                result = env.step(action)
-                global_step += 1
-                transition = Transition(obs, action, result.reward, result.next_obs, result.done, global_step)
-                sampler.on_store(buffer.store(transition), global_step)
-                episode_return += result.reward
-                episode_length += 1
-
-                if result.done or result.truncated:
-                    tracker.record_episode(episode_return)
-                    replay_columns = sampler.on_episode_end(tracker, global_step) or ()
-                    record = (len(episodes), global_step, episode_return, episode_length, tracker.window_mean)
-                    episodes.append(EpisodeRecord(*record, *replay_columns))
-                    episode_return = 0.0
-                    episode_length = 0
-                    obs = env.reset()
-                    noise.reset()
-                    if config.eval_every > 0 and len(episodes) % config.eval_every == 0:
-                        run_eval_episode()
-                    window = config.early_stop_window
-                    if window > 0 and len(episodes) >= window and (
-                        np.mean([r.episode_return for r in episodes[-window:]]) >= config.early_stop_threshold
-                    ):
-                        stopped_early = True
-                        break
-                else:
-                    obs = result.next_obs
-
-            if stopped_early or len(buffer) < config.warmup_transitions:
-                continue
-            for _ in range(config.train_steps_per_iter):
-                batch = sampler.sample(config.batch_size)
-                _, td_errors = agent.train_step(batch)
-                train_count += 1
-                sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps, global_step)
-                if train_count % config.trace_interval == 0:
-                    traces.append(
-                        TraceRecord(
-                            global_step=global_step,
-                            mean_abs_td=float(np.mean(np.abs(td_errors))),
-                            mean_step_diff=float(np.mean(global_step - batch.insert_timesteps)),
-                            mean_reward=float(np.mean(batch.rewards)),
-                        )
-                    )
+        while summary.total_steps < config.total_timesteps and not summary.stopped_early:
+            trainer.rollout_phase()
+            if not summary.stopped_early:
+                trainer.train_phase()
     except NumericFault as fault:
         raise NumericFault(
-            f"{fault} (env step {global_step}, training step {train_count})"
+            f"{fault} (env step {summary.total_steps}, training step {summary.train_steps})"
         ) from fault
-
-    return RunSummary(
-        config=config,
-        episodes=episodes,
-        traces=traces,
-        evals=evals,
-        total_steps=global_step,
-        train_steps=train_count,
-        wall_seconds=time.perf_counter() - start,
-        stopped_early=stopped_early,
-    )
+    summary.wall_seconds = time.perf_counter() - start
+    return summary
 
 
 @dataclass
@@ -461,10 +463,13 @@ def _fmt(value) -> str:
 
 
 def write_csv(record_type, records, out) -> None:
-    """Write a header and one row per record; ``out`` is a path or an open text stream."""
+    """Write a header and one row per record to ``out``, a path (ConfigError if unwritable) or a stream."""
     names = [f.name for f in fields(record_type)]
-    is_path = isinstance(out, (str, os.PathLike))
-    with open(out, "w", newline="") if is_path else nullcontext(out) as fh:
+    try:
+        stream = open(out, "w", newline="") if isinstance(out, (str, os.PathLike)) else nullcontext(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+    with stream as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_header(record_type))
         w.writerows([_fmt(getattr(r, name)) for name in names] for r in records)

@@ -61,27 +61,6 @@ class Batch:
         return len(self.indices)
 
 
-@dataclass
-class PerConfig:
-    """Prioritized-replay knobs shared by the proportional and rank samplers.
-
-    ``beta`` anneals linearly from ``beta0`` to 1 over ``beta_anneal_steps``
-    sampling calls (0 keeps it fixed at ``beta0``).
-    """
-
-    alpha: float = 0.6
-    beta0: float = 0.4
-    beta_anneal_steps: int = 0
-    epsilon: float = 1e-2
-    rank_refresh_interval: int = 1000
-
-    def beta_at(self, calls: int) -> float:
-        if self.beta_anneal_steps <= 0:
-            return self.beta0
-        frac = min(1.0, calls / self.beta_anneal_steps)
-        return self.beta0 + (1.0 - self.beta0) * frac
-
-
 class ReplayBuffer:
     """Fixed-capacity ring store of transitions with per-slot caches.
 
@@ -363,6 +342,13 @@ def _leaf_masses(priorities: np.ndarray, alpha: float) -> np.ndarray:
     return np.fromiter(powers, np.float64, len(priorities))
 
 
+def beta_at(beta0: float, anneal_steps: int, calls: int) -> float:
+    """PER's IS exponent after ``calls`` draws: from ``beta0`` to 1 over ``anneal_steps`` (0: fixed)."""
+    if anneal_steps <= 0:
+        return beta0
+    return beta0 + (1.0 - beta0) * min(1.0, calls / anneal_steps)
+
+
 def _is_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
     """IS weights ``(n * probs) ** -beta``, divided by the largest a slot can get (at ``min_prob``)."""
     return (n * probs) ** -beta / (n * min_prob) ** -beta
@@ -487,16 +473,17 @@ class PerProportionalSampler(UniformSampler):
     would hold.
     """
 
-    def __init__(self, buffer: ReplayBuffer, config: PerConfig, rng: np.random.Generator):
+    def __init__(self, buffer: ReplayBuffer, rng: np.random.Generator, *, alpha: float = 0.6,
+                 epsilon: float = 1e-2, beta0: float = 0.4, beta_anneal_steps: int = 0):
         super().__init__(buffer, rng)
-        self.config = config
+        self.alpha, self.epsilon = alpha, epsilon
+        self.beta0, self.beta_anneal_steps = beta0, beta_anneal_steps
         self._tree = SumTree(buffer.capacity)
         self.sample_calls = 0
         self._stored: list[int] = []  # slots stored since the tree was last read
 
     def _masses(self, slots: np.ndarray) -> np.ndarray:
-        priorities = np.abs(self.buffer.td_errors[slots]) + self.config.epsilon
-        return _leaf_masses(priorities, self.config.alpha)
+        return _leaf_masses(np.abs(self.buffer.td_errors[slots]) + self.epsilon, self.alpha)
 
     @property
     def tree(self) -> SumTree:
@@ -517,7 +504,7 @@ class PerProportionalSampler(UniformSampler):
         total = tree.total()
         if total <= 0.0:
             raise DegeneratePriorityError("total priority mass is zero")
-        beta = self.config.beta_at(self.sample_calls)
+        beta = beta_at(self.beta0, self.beta_anneal_steps, self.sample_calls)
         self.sample_calls += 1
 
         values = _stratified_values(batch_size, total, self.rng)
@@ -546,14 +533,16 @@ class PerRankSampler(UniformSampler):
 
     Ranks come from sorting live slots by |TD| descending, ties broken by
     older insertion first. The sort refreshes every
-    ``rank_refresh_interval`` stores (and on first use); transitions stored
+    ``refresh_interval`` stores (and on first use); transitions stored
     since the last sort are unreachable until the next one, which is the
     usual cost of amortizing the sort.
     """
 
-    def __init__(self, buffer: ReplayBuffer, config: PerConfig, rng: np.random.Generator):
+    def __init__(self, buffer: ReplayBuffer, rng: np.random.Generator, *, alpha: float = 0.6,
+                 beta0: float = 0.4, beta_anneal_steps: int = 0, refresh_interval: int = 1000):
         super().__init__(buffer, rng)
-        self.config = config
+        self.alpha, self.beta0, self.beta_anneal_steps = alpha, beta0, beta_anneal_steps
+        self.refresh_interval = refresh_interval
         self.sample_calls = 0
         self._sorted_slots = np.zeros(0, dtype=np.int64)
         self._probs = np.zeros(0)
@@ -569,7 +558,7 @@ class PerRankSampler(UniformSampler):
         # lexsort: primary key last; descending |TD|, then older first
         self._sorted_slots = np.lexsort((self.buffer.insert_timesteps[:n], -abs_td))
         ranks = np.arange(1, n + 1, dtype=np.float64)
-        masses = ranks ** -self.config.alpha
+        masses = ranks ** -self.alpha
         self._probs = masses / masses.sum()
         self._cdf = np.cumsum(self._probs)
         self._cdf[-1] = 1.0
@@ -578,9 +567,9 @@ class PerRankSampler(UniformSampler):
     def sample(self, batch_size: int) -> Batch:
         if len(self.buffer) == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
-        if len(self._sorted_slots) == 0 or self._stores_since_sort >= self.config.rank_refresh_interval:
+        if len(self._sorted_slots) == 0 or self._stores_since_sort >= self.refresh_interval:
             self._refresh_ranks()
-        beta = self.config.beta_at(self.sample_calls)
+        beta = beta_at(self.beta0, self.beta_anneal_steps, self.sample_calls)
         self.sample_calls += 1
 
         n = len(self._sorted_slots)

@@ -22,7 +22,6 @@ from replay_opt.ero import EroPolicy, ReplayRewardTracker, mask_surrogate
 from replay_opt.harness import RunConfig, TraceRecord, read_csv, run
 from replay_opt.nn import Mlp, grad_check, mlp_init
 from replay_opt.replay import (
-    PerConfig,
     PerProportionalSampler,
     PerRankSampler,
     ReplayBuffer,
@@ -229,8 +228,8 @@ def test_c05_sum_tree_oracle_equivalence():
     rng = np.random.default_rng(5)
     capacity = 512
     buf = ReplayBuffer(capacity, obs_dim=3, action_dim=1)
-    cfg = PerConfig(alpha=0.6, epsilon=0.01)
-    sampler = PerProportionalSampler(buf, cfg, np.random.default_rng(55))
+    alpha, epsilon = 0.6, 0.01
+    sampler = PerProportionalSampler(buf, np.random.default_rng(55), alpha=alpha, epsilon=epsilon)
     brute = np.zeros(capacity)
 
     step = 0
@@ -248,12 +247,12 @@ def test_c05_sum_tree_oracle_equivalence():
                 )
             )
             sampler.on_store(idx, step)
-            brute[idx] = (abs(buf.td_errors[idx]) + cfg.epsilon) ** cfg.alpha
+            brute[idx] = (abs(buf.td_errors[idx]) + epsilon) ** alpha
         else:
             idx = int(rng.integers(0, buf.size))
             td = float(rng.normal() * 3)
             sampler.update_priorities(np.array([idx]), np.array([td]), None, 0)
-            brute[idx] = (abs(td) + cfg.epsilon) ** cfg.alpha
+            brute[idx] = (abs(td) + epsilon) ** alpha
 
     # leaf masses agree exactly with the brute-force array
     assert np.array_equal(sampler.tree.leaf_masses(), brute)
@@ -289,7 +288,7 @@ def test_c06_rank_distribution():
     n, alpha = 10_000, 0.7
     buf = random_buffer(n, seed=6)
     buf.update_td_errors(np.arange(n), np.random.default_rng(66).random(n))
-    sampler = PerRankSampler(buf, PerConfig(alpha=alpha), np.random.default_rng(666))
+    sampler = PerRankSampler(buf, np.random.default_rng(666), alpha=alpha)
 
     # one stratified call covering all draws keeps every top rank's count
     # within a couple of strata of its expectation
@@ -336,26 +335,24 @@ def test_c08_end_to_end_determinism(tmp_path):
             )
             + "\n"
         )
-        outputs = []
-        for invocation in ("a", "b"):
-            out = tmp_path / f"{sampler}-{invocation}"
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "replay_opt.cli",
-                    "run",
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(out),
-                ],
-                capture_output=True,
+        # the two invocations run at the same time, as two separate processes
+        outputs = [tmp_path / f"{sampler}-{invocation}" for invocation in ("a", "b")]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "replay_opt.cli", "run", "--config", str(cfg), "--out", str(out)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=300,
             )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out)
+            for out in outputs
+        ]
+        try:
+            for proc in procs:
+                _, stderr = proc.communicate(timeout=300)
+                assert proc.returncode == 0, stderr
+        finally:
+            for proc in procs:
+                proc.kill()  # a no-op once the process has exited
         a, b = outputs
         assert (a / "episodes.csv").read_bytes() == (b / "episodes.csv").read_bytes(), sampler
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes(), sampler

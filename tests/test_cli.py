@@ -133,6 +133,27 @@ class TestConfigIO:
         assert cli.main([command, "--set", "total_timesteps=100", "--out", str(out)]) == 2
         assert f"cannot create output directory {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("run", "episodes.csv"),
+            ("run", "evals.csv"),
+            ("compare", "summary.csv"),
+            ("compare", "episodes-ero-pendulum-seed0.csv"),
+        ],
+    )
+    def test_output_file_that_is_a_directory_exits_2_before_any_run(
+        self, tmp_path, monkeypatch, capsys, command, name
+    ):
+        def no_run(config):
+            raise AssertionError("a run started despite an unwritable output path")
+
+        monkeypatch.setattr(cli.harness, "run", no_run)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main([command, "--set", "total_timesteps=100", "--out", str(out)]) == 2
+        assert f"config error: output path {out / name} is a directory" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_missing_config_exits_2_naming_path(self, tmp_path, capsys):
@@ -196,6 +217,8 @@ class TestRunCommand:
             ("early_stop_threshold=nan", "early_stop_threshold must be a number, got nan"),
             ("hidden_sizes=0", "hidden_sizes must be integers >= 1, got (0,)"),
             ("hidden_sizes=64,-3", "hidden_sizes must be integers >= 1, got (64, -3)"),
+            ("ou_sigma=inf", "config error: ou_sigma must be >= 0 and finite, got inf"),
+            ("per_alpha=inf", "config error: per_alpha must be >= 0 and finite, got inf"),
         ],
     )
     def test_invalid_learning_setting_exits_2_before_training(self, tmp_path, monkeypatch, capsys, setting, message):
@@ -492,6 +515,13 @@ class TestTraceCommand:
 
     def test_missing_trace_exit_2(self, tmp_path):
         assert cli.main(["trace", str(tmp_path / "none.csv")]) == 2
+
+    def test_smoothed_output_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        path, smoothed = tmp_path / "trace.csv", tmp_path / "out" / "trace_smoothed.csv"
+        cli.harness.write_trace_csv([], path)
+        smoothed.mkdir(parents=True)
+        assert cli.main(["trace", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: cannot write {smoothed}: Is a directory" in capsys.readouterr().err
 
     def test_trace_directory_exits_2_saying_not_a_file(self, tmp_path, capsys):
         assert cli.main(["trace", str(tmp_path)]) == 2

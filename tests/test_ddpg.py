@@ -8,7 +8,7 @@ import pytest
 from replay_opt.ddpg import DdpgAgent, OuNoise, td_loss
 from replay_opt.errors import NumericFault
 from replay_opt.nn import Mlp, _KERNELS, grad_check, mlp_init
-from replay_opt.replay import PerConfig, PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
+from replay_opt.replay import PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
 
 
 def make_agent(**kwargs) -> DdpgAgent:
@@ -459,7 +459,7 @@ class TestTrainStep:
         if sampler_kind == "uniform":
             sampler = UniformSampler(buf, np.random.default_rng(3))
         else:
-            sampler = PerProportionalSampler(buf, PerConfig(), np.random.default_rng(3))
+            sampler = PerProportionalSampler(buf, np.random.default_rng(3))
         for i in range(300):
             idx = buf.store(
                 Transition(

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from replay_opt import replay
 from replay_opt.errors import ConfigError
 from replay_opt.harness import (
     EpisodeRecord,
@@ -17,6 +20,7 @@ from replay_opt.harness import (
     RunConfig,
     SummaryRow,
     TraceRecord,
+    Trainer,
     planned_train_steps,
     read_csv,
     run,
@@ -27,7 +31,6 @@ from replay_opt.harness import (
     write_summary_csv,
     write_trace_csv,
 )
-from replay_opt.replay import PerConfig
 from test_acceptance import gate_step
 
 
@@ -85,6 +88,8 @@ class TestRun:
             ({"per_beta0": -0.1}, r"per_beta0 must be in \[0, 1\]"),
             ({"per_beta0": 1.5}, r"per_beta0 must be in \[0, 1\]"),
             ({"rank_refresh_interval": 0}, "rank_refresh_interval must be >= 1"),
+            ({"per_alpha": float("inf")}, "per_alpha must be >= 0 and finite, got inf"),
+            ({"per_epsilon": float("inf")}, "per_epsilon must be >= 0 and finite, got inf"),
         ],
     )
     def test_invalid_per_settings_rejected(self, setting, message):
@@ -115,6 +120,8 @@ class TestRun:
             ({"early_stop_threshold": float("nan")}, "early_stop_threshold must be a number, got nan"),
             ({"hidden_sizes": (0,)}, r"hidden_sizes must be integers >= 1, got \(0,\)"),
             ({"hidden_sizes": (16, -3)}, r"hidden_sizes must be integers >= 1, got \(16, -3\)"),
+            ({"ou_sigma": float("inf")}, "ou_sigma must be >= 0 and finite, got inf"),
+            ({"ou_theta": float("inf")}, "ou_theta must be >= 0 and finite, got inf"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):
@@ -153,13 +160,13 @@ class TestRun:
     @pytest.mark.parametrize("sampler", ["per_prop", "per_rank"])
     def test_per_beta_reaches_one_on_the_last_draw(self, monkeypatch, sampler):
         betas = []
-        beta_at = PerConfig.beta_at
+        beta_at = replay.beta_at
 
-        def recording_beta_at(self, calls):
-            betas.append(beta_at(self, calls))
+        def recording_beta_at(beta0, anneal_steps, calls):
+            betas.append(beta_at(beta0, anneal_steps, calls))
             return betas[-1]
 
-        monkeypatch.setattr(PerConfig, "beta_at", recording_beta_at)
+        monkeypatch.setattr(replay, "beta_at", recording_beta_at)
         config = quick_config(sampler=sampler, total_timesteps=650, train_steps_per_iter=4, batch_size=8)
         summary = run(config)
         assert len(betas) == summary.train_steps == planned_train_steps(config)
@@ -227,6 +234,40 @@ class TestRun:
         assert len(with_eval.evals) == len(with_eval.episodes) // 2
         for e in with_eval.evals:
             assert np.isfinite(e.eval_return)
+
+
+class TestTrainer:
+    def test_phases_by_hand_write_what_run_writes(self):
+        config = quick_config(sampler="per_prop", total_timesteps=1150, eval_every=2)
+        trainer = Trainer(config)
+        while trainer.summary.total_steps < config.total_timesteps:
+            trainer.rollout_phase()
+            trainer.train_phase()
+        got, expected = trainer.summary, run(dataclasses.replace(config))
+        assert got.train_steps == expected.train_steps > 0
+        assert (got.episodes, got.traces, got.evals) == (expected.episodes, expected.traces, expected.evals)
+
+    def test_end_episode_reports_the_early_stop(self):
+        trainer = Trainer(quick_config(early_stop_window=2, early_stop_threshold=-1e6))
+        trainer.rollout_phase()
+        trainer.rollout_phase()  # the first episode ends at step 200
+        assert not trainer.summary.stopped_early and len(trainer.summary.episodes) == 1
+        trainer.episode_return = -1.0
+        assert trainer.end_episode() and trainer.summary.stopped_early
+        assert trainer.summary.episodes[-1].episode_return == -1.0
+
+    def test_summary_keeps_no_part_of_the_trainer_alive(self):
+        # run_suite keeps every summary, so a reference to the buffer or the
+        # nets would keep each earlier run's pages resident
+        trainer = Trainer(quick_config(sampler="ero", total_timesteps=400))
+        trainer.rollout_phase()
+        trainer.train_phase()
+        summary = trainer.summary
+        parts = [weakref.ref(part) for part in (trainer, trainer.buffer, trainer.sampler, trainer.agent)]
+        del trainer
+        gc.collect()
+        assert [part() for part in parts] == [None] * 4
+        assert summary.total_steps == 100
 
 
 def episodes_csv(summary) -> str:
@@ -321,6 +362,10 @@ class TestSuite:
 
 
 class TestCsv:
+    def test_unwritable_path_raises_config_error_naming_it(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot write {tmp_path}: Is a directory"):
+            write_trace_csv([], tmp_path)
+
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "episodes.csv"
         write_episode_csv([], path)

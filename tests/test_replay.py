@@ -27,7 +27,6 @@ from replay_opt.harness import SAMPLER_KINDS, RunConfig, make_sampler
 from replay_opt.replay import (
     MASK_UNDRAWN,
     Batch,
-    PerConfig,
     PerProportionalSampler,
     PerRankSampler,
     ReplayBuffer,
@@ -35,6 +34,7 @@ from replay_opt.replay import (
     SumTree,
     Transition,
     UniformSampler,
+    beta_at,
 )
 from replay_opt.seeding import named_streams
 
@@ -120,20 +120,20 @@ class WalkSampler:
     once (with numpy's scalar ``**`` on the TD the buffer seeded), on a
     buffer of its own: the oracle for the sampler's queued store writes."""
 
-    def __init__(self, capacity: int, config: PerConfig, seed: int):
+    def __init__(self, capacity: int, alpha: float, epsilon: float, seed: int):
         self.buffer = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-        self.config = config
+        self.alpha, self.epsilon = alpha, epsilon
         self.tree = WalkTree(capacity)
         self.rng = np.random.default_rng(seed)
 
     def store(self, transition: Transition) -> None:
         idx = self.buffer.store(transition)
-        self.tree.set(idx, (abs(self.buffer.td_errors[idx]) + self.config.epsilon) ** self.config.alpha)
+        self.tree.set(idx, (abs(self.buffer.td_errors[idx]) + self.epsilon) ** self.alpha)
 
     def update_priorities(self, indices, td_errors, expected_insert_steps) -> None:
         ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
         for idx, td in zip(indices[ok], td_errors[ok]):
-            self.tree.set(idx, math.pow(abs(td) + self.config.epsilon, self.config.alpha))
+            self.tree.set(idx, math.pow(abs(td) + self.epsilon, self.alpha))
 
     def sample(self, batch_size: int) -> np.ndarray | None:
         """The indices a draw returns, or None where it must raise ``DegeneratePriorityError``."""
@@ -197,7 +197,7 @@ class TestRingStorage:
 
     def test_td_and_priority_init_track_live_maximum(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
-        sampler = PerProportionalSampler(buf, PerConfig(alpha=0.6), np.random.default_rng(0))
+        sampler = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6)
         sampler.on_store(buf.store(make_transition(0)), 0)
         assert buf.td_errors[0] == 1.0
         assert sampler.tree.leaf_masses()[0] == math.pow(1.0 + 0.01, 0.6)
@@ -395,15 +395,14 @@ class TestSumTree:
 class TestPerProportional:
     def sampler_with_priorities(self, priorities, alpha=1.0, beta0=1.0, seed=0):
         buf = filled_buffer(len(priorities), capacity=len(priorities))
-        cfg = PerConfig(alpha=alpha, beta0=beta0, epsilon=0.0)
-        s = PerProportionalSampler(buf, cfg, np.random.default_rng(seed))
+        s = PerProportionalSampler(buf, np.random.default_rng(seed), alpha=alpha, beta0=beta0, epsilon=0.0)
         # epsilon is 0, so each priority is its TD magnitude
         s.update_priorities(np.arange(len(priorities)), np.array(priorities, dtype=np.float64), None, 0)
         return s
 
     def test_store_starts_at_max_live_priority_evicted_slot_included(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.0)
         for i in range(4):
             s.on_store(buf.store(make_transition(i)), 0)
         s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]), None, 0)
@@ -445,7 +444,7 @@ class TestPerProportional:
         # at epsilon 0 every leaf can return to zero mass, and the root with it
         n = len(tds)
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, PerConfig(epsilon=0.0, alpha=1.0), np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), epsilon=0.0, alpha=1.0)
         for i in range(n):
             s.on_store(buf.store(make_transition(i)), 0)
         s.update_priorities(np.arange(n), np.array(tds), None, 0)
@@ -459,7 +458,7 @@ class TestPerProportional:
         # slot 0 keeps 1e-180 of mass and the others none; the root holds
         # exactly that, with no residue of the heavier first writes
         buf = ReplayBuffer(3, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.0), np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.0)
         for i in range(3):
             s.on_store(buf.store(make_transition(i)), 0)
         s.update_priorities([0, 1, 2], first, None, 0)
@@ -471,15 +470,14 @@ class TestPerProportional:
 
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
-        cfg = PerConfig(alpha=1.0)
-        s = PerProportionalSampler(buf, cfg, np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0)
         # leaves never set: tree total is zero
         with pytest.raises(DegeneratePriorityError):
             s.sample(4)
 
     def test_update_priorities_exact_leaf_and_root_delta(self):
         s = self.sampler_with_priorities([1.0, 1.0, 1.0, 1.0])
-        s.config = PerConfig(alpha=1.0, epsilon=0.01)
+        s.epsilon = 0.01
         root_before = s.tree.total()
         s.update_priorities(np.array([3]), np.array([0.0]), None, 0)
         assert s.tree.leaf_masses()[3] == pytest.approx(0.01)
@@ -493,8 +491,7 @@ class TestPerProportional:
 
     def test_stale_updates_skipped(self):
         buf = ReplayBuffer(2, obs_dim=2, action_dim=1)
-        cfg = PerConfig(alpha=1.0)
-        s = PerProportionalSampler(buf, cfg, np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0)
         s.on_store(buf.store(make_transition(0)), 0)
         s.on_store(buf.store(make_transition(1)), 0)
         expected = buf.insert_timesteps[[0]].copy()
@@ -505,16 +502,15 @@ class TestPerProportional:
         assert buf.stale_updates == 1
 
     def test_beta_annealing_reaches_one(self):
-        cfg = PerConfig(beta0=0.4, beta_anneal_steps=100)
-        assert cfg.beta_at(0) == 0.4
-        assert cfg.beta_at(50) == pytest.approx(0.7)
-        assert cfg.beta_at(100) == 1.0
-        assert cfg.beta_at(1000) == 1.0
+        assert beta_at(0.4, 100, 0) == 0.4
+        assert beta_at(0.4, 100, 50) == pytest.approx(0.7)
+        assert beta_at(0.4, 100, 100) == 1.0
+        assert beta_at(0.4, 100, 1000) == 1.0
+        assert beta_at(0.4, 0, 1000) == 0.4  # no annealing
 
     def test_new_transition_gets_max_priority_leaf(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
-        cfg = PerConfig(alpha=1.0, epsilon=0.0)
-        s = PerProportionalSampler(buf, cfg, np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0, epsilon=0.0)
         s.on_store(buf.store(make_transition(0)), 0)
         s.update_priorities(np.array([0]), np.array([2.5]), None, 0)
         idx = buf.store(make_transition(1))
@@ -529,7 +525,7 @@ class TestBatchedPriorityWrite:
         twins = []
         for _ in range(2):
             buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-            s = PerProportionalSampler(buf, PerConfig(alpha=0.6, epsilon=0.01), np.random.default_rng(0))
+            s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.01)
             for i in range(stores):
                 s.on_store(buf.store(make_transition(i)), 0)
             twins.append(s)
@@ -609,7 +605,7 @@ class TestCachedExtrema:
     )
     def test_caches_match_full_scans(self, capacity, epsilon, alpha, data):
         buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, PerConfig(alpha=alpha, epsilon=epsilon), np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=alpha, epsilon=epsilon)
         td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
         snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
@@ -711,10 +707,9 @@ class TestQueuedStores:
         # a run of up to 2 * capacity + 1 stores queues a slot more than once.
         # A store run may stay queued, so that a later update or draw, perhaps
         # after more store runs, is the read that writes it.
-        config = PerConfig(alpha=alpha, epsilon=epsilon)
         buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, config, np.random.default_rng(0))
-        oracle = WalkSampler(capacity, config, seed=0)
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=alpha, epsilon=epsilon)
+        oracle = WalkSampler(capacity, alpha, epsilon, seed=0)
         td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
         snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
@@ -762,7 +757,7 @@ class TestTreeFromTdColumn:
         # than once before the check reads the tree; an update may name slots
         # evicted since ``snapshot`` was taken, and the same slot twice
         buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, PerConfig(alpha=alpha, epsilon=epsilon), np.random.default_rng(0))
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=alpha, epsilon=epsilon)
         td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
         snapshot = buf.insert_timesteps.copy()
@@ -832,8 +827,7 @@ class TestPerRank:
     def test_two_transition_probabilities(self):
         buf = filled_buffer(2)
         buf.update_td_errors(np.arange(2), np.array([5.0, 1.0]))
-        cfg = PerConfig(alpha=1.0)
-        s = PerRankSampler(buf, cfg, np.random.default_rng(0))
+        s = PerRankSampler(buf, np.random.default_rng(0), alpha=1.0)
         s._refresh_ranks()
         assert np.array_equal(s._sorted_slots, [0, 1])
         assert np.allclose(s._probs, [2 / 3, 1 / 3])
@@ -841,7 +835,7 @@ class TestPerRank:
     def test_ties_broken_by_older_insertion(self):
         buf = filled_buffer(4)
         buf.update_td_errors(np.arange(4), np.ones(4))
-        s = PerRankSampler(buf, PerConfig(alpha=0.7), np.random.default_rng(0))
+        s = PerRankSampler(buf, np.random.default_rng(0), alpha=0.7)
         s._refresh_ranks()
         assert np.array_equal(s._sorted_slots, [0, 1, 2, 3])
 
@@ -850,7 +844,7 @@ class TestPerRank:
         buf = filled_buffer(n, capacity=n)
         rng = np.random.default_rng(10)
         buf.update_td_errors(np.arange(n), rng.random(n))
-        s = PerRankSampler(buf, PerConfig(alpha=alpha), np.random.default_rng(20))
+        s = PerRankSampler(buf, np.random.default_rng(20), alpha=alpha)
         draws = 100_000
         counts = np.zeros(n)
         for _ in range(draws // 100):
@@ -863,8 +857,7 @@ class TestPerRank:
 
     def test_rank_refresh_interval_respected(self):
         buf = filled_buffer(10)
-        cfg = PerConfig(alpha=0.7, rank_refresh_interval=5)
-        s = PerRankSampler(buf, cfg, np.random.default_rng(0))
+        s = PerRankSampler(buf, np.random.default_rng(0), alpha=0.7, refresh_interval=5)
         s.sample(4)
         n_before = len(s._sorted_slots)
         for i in range(3):
@@ -879,7 +872,7 @@ class TestPerRank:
     def test_weights_in_unit_interval(self):
         buf = filled_buffer(100, capacity=128)
         buf.update_td_errors(np.arange(100), np.random.default_rng(1).random(100))
-        s = PerRankSampler(buf, PerConfig(alpha=0.7, beta0=0.4), np.random.default_rng(2))
+        s = PerRankSampler(buf, np.random.default_rng(2), alpha=0.7, beta0=0.4)
         w = s.sample(64).is_weights
         assert np.all(w > 0) and np.all(w <= 1.0 + 1e-12)
 
