@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from .nn import AdamState, adam_step, mlp_init
+from .nn import AdamState, adam_step, mlp_init, row_blocks
 from .replay import ReplayBuffer
 from .seeding import as_generator
 
@@ -32,6 +32,7 @@ class RunningNorm:
         self.count = 0
         self.mean = np.zeros(dim)
         self._m2 = np.zeros(dim)
+        self._denom: np.ndarray | None = None  # normalize's divisors; None until read after an update
 
     @property
     def variance(self) -> np.ndarray:
@@ -45,20 +46,24 @@ class RunningNorm:
         delta = row - self.mean
         self.mean += delta / self.count
         self._m2 += delta * (row - self.mean)
+        self._denom = None
 
     def normalize(self, rows: np.ndarray) -> np.ndarray:
         """Standardize each column of the float64 (n, dim) array ``rows`` in place; returns ``rows``.
 
         Column by column, as numpy runs an (n, dim) broadcast as n loops of
         ``dim`` elements; the bits are those of ``(rows - mean) / max(std, STD_FLOOR)``.
+        The divisors are kept until the next ``update``, so a rescore that
+        normalizes the buffer block by block computes them once.
         """
         if self.count == 0:
             return rows
-        denom = np.maximum(np.sqrt(self.variance), STD_FLOOR)
+        if self._denom is None:
+            self._denom = np.maximum(np.sqrt(self.variance), STD_FLOOR)
         for j in range(self.dim):
             column = rows[:, j]
             column -= self.mean[j]
-            column /= denom[j]
+            column /= self._denom[j]
         return rows
 
 
@@ -144,10 +149,12 @@ class EroPolicy:
 
     def raw_features(self, buffer: ReplayBuffer, indices, current_step: int) -> np.ndarray:
         """One (reward, TD error, age ratio) row per slot; ``indices`` is an index array or a slice."""
-        age_ratio = buffer.insert_timesteps[indices] / max(current_step, 1)
-        return np.column_stack(
-            [buffer.rewards[indices], buffer.td_errors[indices], age_ratio]
-        )
+        insert_steps = buffer.insert_timesteps[indices]
+        rows = np.empty((len(insert_steps), FEATURE_DIM))
+        rows[:, 0] = buffer.rewards[indices]
+        rows[:, 1] = buffer.td_errors[indices]
+        np.divide(insert_steps, max(current_step, 1), out=rows[:, 2])
+        return rows
 
     def features(self, buffer: ReplayBuffer, indices, current_step: int) -> np.ndarray:
         feats = self.raw_features(buffer, indices, current_step)
@@ -186,21 +193,24 @@ class EroPolicy:
 
         Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
         set, in which case the cached (lazily updated) scores are used as-is.
-        The rescore reads the features from slices of the buffer's columns
-        and the scoring net runs them in row blocks, so what it allocates per
-        row is a few float64 values (features, scores, the mask draw), not
-        the scoring net's 64-wide hidden layers.
+        The slots are drawn in ``nn.row_blocks``, ``nn.BLOCK`` (512) rows at
+        a time: each block's features are read from slices of the buffer's
+        columns, scored in one forward pass, drawn and written into the mask
+        before the next block is read, so nothing here grows with the
+        buffer. The bits are those of one draw over all rows, as the
+        generator's stream does not depend on how its draws are split and
+        the blocks meet the BLAS kernels as one product over all rows does.
         """
-        n = len(buffer)
-        if n == 0:
-            return 0
-        if self.lazy_refresh:
-            scores = self.cached_scores(buffer)[:n]
-        else:
-            scores = self.score(self.features(buffer, slice(0, n), current_step))
-        bits = draw_mask(scores, self._rng)
-        subset.set_subset_mask(bits)
-        return int(bits.sum())
+        selected = 0
+        for start, stop in row_blocks(len(buffer)):
+            if self.lazy_refresh:
+                scores = self.cached_scores(buffer)[start:stop]
+            else:
+                scores = self.score(self.features(buffer, slice(start, stop), current_step))
+            bits = draw_mask(scores, self._rng)
+            subset.set_subset_mask(bits, start)
+            selected += int(np.count_nonzero(bits))
+        return selected
 
     def update_policy(
         self, buffer: ReplayBuffer, replay_reward: float, current_step: int, subset

@@ -117,6 +117,10 @@ class RunConfig:
         # NaN compares False with every mean return, so it would never stop a run
         if math.isnan(self.early_stop_threshold):
             raise ConfigError("early_stop_threshold must be a number, got nan")
+        # inf would never stop a run (early_stop_window = 0 says that), -inf
+        # would stop it at the first full window
+        if math.isinf(self.early_stop_threshold):
+            raise ConfigError(f"early_stop_threshold must be finite, got {self.early_stop_threshold}")
         # the buffer never holds more than its capacity, so training would never start
         if self.warmup_transitions > self.buffer_capacity:
             raise ConfigError(

@@ -20,7 +20,9 @@ from .seeding import as_generator
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "linear")
 
 # Rows per block of a forward pass, and the most rows a net's workspace holds.
-BLOCK = 1024
+# 512 rows halve the workspace ERO's rescore touches against 1024 at about
+# the same rows per second; 256 made that rescore about 1.5x slower.
+BLOCK = 512
 
 # Sigmoid heads must stay strictly inside (0, 1); unclipped float64 rounds
 # sigmoid(z) to exactly 1.0 once z exceeds ~37.
@@ -41,12 +43,12 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _sigmoid(z: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return np.clip(out, _SIG_LO, _SIG_HI, out=dst)
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so this is
+    # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)), each where it cannot
+    # overflow, without splitting z into its two signs
+    expz = np.exp(-np.abs(z))
+    out = np.divide(np.where(z >= 0.0, 1.0, expz), expz + 1.0, out=dst)
+    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
 
 
 def _tanh(z, dst=None):

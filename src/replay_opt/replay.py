@@ -408,7 +408,10 @@ class SubsetSampler(UniformSampler):
     def __init__(self, buffer: ReplayBuffer, rng: np.random.Generator, policy):
         super().__init__(buffer, rng)
         self.policy = policy
-        self.mask_drawn = np.full(buffer.capacity, MASK_UNDRAWN, dtype=np.int8)
+        # a slot at or above ``buffer.size`` is never read, and ``on_store``
+        # marks each slot it fills, so only the live slots need marking here
+        self.mask_drawn = mapped_zeros(buffer.capacity, dtype=np.int8)
+        self.mask_drawn[: buffer.size] = MASK_UNDRAWN
         self._subset: np.ndarray | None = None  # subset_indices(); None until recomputed
 
     def on_store(self, idx: int, step: int) -> None:
@@ -426,12 +429,17 @@ class SubsetSampler(UniformSampler):
         """Live slots that carry a drawn bit (not stored since the last draw)."""
         return np.flatnonzero(self.mask_drawn[: self.buffer.size] != MASK_UNDRAWN)
 
-    def set_subset_mask(self, bits: np.ndarray) -> None:
-        """Overwrite subset membership for every live slot with drawn bits."""
+    def set_subset_mask(self, bits: np.ndarray, start: int = 0) -> None:
+        """Overwrite the subset membership of live slots ``start, start + 1, ...`` with drawn bits.
+
+        A mask drawn block by block is written one block at a time.
+        """
         bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (self.buffer.size,):
-            raise ContractViolation(f"mask shape {bits.shape} does not match size {self.buffer.size}")
-        self.mask_drawn[: self.buffer.size] = bits
+        if bits.ndim != 1 or not 0 <= start <= start + len(bits) <= self.buffer.size:
+            raise ContractViolation(
+                f"mask shape {bits.shape} at slot {start} does not match size {self.buffer.size}"
+            )
+        self.mask_drawn[start : start + len(bits)] = bits
         self._subset = None
 
     def sample(self, batch_size: int) -> Batch:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import mmap
+
 import pytest
 
 from replay_opt import cli, ddpg, ero, gradchecks
@@ -215,6 +218,8 @@ class TestRunCommand:
             ("ou_sigma=nan", "ou_sigma must be >= 0"),
             ("seed=-1", "seed must be >= 0"),
             ("early_stop_threshold=nan", "early_stop_threshold must be a number, got nan"),
+            ("early_stop_threshold=inf", "early_stop_threshold must be finite, got inf"),
+            ("early_stop_threshold=-inf", "early_stop_threshold must be finite, got -inf"),
             ("hidden_sizes=0", "hidden_sizes must be integers >= 1, got (0,)"),
             ("hidden_sizes=64,-3", "hidden_sizes must be integers >= 1, got (64, -3)"),
             ("ou_sigma=inf", "config error: ou_sigma must be >= 0 and finite, got inf"),
@@ -230,6 +235,26 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(cfg), "--set", setting, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not (out / "episodes.csv").exists()
+
+    def test_buffer_too_large_to_map_exits_2(self, tmp_path, monkeypatch, capsys):
+        real_mmap = mmap.mmap
+
+        def refuse_large(fileno, length, *args, **kwargs):
+            # never ask the system for the terabytes: a host that overcommits
+            # would grant them lazily
+            if length > 1 << 30:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", refuse_large)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--set", "buffer_capacity=100000000000",
+                "--set", "warmup_transitions=10", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot map 2400000000000 bytes for an array of shape (100000000000, 3)")
         assert not (out / "episodes.csv").exists()
 
     def test_warmup_above_capacity_exits_2_before_training(self, tmp_path, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from replay_opt.ero import (
     mask_surrogate,
 )
 from replay_opt.harness import RunConfig, run
-from replay_opt.nn import grad_check, mlp_init
+from replay_opt.nn import BLOCK, grad_check, mlp_init
 from replay_opt.replay import ReplayBuffer, SubsetSampler, Transition
 
 
@@ -246,6 +246,24 @@ class TestMaskDraws:
             masks.append(subset.subset_indices().copy())
         assert sizes[0] == sizes[1]
         assert np.array_equal(masks[0], masks[1])
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7, 20_000])
+    def test_streamed_mask_equals_one_draw_over_the_whole_buffer(self, n):
+        rng = np.random.default_rng(n)
+        buf = ReplayBuffer(20_000, obs_dim=3, action_dim=1)
+        buf.rewards[:n] = rng.normal(size=n)
+        buf.td_errors[:n] = rng.normal(size=n)
+        buf.insert_timesteps[:n] = rng.permutation(n) + 1
+        buf.size = n
+        policy = fresh_policy(draw_rng=np.random.default_rng(9))
+        for i in range(min(n, 50)):
+            policy.normalizer.update((buf.rewards[i], buf.td_errors[i]))
+        whole_rng = np.random.default_rng(9)
+        expected = draw_mask(policy.score(policy.features(buf, slice(0, n), n)), whole_rng)
+        subset = subset_of(policy, buf)
+        assert policy.refresh_subset(buf, n, subset) == expected.sum()
+        assert np.array_equal(subset.mask_drawn[:n], expected)
+        assert policy._rng.bit_generator.state == whole_rng.bit_generator.state
 
     def test_empty_buffer_noop(self):
         buf = ReplayBuffer(8, obs_dim=3, action_dim=1)

@@ -122,6 +122,8 @@ class TestRun:
             ({"hidden_sizes": (16, -3)}, r"hidden_sizes must be integers >= 1, got \(16, -3\)"),
             ({"ou_sigma": float("inf")}, "ou_sigma must be >= 0 and finite, got inf"),
             ({"ou_theta": float("inf")}, "ou_theta must be >= 0 and finite, got inf"),
+            ({"early_stop_threshold": float("inf")}, "early_stop_threshold must be finite, got inf"),
+            ({"early_stop_threshold": -float("inf")}, "early_stop_threshold must be finite, got -inf"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):

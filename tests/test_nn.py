@@ -165,6 +165,31 @@ class TestForward:
         out = net.forward(extreme)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
+    def test_sigmoid_bits_equal_the_two_branch_formula(self):
+        """The activation computes exp(-|z|) once; its bits are those of
+        1 / (1 + exp(-z)) on z >= 0 and exp(z) / (1 + exp(z)) elsewhere,
+        each branch run on its own rows, then clipped."""
+
+        def two_branch(z):
+            out = np.empty_like(z)
+            pos = z >= 0.0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            expz = np.exp(z[~pos])
+            out[~pos] = expz / (1.0 + expz)
+            return np.clip(out, 2.0**-53, 1.0 - 2.0**-53)
+
+        sigmoid = _KERNELS["sigmoid"][0]
+        rng = np.random.default_rng(13)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 36.0, 38.0, -745.0, 745.0, -708.5, 5e-324, -5e-324]
+        for z in [np.array(edges)[:, None]] + [
+            rng.standard_normal((n, 1)) * scale for n in (1, 7, 64, BLOCK + 1) for scale in (1e-3, 1.0, 30.0, 800.0)
+        ]:
+            expected = two_branch(z)
+            assert np.array_equal(sigmoid(z), expected, equal_nan=True)
+            in_place = z.copy()
+            assert sigmoid(in_place, in_place) is in_place
+            assert np.array_equal(in_place, expected, equal_nan=True)
+
     def test_fresh_net_finite_everywhere(self):
         rng = np.random.default_rng(5)
         net = mlp_init([4, 16, 16, 2], ["relu", "tanh", "linear"], seed=9)
@@ -507,14 +532,20 @@ class TestWorkspace:
         ],
     )
     @pytest.mark.parametrize(
-        "n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 1, 20_000]
+        "n",
+        [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+         2 * BLOCK + 2, 3 * BLOCK + 1, 6 * BLOCK + 1, 20_000],
     )
     def test_blocked_forward_bit_equal_to_unblocked(self, sizes, acts, n):
         net = mlp_init(sizes, acts, seed=13)
         x = np.random.default_rng(n).normal(scale=2.0, size=(n, sizes[0]))
         assert np.array_equal(net.forward(x), reference_forward(net, x))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7,
+         4 * BLOCK + 1, 6 * BLOCK + 7],
+    )
     def test_row_blocks_cover_the_rows_without_one_row_blocks(self, n):
         blocks = list(row_blocks(n))
         assert [row for start, stop in blocks for row in range(start, stop)] == list(range(n))
@@ -562,7 +593,7 @@ class TestWorkspace:
             assert np.array_equal(reused.grads, fresh.grads)
             assert np.array_equal(net.input_gradient(cache, dy), net.input_gradient(fresh_cache, dy))
 
-    @pytest.mark.parametrize("n", [1, 64, BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 64, BLOCK + 1, 2 * BLOCK + 1])
     def test_cache_pairs_each_layer_input_with_its_output(self, n):
         net = mlp_init([3, 64, 64, 1], ["relu", "relu", "sigmoid"], seed=4)
         x = np.random.default_rng(n).normal(size=(n, 3))
@@ -600,7 +631,7 @@ class TestWorkspace:
             ([3, 64, 64, 1], ["relu", "relu", "tanh"]),  # actor of a 1-d action
         ],
     )
-    @pytest.mark.parametrize("n", [1, 64, BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 64, BLOCK + 1, 2 * BLOCK + 1])
     def test_width_one_chain_bit_equal_to_matmul(self, sizes, acts, n):
         rng = np.random.default_rng(n)
         net = mlp_init(sizes, acts, seed=21)

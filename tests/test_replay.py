@@ -927,6 +927,18 @@ class TestSubsetSampler:
         s.on_store(idx, 10)
         assert idx in s.subset_indices()
 
+    def test_mask_written_block_by_block(self):
+        s = subset_sampler(filled_buffer(6))
+        s.set_subset_mask(np.array([True, False, True, False]))
+        assert np.array_equal(s.subset_indices(), [0, 2, 4, 5])  # slots 4 and 5 have no bit yet
+        s.set_subset_mask(np.array([False, True]), start=4)
+        assert s.mask_drawn[:6].tolist() == [1, 0, 1, 0, 0, 1]
+        assert np.array_equal(s.subset_indices(), [0, 2, 5])
+        with pytest.raises(ContractViolation, match="at slot 5 does not match size 6"):
+            s.set_subset_mask(np.array([True, True]), start=5)
+        with pytest.raises(ContractViolation):
+            s.set_subset_mask(np.array([True]), start=-1)
+
     def test_mask_of_the_wrong_length_is_rejected(self):
         s = subset_sampler(filled_buffer(4))
         with pytest.raises(ContractViolation, match="does not match size 4"):
@@ -1044,7 +1056,7 @@ class TestMakeSampler:
 
 
 # Five cycles of: build a score-net-shaped Mlp and run 3000 rows through it
-# (its workspace grows to 1024 rows), build a 100k-leaf SumTree and write
+# (its workspace grows to 512 rows), build a 100k-leaf SumTree and write
 # 1,429 leaves, drop both. Prints the process's peak RSS (KiB) after each
 # cycle. It reads VmHWM, the peak of this process's own memory: ru_maxrss
 # carries the peak of the process that started it across exec, so a child
@@ -1072,17 +1084,32 @@ _RSS_CYCLES = textwrap.dedent(
 )
 
 
+def _fresh_interpreter(*args: str) -> str:
+    """Stdout of ``python *args`` in a fresh single-BLAS-thread interpreter that imports this tree."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(replay_opt.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_dropped_trees_and_workspaces_do_not_ratchet_peak_rss():
     """Later runs in one process reuse memory: the tree and the workspaces
     are mapped, so dropping them returns their pages, and the next ones
     touch only the pages they write."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    src = str(Path(replay_opt.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _RSS_CYCLES], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peaks = [int(kib) for kib in proc.stdout.split()]
+    peaks = [int(kib) for kib in _fresh_interpreter("-c", _RSS_CYCLES).split()]
     growth_kib = max(peaks) - peaks[0]
     assert growth_kib < 1024, f"peak RSS grew {growth_kib} KiB after the first cycle: {peaks}"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_eager_rescore_of_a_full_buffer_barely_raises_peak_rss():
+    """ERO's rescore runs block by block, so drawing a mask over 100k live
+    rows holds no per-row array; what it adds to the peak is the score
+    net's block workspace. ``scripts/per_step_cost.py --rescore-peak``
+    fills the buffer in place and reads VmHWM around one rescore."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "per_step_cost.py"
+    growth_kib = int(_fresh_interpreter(str(script), "--rescore-peak", "100000"))
+    assert growth_kib < 1024, f"one rescore at 100k rows raised the peak RSS by {growth_kib} KiB"
