@@ -29,7 +29,7 @@ for i in range(N):
             insert_timestep=i + 1,
         )
     )
-buf.update_td_errors(np.arange(N), rng.exponential(size=N))  # spread of TD magnitudes
+tds = rng.exponential(size=N)  # spread of TD magnitudes, written by the proportional sampler
 
 print(f"buffer: {len(buf)} transitions, capacity {buf.capacity}\n")
 
@@ -40,8 +40,7 @@ print(f"expected 100 draws per slot; observed min={counts.min()} max={counts.max
 
 print("\n== Proportional: mass (|td| + eps)^alpha on the sum tree ==")
 prop = PerProportionalSampler(buf, np.random.default_rng(2), alpha=0.6, beta0=0.4, epsilon=0.01)
-for i in range(N):
-    prop.update_priorities(np.array([i]), np.array([buf.td_errors[i]]), None, 0)
+prop.update_priorities(np.arange(N), tds, 0)
 batch = prop.sample(64)
 order = np.argsort(-buf.td_errors[:N])
 hot, cold = order[0], order[-1]

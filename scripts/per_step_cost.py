@@ -88,7 +88,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     # spread the priorities the way training does: every slot written once
     for start in range(0, fill, BATCH):
         idx = np.arange(start, min(start + BATCH, fill))
-        sampler.update_priorities(idx, rng.normal(size=len(idx)), None, 0)
+        sampler.update_priorities(idx, rng.normal(size=len(idx)), 0)
 
     # store and on_store in pairs, as a run makes them, each call timed alone
     store_us, on_store_us = [], []
@@ -111,7 +111,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
 
     def update():
         batch = next(drawn)
-        sampler.update_priorities(batch.indices, next(tds), batch.insert_timesteps, 0)
+        sampler.update_priorities(batch.indices, next(tds), 0)
 
     costs["update_priorities_64"] = per_call_us(update, calls, rounds)
 

@@ -15,6 +15,7 @@ from collections import deque
 
 import numpy as np
 
+from .memory import mapped_zeros
 from .nn import AdamState, adam_step, mlp_init, row_blocks
 from .replay import ReplayBuffer
 from .seeding import as_generator
@@ -166,9 +167,15 @@ class EroPolicy:
         return self.score_net.forward(features)[:, 0]
 
     def cached_scores(self, buffer: ReplayBuffer) -> np.ndarray:
-        """Lazy mode's per-slot scores (0.5 until scored), allocated at ``buffer``'s capacity on first use."""
+        """Lazy mode's per-slot scores (0.5 until scored), mapped at ``buffer``'s capacity on first use.
+
+        Only the live slots are set to 0.5 then: ``observe_store`` scores
+        each later slot before anything reads it, so the pages of slots the
+        run never fills stay untouched (``memory.mapped_zeros``).
+        """
         if self.priority_scores is None:
-            self.priority_scores = np.full(buffer.capacity, 0.5)
+            self.priority_scores = mapped_zeros(buffer.capacity)
+            self.priority_scores[: buffer.size] = 0.5
         return self.priority_scores
 
     def observe_store(self, buffer: ReplayBuffer, idx: int, current_step: int) -> None:

@@ -327,10 +327,11 @@ class Trainer:
             batch = sample(config.batch_size)
             _, td_errors = train_step(batch)
             summary.train_steps += 1
-            update_priorities(batch.indices, td_errors, batch.insert_timesteps, step)
+            update_priorities(batch.indices, td_errors, step)
             if summary.train_steps % config.trace_interval == 0:
                 mean_abs_td = float(np.mean(np.abs(td_errors)))
-                mean_step_diff = float(np.mean(step - batch.insert_timesteps))
+                # a train phase stores nothing, so the drawn slots still hold what was drawn
+                mean_step_diff = float(np.mean(step - self.buffer.insert_timesteps[batch.indices]))
                 traces.append(TraceRecord(step, mean_abs_td, mean_step_diff, float(np.mean(batch.rewards))))
 
 

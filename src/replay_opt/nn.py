@@ -164,15 +164,16 @@ class Mlp:
     longer see it.
 
     Each net owns a workspace: one float64 array per layer, as wide as the
-    layer's output and ``BLOCK`` rows long, and a bool array of the same
+    layer's output and ``BLOCK + 1`` rows long (the largest block
+    ``row_blocks`` makes), and a bool array of the same
     shape for the relu masks, each mapped on first use on its own memory map
     (``memory.mapped_zeros``). Only the pages a call writes become
     resident, and a dropped net gives its pages back to the operating
     system. ``forward`` writes its hidden layers there (running
     larger inputs in ``row_blocks``) and ``backward``/``input_gradient``
     their per-layer gradients and masks, so those intermediates are reused
-    from call to call; a request for more than ``BLOCK`` rows gets fresh
-    arrays instead. What the methods return is never workspace memory:
+    from call to call; a request for more than ``BLOCK + 1`` rows gets
+    fresh arrays instead. What the methods return is never workspace memory:
     ``forward`` returns a fresh array on every call. The workspace makes a
     net unsafe to run from two threads at once.
 
@@ -224,16 +225,16 @@ class Mlp:
 
     def _scratch(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (rows, layer width) float and bool arrays: workspace views,
-        fresh above ``BLOCK`` rows."""
+        fresh above ``BLOCK + 1`` rows."""
         views = self._views.get(rows)
         if views is not None:
             return views
         widths = self.layer_sizes[1:]
-        if rows > BLOCK:
+        if rows > BLOCK + 1:
             return [np.empty((rows, w)) for w in widths], [np.empty((rows, w), bool) for w in widths]
         if not self._workspace:  # a page is resident only once a call writes it
-            self._workspace = [mapped_zeros((BLOCK, w)) for w in widths]
-            self._masks = [mapped_zeros((BLOCK, w), dtype=bool) for w in widths]
+            self._workspace = [mapped_zeros((BLOCK + 1, w)) for w in widths]
+            self._masks = [mapped_zeros((BLOCK + 1, w), dtype=bool) for w in widths]
         if len(self._views) >= 4:
             self._views.clear()  # a few row counts recur (1 to act, the batch size to train)
         views = self._views[rows] = ([a[:rows] for a in self._workspace], [a[:rows] for a in self._masks])
@@ -244,11 +245,11 @@ class Mlp:
 
         Each layer computes ``matmul(h, W, out=z); z += b`` and applies its
         activation in place, the same bits as ``act(h @ W + b)``. Inputs of
-        at most ``BLOCK`` rows run as one block, without slicing.
+        at most ``BLOCK + 1`` rows run as one block, without slicing.
         """
         x = self._check_input(x)
         y = np.empty((len(x), self.output_dim))
-        if len(x) <= BLOCK:
+        if len(x) <= BLOCK + 1:
             self._forward_block(x, self._scratch(len(x))[0][:-1] + [y])
         else:
             for start, stop in row_blocks(len(x)):

@@ -46,7 +46,12 @@ class Transition:
 
 @dataclass
 class Batch:
-    """A sampled mini-batch in array form, ready for network updates."""
+    """A sampled mini-batch in array form, ready for network updates.
+
+    ``indices`` names the slots drawn; the run loop writes the batch's TD
+    errors back to them before the next store, so each still holds the
+    transition it held at the draw.
+    """
 
     indices: np.ndarray
     states: np.ndarray
@@ -54,7 +59,6 @@ class Batch:
     rewards: np.ndarray
     next_states: np.ndarray
     dones: np.ndarray
-    insert_timesteps: np.ndarray
     is_weights: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -70,10 +74,10 @@ class ReplayBuffer:
     that one sampler reads belongs to that sampler (``SubsetSampler`` only
     counts its fallbacks in ``subset_fallbacks`` here).
 
-    The buffer keeps the maximum live |TD| that ``store`` seeds new slots
-    with, and rescans the column only after ``update_td_errors`` overwrote a
-    slot that held it or wrote a NaN. Write ``td_errors`` only through
-    ``update_td_errors``, or the cache goes stale.
+    The buffer caches the maximum live |TD| that ``store`` seeds new slots
+    with. ``update_td_errors`` drops the cache, and the next ``store``
+    rescans the column, so the cache is a function of the column. Write
+    ``td_errors`` only through ``update_td_errors``, or the cache goes stale.
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
@@ -94,7 +98,6 @@ class ReplayBuffer:
         self.size = 0
         self.cursor = 0
         self.subset_fallbacks = 0
-        self.stale_updates = 0
         self._td_max = None  # max |TD| over live slots; None until (re)scanned
 
     def __len__(self) -> int:
@@ -152,42 +155,19 @@ class ReplayBuffer:
             rewards=self.rewards[indices],
             next_states=self.next_states.take(indices, axis=0),
             dones=self.dones[indices],
-            insert_timesteps=self.insert_timesteps[indices],
             is_weights=is_weights,
         )
 
-    def update_td_errors(
-        self,
-        indices: np.ndarray,
-        td_errors: np.ndarray,
-        expected_insert_steps: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Overwrite TD caches for the given slots; returns the applied mask.
+    def update_td_errors(self, indices: np.ndarray, td_errors: np.ndarray) -> np.ndarray:
+        """Overwrite the TD caches of the live slots among ``indices``; returns that live mask.
 
-        When ``expected_insert_steps`` is provided, slots whose content
-        changed since sampling (ring eviction) are skipped and counted in
-        ``stale_updates``.
+        Where a slot repeats, its last write lands. The cached maximum |TD|
+        is dropped; the next ``store`` rescans the column.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        td_errors = np.asarray(td_errors, dtype=np.float64)
         ok = indices < self.size
-        if expected_insert_steps is not None:
-            ok &= self.insert_timesteps[indices] == expected_insert_steps
-        stale = len(ok) - np.count_nonzero(ok)
-        self.stale_updates += stale
-        written, values = (indices[ok], td_errors[ok]) if stale else (indices, td_errors)
-        column = self.td_errors
-        old = np.maximum.reduce(np.abs(column[written]), initial=0.0)
-        column[written] = values  # where a slot repeats, its last write lands
-        landed = np.maximum.reduce(np.abs(column[written]), initial=0.0)
-        top = self._td_max
-        if top is not None:
-            # exact: a maximum is one of the column's values, so ``top`` stays
-            # only while no overwritten slot held it and no NaN landed
-            if landed >= top:
-                self._td_max = landed
-            elif not (old < top and landed == landed):
-                self._td_max = None
+        self.td_errors[indices[ok]] = np.asarray(td_errors, dtype=np.float64)[ok]
+        self._td_max = None
         return ok
 
 
@@ -362,9 +342,8 @@ class UniformSampler:
 
     * ``on_store(idx, step)`` after each store, at env step ``step``;
     * ``sample(n)`` for each train step's batch;
-    * ``update_priorities(indices, td_errors, insert_steps, step)`` with the
-      batch's TD errors, skipping slots evicted since the draw unless
-      ``insert_steps`` is None;
+    * ``update_priorities(indices, td_errors, step)`` with the batch's TD
+      errors, right after the train step on it, with no store in between;
     * ``on_episode_end(tracker, step)`` once the episode's return is on the
       ``ero.ReplayRewardTracker``; returns the episode's replay columns
       ``(replay_reward, subset_size, subset_fallbacks)``, or None.
@@ -383,8 +362,8 @@ class UniformSampler:
         indices = self.rng.integers(0, len(self.buffer), size=batch_size)
         return self.buffer.gather(indices)
 
-    def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
-        self.buffer.update_td_errors(indices, td_errors, insert_steps)
+    def update_priorities(self, indices, td_errors, step: int) -> None:
+        self.buffer.update_td_errors(indices, td_errors)
 
     def on_episode_end(self, tracker, step: int):
         return None
@@ -449,8 +428,8 @@ class SubsetSampler(UniformSampler):
             return super().sample(batch_size)
         return self.buffer.gather(subset[self.rng.integers(0, len(subset), size=batch_size)])
 
-    def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
-        self.buffer.update_td_errors(indices, td_errors, insert_steps)
+    def update_priorities(self, indices, td_errors, step: int) -> None:
+        self.buffer.update_td_errors(indices, td_errors)
         self.policy.refresh_scores(self.buffer, indices, step)
 
     def on_episode_end(self, tracker, step: int):
@@ -526,12 +505,12 @@ class PerProportionalSampler(UniformSampler):
         weights = _is_weights(n, masses / total, tree.min_mass() / total, beta)
         return self.buffer.gather(indices, is_weights=weights)
 
-    def update_priorities(self, indices, td_errors, insert_steps, step: int) -> None:
+    def update_priorities(self, indices, td_errors, step: int) -> None:
         """Write the batch's TD errors, then the leaves of the slots written, from the column.
 
         A slot that repeats gets its last write, the value the column holds.
         """
-        ok = self.buffer.update_td_errors(indices, td_errors, insert_steps)
+        ok = self.buffer.update_td_errors(indices, td_errors)
         written = np.asarray(indices, dtype=np.int64)[ok]
         self.tree.set(written, self._masses(written))
 

@@ -251,7 +251,7 @@ def test_c05_sum_tree_oracle_equivalence():
         else:
             idx = int(rng.integers(0, buf.size))
             td = float(rng.normal() * 3)
-            sampler.update_priorities(np.array([idx]), np.array([td]), None, 0)
+            sampler.update_priorities(np.array([idx]), np.array([td]), 0)
             brute[idx] = (abs(td) + epsilon) ** alpha
 
     # leaf masses agree exactly with the brute-force array

@@ -481,7 +481,7 @@ class TestTrainStep:
             batch = sampler.sample(batch_size)
             _, td_errors = agent.train_step(batch)
             assert np.array_equal(td_errors, reference.step(batch))
-            sampler.update_priorities(batch.indices, td_errors, batch.insert_timesteps, 0)
+            sampler.update_priorities(batch.indices, td_errors, 0)
         for net, adam, ref_net in (
             (agent.actor, agent.actor_adam, twin.actor),
             (agent.critic, agent.critic_adam, twin.critic),

@@ -271,6 +271,37 @@ class TestTrainer:
         assert [part() for part in parts] == [None] * 4
         assert summary.total_steps == 100
 
+    @pytest.mark.parametrize(
+        "sampler, lazy",
+        [("uniform", False), ("per_prop", False), ("per_rank", False), ("ero", False), ("ero", True)],
+    )
+    def test_td_write_back_lands_on_the_slots_it_drew(self, sampler, lazy):
+        # the write-back has no eviction check: a 64-slot buffer is overwritten
+        # by every 100-store rollout phase, so a store between a draw and its
+        # write-back would change the insert step of a drawn slot
+        config = quick_config(sampler=sampler, lazy_refresh=lazy, buffer_capacity=64,
+                              warmup_transitions=64, total_timesteps=1000)
+        trainer = Trainer(config)
+        buffer, hooks = trainer.buffer, trainer.sampler
+        sample, update_priorities = hooks.sample, hooks.update_priorities
+        drawn = []
+
+        def checked_sample(batch_size):
+            batch = sample(batch_size)
+            drawn.append(buffer.insert_timesteps[batch.indices].copy())
+            return batch
+
+        def checked_update(indices, td_errors, step):
+            assert len(drawn) == 1
+            assert np.array_equal(buffer.insert_timesteps[indices], drawn.pop())
+            update_priorities(indices, td_errors, step)
+
+        hooks.sample, hooks.update_priorities = checked_sample, checked_update
+        while trainer.summary.total_steps < config.total_timesteps:
+            trainer.rollout_phase()
+            trainer.train_phase()
+        assert trainer.summary.train_steps == 100 and not drawn
+
 
 def episodes_csv(summary) -> str:
     out = io.StringIO()

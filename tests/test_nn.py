@@ -568,9 +568,12 @@ class TestWorkspace:
         net = mlp_init([3, 64, 64, 1], ["relu", "relu", "sigmoid"], seed=0)
         out = net.forward(np.zeros((100_000, 3)))
         assert out.shape == (100_000, 1)
-        assert net._workspace and all(len(ws) <= BLOCK for ws in net._workspace)
-        net.forward(np.zeros((BLOCK + 1, 3)))  # one folded block, above the cap
-        assert all(len(ws) <= BLOCK for ws in net._workspace)
+        assert net._workspace and all(len(ws) == BLOCK + 1 for ws in net._workspace)
+        # one folded block, the largest ``row_blocks`` makes, runs in the workspace
+        x = np.random.default_rng(0).normal(size=(BLOCK + 1, 3))
+        net.forward(x)
+        hidden = _KERNELS["relu"][0](x @ net.weights[0] + net.biases[0])
+        assert net._workspace[0].tobytes() == hidden.tobytes()
 
     @pytest.mark.parametrize(
         "sizes, acts",

@@ -24,6 +24,7 @@ from replay_opt.errors import (
     EmptyBufferError,
 )
 from replay_opt.harness import SAMPLER_KINDS, RunConfig, make_sampler
+from replay_opt.nn import BLOCK
 from replay_opt.replay import (
     MASK_UNDRAWN,
     Batch,
@@ -50,14 +51,14 @@ def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float
     )
 
 
-def reference_update_priorities(sampler, indices, td_errors, expected_insert_steps=None) -> None:
+def reference_update_priorities(sampler, indices, td_errors) -> None:
     """The per-leaf loop that the batched priority write replaced: one-leaf
     writes in array order, through the sampler."""
-    ok = sampler.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
+    ok = sampler.buffer.update_td_errors(indices, td_errors)
     indices = np.asarray(indices, dtype=np.int64)[ok]
     td_errors = np.asarray(td_errors, dtype=np.float64)[ok]
     for idx, td in zip(indices, td_errors):
-        sampler.update_priorities(np.array([idx]), np.array([td]), None, 0)
+        sampler.update_priorities(np.array([idx]), np.array([td]), 0)
 
 
 def reference_find(tree: SumTree, values) -> np.ndarray:
@@ -130,8 +131,8 @@ class WalkSampler:
         idx = self.buffer.store(transition)
         self.tree.set(idx, (abs(self.buffer.td_errors[idx]) + self.epsilon) ** self.alpha)
 
-    def update_priorities(self, indices, td_errors, expected_insert_steps) -> None:
-        ok = self.buffer.update_td_errors(indices, td_errors, expected_insert_steps)
+    def update_priorities(self, indices, td_errors) -> None:
+        ok = self.buffer.update_td_errors(indices, td_errors)
         for idx, td in zip(indices[ok], td_errors[ok]):
             self.tree.set(idx, math.pow(abs(td) + self.epsilon, self.alpha))
 
@@ -201,7 +202,7 @@ class TestRingStorage:
         sampler.on_store(buf.store(make_transition(0)), 0)
         assert buf.td_errors[0] == 1.0
         assert sampler.tree.leaf_masses()[0] == math.pow(1.0 + 0.01, 0.6)
-        sampler.update_priorities(np.array([0]), np.array([-3.0]), None, 0)
+        sampler.update_priorities(np.array([0]), np.array([-3.0]), 0)
         idx = buf.store(make_transition(1))
         sampler.on_store(idx, 0)
         assert buf.td_errors[idx] == 3.0
@@ -397,7 +398,7 @@ class TestPerProportional:
         buf = filled_buffer(len(priorities), capacity=len(priorities))
         s = PerProportionalSampler(buf, np.random.default_rng(seed), alpha=alpha, beta0=beta0, epsilon=0.0)
         # epsilon is 0, so each priority is its TD magnitude
-        s.update_priorities(np.arange(len(priorities)), np.array(priorities, dtype=np.float64), None, 0)
+        s.update_priorities(np.arange(len(priorities)), np.array(priorities, dtype=np.float64), 0)
         return s
 
     def test_store_starts_at_max_live_priority_evicted_slot_included(self):
@@ -405,7 +406,7 @@ class TestPerProportional:
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.0)
         for i in range(4):
             s.on_store(buf.store(make_transition(i)), 0)
-        s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]), None, 0)
+        s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]), 0)
         idx = buf.store(make_transition(4))  # evicts slot 0, the largest priority
         s.on_store(idx, 0)
         assert idx == 0 and buf.td_errors[0] == 5.0
@@ -447,8 +448,8 @@ class TestPerProportional:
         s = PerProportionalSampler(buf, np.random.default_rng(0), epsilon=0.0, alpha=1.0)
         for i in range(n):
             s.on_store(buf.store(make_transition(i)), 0)
-        s.update_priorities(np.arange(n), np.array(tds), None, 0)
-        s.update_priorities(np.arange(n), np.zeros(n), None, 0)
+        s.update_priorities(np.arange(n), np.array(tds), 0)
+        s.update_priorities(np.arange(n), np.zeros(n), 0)
         assert s.tree.total() == 0.0 and not s.tree.leaf_masses().any()
         with pytest.raises(DegeneratePriorityError, match="total priority mass is zero"):
             s.sample(4)
@@ -461,8 +462,8 @@ class TestPerProportional:
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.0)
         for i in range(3):
             s.on_store(buf.store(make_transition(i)), 0)
-        s.update_priorities([0, 1, 2], first, None, 0)
-        s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0], None, 0)
+        s.update_priorities([0, 1, 2], first, 0)
+        s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0], 0)
         assert s.tree.total() == s.tree.leaf_masses()[0] > 0.0
         batch = s.sample(4)
         assert np.array_equal(batch.indices, [0, 0, 0, 0])
@@ -479,27 +480,15 @@ class TestPerProportional:
         s = self.sampler_with_priorities([1.0, 1.0, 1.0, 1.0])
         s.epsilon = 0.01
         root_before = s.tree.total()
-        s.update_priorities(np.array([3]), np.array([0.0]), None, 0)
+        s.update_priorities(np.array([3]), np.array([0.0]), 0)
         assert s.tree.leaf_masses()[3] == pytest.approx(0.01)
         assert s.tree.total() == pytest.approx(root_before - 1.0 + 0.01)
 
     def test_empty_update_is_noop(self):
         s = self.sampler_with_priorities([1.0, 2.0])
         before = s.tree.leaf_masses().copy()
-        s.update_priorities(np.array([], dtype=np.int64), np.array([]), None, 0)
+        s.update_priorities(np.array([], dtype=np.int64), np.array([]), 0)
         assert np.array_equal(s.tree.leaf_masses(), before)
-
-    def test_stale_updates_skipped(self):
-        buf = ReplayBuffer(2, obs_dim=2, action_dim=1)
-        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0)
-        s.on_store(buf.store(make_transition(0)), 0)
-        s.on_store(buf.store(make_transition(1)), 0)
-        expected = buf.insert_timesteps[[0]].copy()
-        s.on_store(buf.store(make_transition(2)), 0)  # evicts slot 0
-        before = buf.td_errors[0]
-        s.update_priorities(np.array([0]), np.array([9.0]), expected, 0)
-        assert buf.td_errors[0] == before
-        assert buf.stale_updates == 1
 
     def test_beta_annealing_reaches_one(self):
         assert beta_at(0.4, 100, 0) == 0.4
@@ -512,7 +501,7 @@ class TestPerProportional:
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0, epsilon=0.0)
         s.on_store(buf.store(make_transition(0)), 0)
-        s.update_priorities(np.array([0]), np.array([2.5]), None, 0)
+        s.update_priorities(np.array([0]), np.array([2.5]), 0)
         idx = buf.store(make_transition(1))
         s.on_store(idx, 0)
         assert s.tree.leaf_masses()[idx] == pytest.approx(2.5)
@@ -544,22 +533,21 @@ class TestBatchedPriorityWrite:
             high = 16 if round_ % 3 == 0 else batched.buffer.size
             indices = rng.integers(0, high, size=size)
             td = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
-            expected = batched.buffer.insert_timesteps[indices].copy()
-            # stores between sampling and write-back evict some sampled slots
+            # stores between drawing the slots and writing them back evict some
+            # of them; the write lands on their new occupants
             for _ in range(int(rng.integers(0, 20))):
                 for s in (batched, reference):
                     s.on_store(s.buffer.store(make_transition(step)), step)
                 step += 1
-            batched.update_priorities(indices, td, expected, 0)
-            reference_update_priorities(reference, indices, td, expected)
+            batched.update_priorities(indices, td, 0)
+            reference_update_priorities(reference, indices, td)
             self.assert_same_state(batched, reference)
-        assert batched.buffer.stale_updates == reference.buffer.stale_updates > 0
 
     def test_repeated_leaf_last_write_wins(self):
         batched, reference = self.twin_samplers(capacity=8, stores=8)
         indices = np.array([3, 5, 3, 3, 5])
         td = np.array([1.0, -2.0, 0.5, 4.0, 0.0])
-        batched.update_priorities(indices, td, None, 0)
+        batched.update_priorities(indices, td, 0)
         reference_update_priorities(reference, indices, td)
         self.assert_same_state(batched, reference)
         assert batched.tree.leaf_masses()[3] == math.pow(4.0 + 0.01, 0.6)
@@ -568,7 +556,7 @@ class TestBatchedPriorityWrite:
         s, _ = self.twin_samplers(capacity=8, stores=8)
         before = s.tree.nodes.copy()
         with pytest.raises(ContractViolation):
-            s.update_priorities(np.array([1, 2]), np.array([1.0, np.nan]), None, 0)
+            s.update_priorities(np.array([1, 2]), np.array([1.0, np.nan]), 0)
         assert np.array_equal(s.tree.nodes, before)
 
 
@@ -608,22 +596,18 @@ class TestCachedExtrema:
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=alpha, epsilon=epsilon)
         td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
-        snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
         for _ in range(data.draw(st.integers(1, 40))):
             if len(buf) == 0 or data.draw(st.booleans()):
                 for _ in range(data.draw(st.integers(1, capacity + 1))):
                     step += 1
                     s.on_store(buf.store(make_transition(step)), step)
                     self.assert_caches_exact(s)
-                if data.draw(st.booleans()):
-                    snapshot = buf.insert_timesteps.copy()
                 continue
-            # repeated slots, and stale ones when ``snapshot`` predates an eviction
+            # repeated slots, and slots evicted since earlier writes
             slots = np.array(data.draw(st.lists(st.integers(0, len(buf) - 1), min_size=0, max_size=8)),
                              dtype=np.int64)
             tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
-            expected = snapshot[slots] if data.draw(st.booleans()) else None
-            s.update_priorities(slots, tds, expected, 0)
+            s.update_priorities(slots, tds, 0)
             self.assert_caches_exact(s)
             # the next store seeds the slot with the scanned maximum, so its
             # leaf gets the largest live mass
@@ -657,7 +641,6 @@ class TestTdMaxCache:
         special = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0])
         td = st.one_of(special, st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
-        snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
         for _ in range(data.draw(st.integers(1, 30))):
             if data.draw(st.booleans()):
                 for _ in range(data.draw(st.integers(1, capacity + 1))):
@@ -667,16 +650,13 @@ class TestTdMaxCache:
                     idx = buf.store(make_transition(step))
                     assert buf.td_errors[idx] == seed or (math.isnan(seed) and math.isnan(buf.td_errors[idx]))
                     self.assert_cache_exact(buf)
-                if data.draw(st.booleans()):
-                    snapshot = buf.insert_timesteps.copy()
                 continue
             # empty batches, repeated slots, slots past the live ones, and
-            # stale ones when ``snapshot`` predates an eviction
+            # slots evicted since earlier writes; only the live ones are written
             slots = np.array(data.draw(st.lists(st.integers(0, capacity - 1), max_size=6)), dtype=np.int64)
             tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
-            expected = snapshot[slots] if data.draw(st.booleans()) else None
-            ok = buf.update_td_errors(slots, tds, expected)
-            assert ok.shape == slots.shape
+            ok = buf.update_td_errors(slots, tds)
+            assert np.array_equal(ok, slots < buf.size)
             self.assert_cache_exact(buf)
 
 
@@ -688,7 +668,6 @@ class TestQueuedStores:
         """The TD column and, when ``read_tree``, the tree (reading it writes
         the queued stores)."""
         assert sampler.buffer.td_errors.tobytes() == oracle.buffer.td_errors.tobytes()
-        assert sampler.buffer.stale_updates == oracle.buffer.stale_updates
         if read_tree:
             tree = sampler.tree
             assert not sampler._stored
@@ -712,9 +691,8 @@ class TestQueuedStores:
         oracle = WalkSampler(capacity, alpha, epsilon, seed=0)
         td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
-        snapshot = buf.insert_timesteps.copy()  # stale once later stores evict
         for _ in range(data.draw(st.integers(1, 30))):
-            op = data.draw(st.sampled_from(["store", "update", "sample", "snapshot"]))
+            op = data.draw(st.sampled_from(["store", "update", "sample"]))
             read_tree = True
             if op == "store" or len(buf) == 0:
                 read_tree = data.draw(st.booleans())
@@ -726,9 +704,8 @@ class TestQueuedStores:
                 slots = data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8))
                 slots = np.array(slots, dtype=np.int64)
                 tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
-                expected = snapshot[slots] if data.draw(st.booleans()) else None
-                s.update_priorities(slots, tds, expected, 0)
-                oracle.update_priorities(slots, tds, expected)
+                s.update_priorities(slots, tds, 0)
+                oracle.update_priorities(slots, tds)
             elif op == "sample":
                 expected = oracle.sample(4)
                 if expected is None:
@@ -736,8 +713,6 @@ class TestQueuedStores:
                         s.sample(4)
                 else:
                     assert np.array_equal(s.sample(4).indices, expected)
-            else:
-                snapshot = buf.insert_timesteps.copy()
             self.assert_same_state(s, oracle, read_tree)
         self.assert_same_state(s, oracle)
 
@@ -754,15 +729,14 @@ class TestTreeFromTdColumn:
     )
     def test_tree_equals_a_fresh_tree_of_the_column(self, capacity, epsilon, alpha, data):
         # a store run of up to 2 * capacity + 1 evicts and queues a slot more
-        # than once before the check reads the tree; an update may name slots
-        # evicted since ``snapshot`` was taken, and the same slot twice
+        # than once before the check reads the tree; an update may name the
+        # same slot twice
         buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=alpha, epsilon=epsilon)
         td = st.one_of(st.just(0.0), st.sampled_from([0.5, -2.0]), st.floats(-1e3, 1e3, allow_nan=False))
         step = 0
-        snapshot = buf.insert_timesteps.copy()
         for _ in range(data.draw(st.integers(1, 30))):
-            op = data.draw(st.sampled_from(["store", "update", "sample", "snapshot"]))
+            op = data.draw(st.sampled_from(["store", "update", "sample"]))
             if op == "store" or len(buf) == 0:
                 for _ in range(data.draw(st.integers(1, 2 * capacity + 1))):
                     step += 1
@@ -770,15 +744,12 @@ class TestTreeFromTdColumn:
             elif op == "update":
                 slots = np.array(data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8)), dtype=np.int64)
                 tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
-                expected = snapshot[slots] if data.draw(st.booleans()) else None
-                s.update_priorities(slots, tds, expected, step)
+                s.update_priorities(slots, tds, step)
             elif op == "sample":
                 try:
                     s.sample(4)
                 except DegeneratePriorityError:
                     assert s.tree.total() == 0.0
-            else:
-                snapshot = buf.insert_timesteps.copy()
             fresh = SumTree(capacity)
             priorities = np.abs(buf.td_errors[: len(buf)]) + epsilon
             fresh.set(np.arange(len(buf)), np.array([math.pow(p, alpha) for p in priorities.tolist()]))
@@ -1039,7 +1010,7 @@ class TestMakeSampler:
             sampler.on_store(buf.store(make_transition(step)), step)
             batch = sampler.sample(8)
             assert len(batch) == 8 and batch.indices.max() < len(buf)
-            sampler.update_priorities(batch.indices, np.full(8, 0.25 * step), batch.insert_timesteps, step)
+            sampler.update_priorities(batch.indices, np.full(8, 0.25 * step), step)
             assert np.all(buf.td_errors[batch.indices] == 0.25 * step)
             if step % 10 == 0:
                 tracker.record_episode(float(step))
@@ -1109,7 +1080,50 @@ def test_eager_rescore_of_a_full_buffer_barely_raises_peak_rss():
     """ERO's rescore runs block by block, so drawing a mask over 100k live
     rows holds no per-row array; what it adds to the peak is the score
     net's block workspace. ``scripts/per_step_cost.py --rescore-peak``
-    fills the buffer in place and reads VmHWM around one rescore."""
+    fills the buffer in place and reads VmHWM around one rescore. At
+    ``20 * BLOCK + 1`` rows the last block has ``BLOCK + 1`` rows (a one-row
+    tail is folded), and it runs in the workspace too: it adds no more than
+    a page or so to what ``20 * BLOCK`` rows add."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "per_step_cost.py"
-    growth_kib = int(_fresh_interpreter(str(script), "--rescore-peak", "100000"))
-    assert growth_kib < 1024, f"one rescore at 100k rows raised the peak RSS by {growth_kib} KiB"
+    growth_kib = {}
+    for fill in (100_000, 20 * BLOCK, 20 * BLOCK + 1):
+        growth_kib[fill] = int(_fresh_interpreter(str(script), "--rescore-peak", str(fill)))
+        assert growth_kib[fill] < 1024, f"one rescore at {fill} rows raised the peak RSS by {growth_kib[fill]} KiB"
+    assert growth_kib[20 * BLOCK + 1] <= growth_kib[20 * BLOCK] + 64, growth_kib
+
+
+# One lazy-ERO store into a 2-slot buffer (it runs the store's code once),
+# then one into a 100k-slot buffer; prints the KiB by which the second
+# raised the peak RSS (VmHWM, as above).
+_LAZY_STORE = textwrap.dedent(
+    """
+    import numpy as np
+    from replay_opt.ero import EroPolicy
+    from replay_opt.replay import ReplayBuffer, SubsetSampler, Transition
+
+    def peak_kib():
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+    def lazy_store(capacity):
+        buf = ReplayBuffer(capacity, obs_dim=3, action_dim=1)
+        policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=1)
+        sampler = SubsetSampler(buf, np.random.default_rng(0), policy)
+        sampler.on_store(buf.store(Transition(np.zeros(3), np.zeros(1), 0.0, np.zeros(3), False, 1)), 1)
+        return buf, sampler
+
+    kept = lazy_store(2)
+    before = peak_kib()
+    kept = lazy_store(100_000)
+    print(peak_kib() - before)
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_first_lazy_store_touches_only_the_live_scores():
+    """Lazy ERO's score cache is mapped and only its live slots are set at
+    first use, so a store into a large, nearly empty buffer does not make
+    the whole cache resident."""
+    growth_kib = int(_fresh_interpreter("-c", _LAZY_STORE))
+    assert growth_kib < 256, f"one lazy store into a 100k-slot buffer raised the peak RSS by {growth_kib} KiB"
