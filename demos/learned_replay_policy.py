@@ -1,5 +1,5 @@
 """The learned replay policy in isolation: score transitions, draw a mask,
-compute the replay reward from a return window, and watch one policy-gradient
+compute the replay reward from the episode records' return window, and watch one policy-gradient
 step push scores in the reward's direction. The policy is driven through the
 learned sampler (``SubsetSampler``), which owns the mask bits and draws the
 agent's batches from the subset they select.
@@ -9,8 +9,9 @@ Run: python3 demos/learned_replay_policy.py
 
 import numpy as np
 
-from replay_opt import EroPolicy, ReplayBuffer, ReplayRewardTracker, SubsetSampler, Transition
+from replay_opt import EpisodeRecord, EroPolicy, ReplayBuffer, SubsetSampler, Transition
 from replay_opt.ero import mask_surrogate
+from replay_opt.harness import replay_reward, window_mean
 
 rng = np.random.default_rng(0)
 buf = ReplayBuffer(64, obs_dim=2, action_dim=1)
@@ -42,13 +43,17 @@ print(f"mask bits for the first 16 slots: {sampler.mask_drawn[:16].tolist()}")
 batch = sampler.sample(8)
 print(f"a batch of 8 comes from the subset only: {set(batch.indices) <= set(sampler.subset_indices())}")
 
-print("\n== Replay reward from the episode-return window ==")
-tracker = ReplayRewardTracker(window=100)
+print("\n== Replay reward from the episode records ==")
+# as a run does: each record's rc_window is the mean return of the last 100
+# records, and the replay reward is the change in rc_window
+episodes = []
 for ret in (-1500.0, -1400.0, -1300.0):
-    tracker.record_episode(ret)
-    reward = tracker.replay_reward()
+    record = EpisodeRecord(len(episodes), 200 * (len(episodes) + 1), ret, 200, rc_window=0.0)
+    episodes.append(record)
+    record.rc_window = window_mean(episodes, 100)
+    reward = replay_reward(episodes)
     shown = "absent" if reward is None else f"{reward:+.1f}"
-    print(f"episode return {ret:+.0f} -> window mean {tracker.window_mean:+.1f}, replay reward {shown}")
+    print(f"episode return {ret:+.0f} -> window mean {record.rc_window:+.1f}, replay reward {shown}")
 
 print("\n== Policy-gradient steps with a positive replay reward ==")
 selected = sampler.mask_drawn[:32] == 1

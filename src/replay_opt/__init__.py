@@ -15,7 +15,7 @@ The package bundles, in plain numpy:
 
 from .ddpg import DdpgAgent, OuNoise
 from .envs import EnvSpec, Pendulum, PointReacher, StepResult, make_env
-from .ero import EroPolicy, ReplayRewardTracker, RunningNorm, draw_mask
+from .ero import EroPolicy, RunningNorm, draw_mask
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -69,7 +69,6 @@ __all__ = [
     "PointReacher",
     "ReplayBuffer",
     "ReplayOptError",
-    "ReplayRewardTracker",
     "RunConfig",
     "RunSummary",
     "RunningNorm",

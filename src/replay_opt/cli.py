@@ -164,9 +164,7 @@ def cmd_compare(args) -> int:
             per_run = dict(mapping)
             per_run["sampler"] = sampler
             per_run["seed"] = str(seed)
-            config = build_run_config(per_run, {})
-            config.config_id = f"{sampler}-{config.env}"
-            configs.append(config)
+            configs.append(build_run_config(per_run, {}))
 
     # An invalid setting shared by the whole grid fails every config: that is
     # a config error, reported before any run starts. An invalid grid entry

@@ -70,13 +70,14 @@ class Pendulum:
         self._steps = 0
         self._live = False
 
-    def spec(self) -> EnvSpec:
+    @classmethod
+    def spec(cls) -> EnvSpec:
         return EnvSpec(
             obs_dim=3,
             action_dim=1,
-            action_low=np.array([-self.MAX_TORQUE]),
-            action_high=np.array([self.MAX_TORQUE]),
-            max_episode_steps=self.MAX_EPISODE_STEPS,
+            action_low=np.array([-cls.MAX_TORQUE]),
+            action_high=np.array([cls.MAX_TORQUE]),
+            max_episode_steps=cls.MAX_EPISODE_STEPS,
         )
 
     def _obs(self) -> np.ndarray:
@@ -133,13 +134,14 @@ class PointReacher:
         self._steps = 0
         self._live = False
 
-    def spec(self) -> EnvSpec:
+    @classmethod
+    def spec(cls) -> EnvSpec:
         return EnvSpec(
             obs_dim=2,
             action_dim=1,
-            action_low=np.array([-self.MAX_FORCE]),
-            action_high=np.array([self.MAX_FORCE]),
-            max_episode_steps=self.MAX_EPISODE_STEPS,
+            action_low=np.array([-cls.MAX_FORCE]),
+            action_high=np.array([cls.MAX_FORCE]),
+            max_episode_steps=cls.MAX_EPISODE_STEPS,
         )
 
     def _obs(self) -> np.ndarray:
@@ -172,12 +174,11 @@ class PointReacher:
         return StepResult(next_obs=self._obs(), reward=reward, done=done, truncated=truncated)
 
 
-ENV_NAMES = ("pendulum", "point_reacher")
+ENVS = {"pendulum": Pendulum, "point_reacher": PointReacher}  # each class's ``spec`` needs no instance
+ENV_NAMES = tuple(ENVS)
 
 
 def make_env(name: str):
-    if name == "pendulum":
-        return Pendulum()
-    if name == "point_reacher":
-        return PointReacher()
-    raise ConfigError(f"unknown environment {name!r}, expected one of {ENV_NAMES}")
+    if name not in ENVS:
+        raise ConfigError(f"unknown environment {name!r}, expected one of {ENV_NAMES}")
+    return ENVS[name]()

@@ -11,8 +11,6 @@ preceded a regression are suppressed.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .memory import mapped_zeros
@@ -66,36 +64,6 @@ class RunningNorm:
             column -= self.mean[j]
             column /= self._denom[j]
         return rows
-
-
-class ReplayRewardTracker:
-    """Windowed return bookkeeping that produces the replay reward.
-
-    The replay reward is the difference between the current windowed mean of
-    episode returns and the windowed mean captured at the previous episode
-    end; it is absent until two estimates exist.
-    """
-
-    def __init__(self, window: int = 100):
-        self.returns = deque(maxlen=window)
-        self.previous_mean: float | None = None
-
-    def record_episode(self, episode_return: float) -> None:
-        self.returns.append(float(episode_return))
-
-    @property
-    def window_mean(self) -> float | None:
-        if not self.returns:
-            return None
-        return float(np.mean(self.returns))
-
-    def replay_reward(self) -> float | None:
-        current = self.window_mean
-        if current is None:
-            return None
-        reward = None if self.previous_mean is None else current - self.previous_mean
-        self.previous_mean = current
-        return reward
 
 
 def draw_mask(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:

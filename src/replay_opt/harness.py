@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .ddpg import DdpgAgent, OuNoise
-from .envs import ENV_NAMES, make_env
-from .ero import EroPolicy, ReplayRewardTracker
+from .envs import ENV_NAMES, ENVS, make_env
+from .ero import FEATURE_DIM, EroPolicy
 from .errors import ConfigError, NumericFault
+from .nn import count_params
 from .replay import ReplayBuffer, Transition
 from .replay import PerProportionalSampler, PerRankSampler, SubsetSampler, UniformSampler
 from .seeding import named_streams
@@ -73,36 +74,24 @@ class RunConfig:
             raise ConfigError(f"unknown env {self.env!r}, expected one of {ENV_NAMES}")
         if self.sampler not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler {self.sampler!r}, expected one of {SAMPLER_KINDS}")
-        positive = (
-            "rollout_steps",
-            "batch_size",
-            "buffer_capacity",
-            "reward_window",
-            "trace_interval",
-            "ero_batch_size",
-            "rank_refresh_interval",
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        non_negative = (
-            "seed",
-            "total_timesteps",
-            "train_steps_per_iter",
-            "warmup_transitions",
-            "replay_updating_steps",
-            "eval_every",
-            "early_stop_window",
-            "per_alpha",
-            "per_epsilon",
-            "ou_theta",
-            "ou_sigma",
-        )
-        for name in non_negative:
+        # every int setting is a count with a lower bound; a library caller can
+        # pass anything, and bool is an int subclass but no count
+        positive = {"rollout_steps", "batch_size", "buffer_capacity", "reward_window", "trace_interval",
+                    "ero_batch_size", "rank_refresh_interval"}
+        for name, typ in field_types(RunConfig).items():
+            if typ is not int:
+                continue
+            value, low = getattr(self, name), int(name in positive)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        for name in ("per_alpha", "per_epsilon", "ou_theta", "ou_sigma"):
             if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
                 raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         # an empty tuple is valid: the nets then have no hidden layer
-        if any(not isinstance(width, (int, np.integer)) or width < 1 for width in self.hidden_sizes):
+        if any(isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
+               for width in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be integers >= 1, got {self.hidden_sizes}")
         if not 0.0 <= self.per_beta0 <= 1.0:
             raise ConfigError(f"per_beta0 must be in [0, 1], got {self.per_beta0}")
@@ -126,6 +115,12 @@ class RunConfig:
             raise ConfigError(
                 f"warmup_transitions ({self.warmup_transitions}) must be <= "
                 f"buffer_capacity ({self.buffer_capacity})"
+            )
+        need, have = 8 * planned_floats(self), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ConfigError(
+                f"hidden_sizes {self.hidden_sizes} and batch_size {self.batch_size} need at least "
+                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
             )
 
     def to_items(self) -> list[tuple[str, str]]:
@@ -151,6 +146,24 @@ def planned_train_steps(config: RunConfig) -> int:
     total, rollout = config.total_timesteps, config.rollout_steps
     live = (min(end, total, config.buffer_capacity) for end in range(rollout, total + rollout, rollout))
     return sum(size >= config.warmup_transitions for size in live) * config.train_steps_per_iter
+
+
+def planned_floats(config: RunConfig) -> int:
+    """float64 values a run of ``config`` holds at the least, counted without allocating.
+
+    Eight per agent parameter (the block's online and target rows, Adam's two
+    moments and two scratch vectors, a gradient tape, the target blend's
+    row), six per ERO score-net parameter, and one batch's activations in
+    every actor and critic layer. The buffer's columns are memory maps,
+    resident only as they fill, and are not counted.
+    """
+    spec, hidden = ENVS[config.env].spec(), list(config.hidden_sizes)
+    actor = [spec.obs_dim, *hidden, spec.action_dim]
+    critic = [spec.obs_dim + spec.action_dim, *hidden, 1]
+    floats = 8 * (count_params(actor) + count_params(critic)) + config.batch_size * (sum(actor) + sum(critic))
+    if config.sampler == "ero":
+        floats += 6 * count_params([FEATURE_DIM, *hidden, 1])
+    return floats
 
 
 def make_sampler(config: RunConfig, buffer: ReplayBuffer, streams: dict) -> UniformSampler:
@@ -194,6 +207,21 @@ class EpisodeRecord:
     replay_reward: float | None = None
     subset_size: int | None = None
     subset_fallbacks: int | None = None
+
+
+def window_mean(episodes: list[EpisodeRecord], window: int) -> float:
+    """Mean return of the last ``window`` records (of all, when fewer): ``rc_window`` and the early stop."""
+    return float(np.mean([r.episode_return for r in episodes[-window:]]))
+
+
+def replay_reward(episodes: list[EpisodeRecord]) -> float | None:
+    """ERO's r^r = r^c_pi - r^c_pi' (Zha et al., 2019, Alg. 1): the last step in ``rc_window``.
+
+    None at the first episode, which has no earlier estimate.
+    """
+    if len(episodes) < 2:
+        return None
+    return episodes[-1].rc_window - episodes[-2].rc_window
 
 
 @dataclass
@@ -256,7 +284,6 @@ class Trainer:
         self.noise = OuNoise(spec.action_dim, config.ou_theta, config.ou_sigma, rng=streams["noise"])
         self.buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.action_dim)
         self.sampler = make_sampler(config, self.buffer, streams)
-        self.tracker = ReplayRewardTracker(window=config.reward_window)
         self.eval_env = make_env(config.env)
         self.eval_env.reset(seed=streams["eval_env"])
 
@@ -284,12 +311,14 @@ class Trainer:
 
     def end_episode(self) -> bool:
         """Record the open episode and start the next; returns True when the run stops early."""
-        config, summary, tracker = self.config, self.summary, self.tracker
-        episodes = summary.episodes
-        tracker.record_episode(self.episode_return)
-        replay_columns = self.sampler.on_episode_end(tracker, summary.total_steps) or ()
-        record = (summary.total_steps, self.episode_return, self.episode_length, tracker.window_mean)
-        episodes.append(EpisodeRecord(len(episodes), *record, *replay_columns))
+        config, summary = self.config, self.summary
+        episodes, step = summary.episodes, summary.total_steps
+        record = EpisodeRecord(len(episodes), step, self.episode_return, self.episode_length, rc_window=0.0)
+        episodes.append(record)
+        record.rc_window = window_mean(episodes, config.reward_window)  # the window holds the record
+        replay_columns = self.sampler.on_episode_end(replay_reward(episodes), step)
+        if replay_columns is not None:
+            record.replay_reward, record.subset_size, record.subset_fallbacks = replay_columns
         self.episode_return, self.episode_length = 0.0, 0
         self.obs = self.env.reset()
         self.noise.reset()
@@ -297,7 +326,7 @@ class Trainer:
             self.eval_episode()
         window = config.early_stop_window
         if window > 0 and len(episodes) >= window and (
-            np.mean([r.episode_return for r in episodes[-window:]]) >= config.early_stop_threshold
+            window_mean(episodes, window) >= config.early_stop_threshold
         ):
             summary.stopped_early = True
         return summary.stopped_early

@@ -115,7 +115,8 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _param_count(layer_sizes) -> int:
+def count_params(layer_sizes) -> int:
+    """Weights and biases of an Mlp with these layer sizes."""
     return sum((i + 1) * o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
@@ -184,7 +185,7 @@ class Mlp:
     def __init__(self, layer_sizes, activations, params: np.ndarray) -> None:
         self.layer_sizes = list(layer_sizes)
         self.activations = tuple(activations)  # bound into the layers below: read-only
-        expected = _param_count(self.layer_sizes)
+        expected = count_params(self.layer_sizes)
         if params.shape != (expected,) or params.dtype != np.float64:
             raise ContractViolation(
                 f"layer sizes {self.layer_sizes} need a float64 vector of {expected} "
@@ -357,7 +358,7 @@ def mlp_init(layer_sizes, activations, seed, output_scale: float | None = None) 
             raise ConfigError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
 
     rng = as_generator(seed)
-    net = Mlp(layer_sizes, activations, np.empty(_param_count(layer_sizes)))
+    net = Mlp(layer_sizes, activations, np.empty(count_params(layer_sizes)))
     last = len(layer_sizes) - 2
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
         bound = 1.0 / np.sqrt(w.shape[0])
@@ -378,7 +379,7 @@ class AdamState:
     def __init__(self, layer_sizes, learning_rate: float) -> None:
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = np.zeros(_param_count(layer_sizes))
+        self.m = np.zeros(count_params(layer_sizes))
         self.v = np.zeros_like(self.m)
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 

@@ -344,8 +344,9 @@ class UniformSampler:
     * ``sample(n)`` for each train step's batch;
     * ``update_priorities(indices, td_errors, step)`` with the batch's TD
       errors, right after the train step on it, with no store in between;
-    * ``on_episode_end(tracker, step)`` once the episode's return is on the
-      ``ero.ReplayRewardTracker``; returns the episode's replay columns
+    * ``on_episode_end(replay_reward, step)`` once the episode's record is
+      written, with ``harness.replay_reward`` of the records (None at the
+      first episode); returns the episode's replay columns
       ``(replay_reward, subset_size, subset_fallbacks)``, or None.
     """
 
@@ -365,7 +366,7 @@ class UniformSampler:
     def update_priorities(self, indices, td_errors, step: int) -> None:
         self.buffer.update_td_errors(indices, td_errors)
 
-    def on_episode_end(self, tracker, step: int):
+    def on_episode_end(self, replay_reward: float | None, step: int):
         return None
 
 
@@ -432,13 +433,12 @@ class SubsetSampler(UniformSampler):
         self.buffer.update_td_errors(indices, td_errors)
         self.policy.refresh_scores(self.buffer, indices, step)
 
-    def on_episode_end(self, tracker, step: int):
-        """The replay reward, then (from the second episode end on) a policy update and a fresh mask."""
-        reward = tracker.replay_reward()
-        if reward is not None:
-            self.policy.update_policy(self.buffer, reward, step, self)
+    def on_episode_end(self, replay_reward: float | None, step: int):
+        """From the second episode end on (a replay reward exists), a policy update and a fresh mask."""
+        if replay_reward is not None:
+            self.policy.update_policy(self.buffer, replay_reward, step, self)
             self.policy.refresh_subset(self.buffer, step, self)
-        return reward, len(self.subset_indices()), self.buffer.subset_fallbacks
+        return replay_reward, len(self.subset_indices()), self.buffer.subset_fallbacks
 
 
 class PerProportionalSampler(UniformSampler):

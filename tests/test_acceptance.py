@@ -17,9 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from replay_opt import harness
 from replay_opt.ddpg import DdpgAgent, td_loss
-from replay_opt.ero import EroPolicy, ReplayRewardTracker, mask_surrogate
-from replay_opt.harness import RunConfig, TraceRecord, read_csv, run
+from replay_opt.ero import EroPolicy, mask_surrogate
+from replay_opt.harness import EpisodeRecord, RunConfig, TraceRecord, read_csv, run
 from replay_opt.nn import Mlp, grad_check, mlp_init
 from replay_opt.replay import (
     PerProportionalSampler,
@@ -307,11 +308,13 @@ def test_c06_rank_distribution():
 
 def test_c07_replay_reward_bookkeeping():
     start = time.perf_counter()
-    tracker = ReplayRewardTracker(window=100)
-    stream = []
+    # three records built as Trainer.end_episode builds them
+    episodes, stream = [], []
     for ret in (1.0, 2.0, 3.0):
-        tracker.record_episode(ret)
-        stream.append(tracker.replay_reward())
+        episodes.append(EpisodeRecord(len(episodes), len(episodes) + 1, ret, 1, rc_window=0.0))
+        episodes[-1].rc_window = harness.window_mean(episodes, 100)
+        stream.append(harness.replay_reward(episodes))
+    assert [e.rc_window for e in episodes] == [1.0, 1.5, 2.0]
     assert stream[0] is None
     assert stream[1] == 0.5
     assert stream[2] == 0.5
@@ -386,11 +389,11 @@ def gate_step(episodes, window: int, threshold: float) -> int | None:
     """``global_step`` of the episode at which ``run`` would stop early, or None.
 
     The harness's rule: at an episode end with at least ``window`` episodes,
-    the mean return of the last ``window`` reaches ``threshold``.
+    the mean return of the last ``window`` (``harness.window_mean``, the
+    formula ``Trainer`` stops by) reaches ``threshold``.
     """
-    returns = [e.episode_return for e in episodes]
-    for end in range(window, len(returns) + 1):
-        if np.mean(returns[end - window : end]) >= threshold:
+    for end in range(window, len(episodes) + 1):
+        if harness.window_mean(episodes[:end], window) >= threshold:
             return episodes[end - 1].global_step
     return None
 

@@ -8,12 +8,11 @@ import pytest
 from replay_opt.ero import (
     FEATURE_DIM,
     EroPolicy,
-    ReplayRewardTracker,
     RunningNorm,
     draw_mask,
     mask_surrogate,
 )
-from replay_opt.harness import RunConfig, run
+from replay_opt.harness import EpisodeRecord, RunConfig, replay_reward, run, window_mean
 from replay_opt.nn import BLOCK, grad_check, mlp_init
 from replay_opt.replay import ReplayBuffer, SubsetSampler, Transition
 
@@ -292,37 +291,39 @@ class TestMaskDraws:
         assert abs(np.mean(sizes) - expected) <= 3 * sigma / np.sqrt(400)
 
 
+def replay_reward_stream(returns, window: int = 100) -> tuple[list, list]:
+    """Episode records of ``returns``, built as a run builds them, and the replay reward after each.
+
+    Each record's ``rc_window`` is ``harness.window_mean`` over the records so
+    far, and the replay reward is ``harness.replay_reward`` of those records.
+    """
+    episodes, rewards = [], []
+    for ret in returns:
+        episodes.append(EpisodeRecord(len(episodes), len(episodes) + 1, float(ret), 1, rc_window=0.0))
+        episodes[-1].rc_window = window_mean(episodes, window)
+        rewards.append(replay_reward(episodes))
+    return episodes, rewards
+
+
 class TestReplayReward:
     def test_first_episode_absent(self):
-        tracker = ReplayRewardTracker(window=100)
-        tracker.record_episode(1.0)
-        assert tracker.replay_reward() is None
+        assert replay_reward_stream([1.0])[1] == [None]
+        assert replay_reward([]) is None
 
     def test_scripted_sequence(self):
-        tracker = ReplayRewardTracker(window=100)
-        rewards = []
-        for ret in [1.0, 2.0, 3.0]:
-            tracker.record_episode(ret)
-            rewards.append(tracker.replay_reward())
+        _, rewards = replay_reward_stream([1.0, 2.0, 3.0])
         assert rewards[0] is None
         assert rewards[1] == pytest.approx(0.5)  # mean(1,2) - mean(1)
         assert rewards[2] == pytest.approx(0.5)  # mean(1,2,3) - mean(1,2)
 
     def test_window_means(self):
-        tracker = ReplayRewardTracker(window=2)
-        tracker.record_episode(100.0)
-        assert tracker.window_mean == 100.0
-        assert tracker.replay_reward() is None
-        tracker.record_episode(120.0)
-        assert tracker.window_mean == 110.0
-        assert tracker.replay_reward() == pytest.approx(10.0)
+        episodes, rewards = replay_reward_stream([100.0, 120.0, 150.0], window=2)
+        assert [e.rc_window for e in episodes] == [100.0, 110.0, 135.0]  # the 100 rolls off
+        assert rewards[0] is None
+        assert rewards[1:] == [pytest.approx(10.0), pytest.approx(25.0)]
 
     def test_identical_means_give_zero(self):
-        tracker = ReplayRewardTracker(window=1)
-        tracker.record_episode(5.0)
-        tracker.replay_reward()
-        tracker.record_episode(5.0)
-        assert tracker.replay_reward() == 0.0
+        assert replay_reward_stream([5.0, 5.0], window=1)[1] == [None, 0.0]
 
 
 class TestUpdatePolicy:
@@ -412,14 +413,11 @@ class TestUpdatePolicy:
 class TestOnEpisodeEnd:
     """The learned sampler's episode end: replay reward, policy update, fresh mask."""
 
-    def test_first_episode_primes_tracker_without_update(self):
+    def test_first_episode_draws_no_mask(self):
         buf = make_buffer(10)
         subset = subset_of(fresh_policy(), buf)
-        tracker = ReplayRewardTracker()
-        tracker.record_episode(-100.0)
-        reward, size, fallbacks = subset.on_episode_end(tracker, 10)
+        reward, size, fallbacks = subset.on_episode_end(None, 10)
         assert reward is None
-        assert tracker.previous_mean == -100.0
         # no draw without a replay reward: every slot is still in the subset
         assert (size, fallbacks) == (10, 0)
         assert len(subset.drawn_slots()) == 0
@@ -428,29 +426,20 @@ class TestOnEpisodeEnd:
         buf = make_buffer(10)
         policy = fresh_policy()
         subset = subset_of(policy, buf)
-        tracker = ReplayRewardTracker()
-        tracker.record_episode(-100.0)
-        subset.on_episode_end(tracker, 10)
-        tracker.record_episode(-50.0)
-        reward, size, _ = subset.on_episode_end(tracker, 20)
-        assert reward == pytest.approx(25.0)
+        subset.on_episode_end(None, 10)
+        reward, size, _ = subset.on_episode_end(25.0, 20)
+        assert reward == 25.0  # the column the record gets
         assert len(subset.drawn_slots()) == 10 and size == len(subset.subset_indices())
         # first update had no drawn bits yet; refresh happened anyway
         assert policy.skipped_no_candidates == 1
-        tracker.record_episode(-40.0)
-        subset.on_episode_end(tracker, 30)
+        subset.on_episode_end(10.0, 30)
         assert policy.skipped_no_candidates == 1  # bits exist now
 
     def test_end_to_end_determinism_over_episodes(self):
         def run():
             buf = make_buffer(40, seed=7)
             subset = subset_of(fresh_policy(init_seed=3, draw_rng=np.random.default_rng(9)), buf)
-            tracker = ReplayRewardTracker()
-            rng = np.random.default_rng(17)
-            columns = []
-            for ep in range(50):
-                tracker.record_episode(float(rng.normal()))
-                columns.append(subset.on_episode_end(tracker, 40 + ep))
-            return columns
+            _, rewards = replay_reward_stream(np.random.default_rng(17).normal(size=50))
+            return [subset.on_episode_end(reward, 40 + ep) for ep, reward in enumerate(rewards)]
 
         assert run() == run()

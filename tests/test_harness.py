@@ -21,6 +21,7 @@ from replay_opt.harness import (
     SummaryRow,
     TraceRecord,
     Trainer,
+    planned_floats,
     planned_train_steps,
     read_csv,
     run,
@@ -124,6 +125,13 @@ class TestRun:
             ({"ou_theta": float("inf")}, "ou_theta must be >= 0 and finite, got inf"),
             ({"early_stop_threshold": float("inf")}, "early_stop_threshold must be finite, got inf"),
             ({"early_stop_threshold": -float("inf")}, "early_stop_threshold must be finite, got -inf"),
+            # a library caller's non-integer counts, caught before numpy sees them
+            ({"batch_size": 64.5}, "batch_size must be an integer, got 64.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"trace_interval": 2.5}, "trace_interval must be an integer, got 2.5"),
+            ({"rollout_steps": True}, "rollout_steps must be an integer, got True"),
+            ({"total_timesteps": "100"}, "total_timesteps must be an integer, got '100'"),
+            ({"hidden_sizes": (True,)}, r"hidden_sizes must be integers >= 1, got \(True,\)"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):
@@ -135,6 +143,28 @@ class TestRun:
         quick_config(gamma=0.999, actor_lr=1e-12, critic_lr=10.0, ero_lr=1e-6).validate()
         quick_config(hidden_sizes=()).validate()  # nets with no hidden layer
         quick_config(hidden_sizes=(1,)).validate()
+        quick_config(seed=np.int64(3), batch_size=np.int32(8)).validate()
+
+    # validate only: never run these through run or the CLI, which would allocate them
+    @pytest.mark.parametrize("setting", [{"hidden_sizes": (100_000_000,)}, {"batch_size": 100_000_000}])
+    def test_configs_larger_than_memory_rejected(self, setting):
+        config = RunConfig(**setting)
+        assert 8 * planned_floats(config) > 100 * 2**30
+        with pytest.raises(ConfigError, match=r"need at least [0-9.]+ GiB, more than the [0-9.]+ GiB of physical"):
+            config.validate()
+
+    def test_large_configs_within_memory_accepted(self):
+        RunConfig().validate()
+        RunConfig(sampler="ero").validate()
+        RunConfig(hidden_sizes=(4096, 4096), batch_size=4096).validate()
+
+    def test_planned_floats_by_hand(self):
+        # pendulum (3-d obs, 1-d action), one hidden layer of 2, batch 5:
+        # actor 3-2-1 has 8 + 3 = 11 params, critic 4-2-1 has 10 + 3 = 13,
+        # the ERO score net 3-2-1 has 11
+        config = RunConfig(hidden_sizes=(2,), batch_size=5)
+        assert planned_floats(config) == 8 * (11 + 13) + 5 * (6 + 7)
+        assert planned_floats(dataclasses.replace(config, sampler="ero")) == 257 + 6 * 11
 
     def test_warmup_above_capacity_rejected(self):
         # the buffer stops growing at its capacity, so such a run never trains
@@ -257,6 +287,18 @@ class TestTrainer:
         trainer.episode_return = -1.0
         assert trainer.end_episode() and trainer.summary.stopped_early
         assert trainer.summary.episodes[-1].episode_return == -1.0
+
+    def test_ero_replay_reward_is_the_step_in_rc_window(self):
+        # a real ERO run that trains from its second episode on, with a
+        # 3-episode window: the window rolls from the fourth episode
+        summary = run(quick_config(sampler="ero", reward_window=3))
+        episodes, returns = summary.episodes, [e.episode_return for e in summary.episodes]
+        assert len(episodes) == 6 and summary.train_steps > 0
+        for i, record in enumerate(episodes):
+            assert record.rc_window == np.mean(returns[max(i - 2, 0) : i + 1])
+        assert episodes[0].replay_reward is None
+        for previous, record in zip(episodes, episodes[1:]):
+            assert record.replay_reward == record.rc_window - previous.rc_window
 
     def test_summary_keeps_no_part_of_the_trainer_alive(self):
         # run_suite keeps every summary, so a reference to the buffer or the

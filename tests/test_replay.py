@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replay_opt
-from replay_opt.ero import EroPolicy, ReplayRewardTracker
+from replay_opt.ero import EroPolicy
 from replay_opt.errors import (
     ConfigError,
     ContractViolation,
@@ -1004,7 +1004,6 @@ class TestMakeSampler:
     def test_every_kind_runs_the_four_hooks(self, kind):
         buf = ReplayBuffer(16, obs_dim=2, action_dim=1)
         sampler = make_sampler(RunConfig(sampler=kind), buf, named_streams(0))
-        tracker = ReplayRewardTracker()
         columns = []
         for step in range(1, 41):  # 40 stores into 16 slots, so slots are evicted
             sampler.on_store(buf.store(make_transition(step)), step)
@@ -1012,16 +1011,15 @@ class TestMakeSampler:
             assert len(batch) == 8 and batch.indices.max() < len(buf)
             sampler.update_priorities(batch.indices, np.full(8, 0.25 * step), step)
             assert np.all(buf.td_errors[batch.indices] == 0.25 * step)
-            if step % 10 == 0:
-                tracker.record_episode(float(step))
-                columns.append(sampler.on_episode_end(tracker, step))
+            if step % 10 == 0:  # an episode end; the replay reward exists from the second on
+                columns.append(sampler.on_episode_end(None if step == 10 else 5.0, step))
         if kind != "ero":
             assert columns == [None] * 4
             return
         assert sampler.policy.normalizer.count == 40  # on_store showed the policy every slot
         assert columns[0] == (None, 10, 0)  # no replay reward yet: no draw, all 10 slots in the subset
         for reward, size, fallbacks in columns[1:]:
-            assert reward == 5.0  # the window mean rises by 5 per episode
+            assert reward == 5.0  # handed back as the record's column
             assert 0 <= size <= 16 and fallbacks == buf.subset_fallbacks
         assert size == len(sampler.subset_indices()) and len(sampler.drawn_slots()) == 16
 
