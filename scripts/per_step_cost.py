@@ -12,8 +12,12 @@ batch 1 and of one train step at batch 64: a uniform ``sample(64)`` and
 eager ``EroPolicy.refresh_subset`` at 20k and 100k live rows (in ms), with
 the growth of the peak RSS (``VmHWM``, KiB) that one such rescore causes in
 a fresh process (``--rescore-peak FILL`` prints only that growth, at FILL
-rows). The rescore's buffer columns are filled directly, not stored
-transition by transition. ``store`` and
+rows), and of lazy ERO's two per-call costs at the same fills: one
+``store`` with the learned sampler's ``on_store`` (which scores the new
+slot; the median of ``--calls`` pairs, each timed alone) and
+``EroPolicy.refresh_scores`` on 64 replayed slots. Both ERO
+setups' buffer columns are filled directly, not stored transition by
+transition. ``store`` and
 ``on_store`` are timed call by call over ``--calls`` store/on_store pairs
 (the median call). ``on_store`` only queues its slot, and the next read of
 the sum tree writes the queued slots, so ``store_phase_100`` times a run's
@@ -149,13 +153,15 @@ def peak_kib() -> int:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 
-def rescore_setup(fill: int):
+def rescore_setup(fill: int, lazy: bool = False):
     """A policy, a ``fill``-row buffer of ``CAPACITY`` slots and its learned sampler.
 
     The columns the rescore reads are written in place, in blocks, so that
     no temporary of ``fill`` rows raises the peak before the rescore runs.
     The policy has drawn one mask over a two-row buffer, so its code is
-    loaded and its score net's workspace mapped.
+    loaded and its score net's workspace mapped; with ``lazy`` it switches
+    to lazy mode after that draw, so its score cache is mapped for this
+    buffer.
     """
     rng = np.random.default_rng(fill)
     policy = EroPolicy(init_seed=0, draw_rng=1)
@@ -168,9 +174,10 @@ def rescore_setup(fill: int):
     for start in range(0, fill, 4096):
         stop = min(start + 4096, fill)
         buf.insert_timesteps[start:stop] = np.arange(start + 1, stop + 1)
-    buf.size = buf.cursor = fill
+    buf.size, buf.cursor = fill, fill % CAPACITY
     for idx in range(1000):
         policy.normalizer.update((buf.rewards[idx], buf.td_errors[idx]))
+    policy.lazy_refresh = lazy
     return policy, buf, SubsetSampler(buf, rng, policy)
 
 
@@ -191,6 +198,24 @@ def rescore_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     return {"refresh_subset_ms": round(us / 1000, 3), "peak_growth_kib": int(child.stdout)}
 
 
+def lazy_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
+    policy, buf, sampler = rescore_setup(fill, lazy=True)
+    rng = np.random.default_rng(fill + 1)
+    # a store and its on_store, timed together call by call, as in a run's rollout
+    on_store_us = []
+    for step in range(fill + 1, fill + 1 + calls):
+        t = transition(rng, step)
+        start = time.perf_counter()
+        sampler.on_store(buf.store(t), step)
+        on_store_us.append((time.perf_counter() - start) * 1e6)
+    replayed = iter(rng.integers(0, len(buf), size=(calls * rounds, BATCH)))
+    step = fill + calls
+    return {
+        "store_on_store": round(statistics.median(on_store_us), 2),
+        "refresh_scores_64": per_call_us(lambda: policy.refresh_scores(buf, next(replayed), step), calls, rounds),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300, help="calls per round")
@@ -209,6 +234,7 @@ def main(argv=None) -> int:
         "replay": {str(fill): replay_costs(fill, args.calls, args.rounds) for fill in FILLS},
         "agent": agent_costs(args.calls, args.rounds),
         "ero_rescore": {str(fill): rescore_costs(fill, args.calls, args.rounds) for fill in RESCORE_FILLS},
+        "ero_lazy": {str(fill): lazy_costs(fill, args.calls, args.rounds) for fill in RESCORE_FILLS},
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -70,8 +70,8 @@ class DdpgAgent:
     to call: the critic's concatenated (state, action) input, the actor's
     and the critic's forward caches, one gradient tape per online net, the
     actor objective's constant output gradient, and the target blend's
-    scratch row. A tape that ``critic_gradients`` or ``actor_gradients``
-    returns is therefore overwritten by the next call.
+    scratch row. Each update backpropagates into its net's tape, so a tape
+    holds only the last update's gradients: the next update overwrites it.
     """
 
     def __init__(
@@ -125,12 +125,8 @@ class DdpgAgent:
 
     # ----------------------------------------------------------------- acting
 
-    def actions_for(self, obs_batch: np.ndarray, net: Mlp | None = None) -> np.ndarray:
-        net = self.actor if net is None else net
-        return self.action_high * net.forward(obs_batch)
-
     def act(self, obs: np.ndarray, noise: OuNoise | None = None) -> np.ndarray:
-        action = self.actions_for(np.asarray(obs, dtype=np.float64)[None, :])[0]
+        action = self.action_high * self.actor.forward(np.asarray(obs, dtype=np.float64)[None, :])[0]
         if noise is not None:
             action = action + noise.sample()
         return np.clip(action, self.action_low, self.action_high)
@@ -152,7 +148,7 @@ class DdpgAgent:
         Time-limit truncations are stored as non-terminal, so they bootstrap
         like any other step.
         """
-        next_actions = self.actions_for(next_states, net=self.target_actor)
+        next_actions = self.action_high * self.target_actor.forward(next_states)
         next_q = self.target_critic.forward(self._critic_input(next_states, next_actions))[:, 0]
         # rewards + gamma * (1 - dones) * next_q, in place; each product and sum
         # has the same operands as in that expression, so the same bits
@@ -162,8 +158,8 @@ class DdpgAgent:
         targets += rewards
         return targets
 
-    def critic_gradients(self, states, actions, rewards, next_states, dones, is_weights=None):
-        """Loss, parameter tape, and per-sample TD errors without updating."""
+    def critic_update(self, states, actions, rewards, next_states, dones, is_weights=None):
+        """One Adam step on the critic; returns (loss, per-sample TD errors)."""
         targets = self.critic_targets(rewards, next_states, dones)
         q, self._critic_cache = self.critic.forward_cached(
             self._critic_input(states, actions), self._critic_cache
@@ -175,13 +171,6 @@ class DdpgAgent:
                 f"max|target|={np.max(np.abs(targets))})"
             )
         tape = self.critic.backward(self._critic_cache, dloss_dq, self._critic_tape)
-        return loss, tape, td_errors
-
-    def critic_update(self, states, actions, rewards, next_states, dones, is_weights=None):
-        """One Adam step on the critic; returns (loss, per-sample TD errors)."""
-        loss, tape, td_errors = self.critic_gradients(
-            states, actions, rewards, next_states, dones, is_weights
-        )
         adam_step(self.critic, tape, self.critic_adam)
         return loss, td_errors
 
@@ -201,19 +190,15 @@ class DdpgAgent:
         dloss_dinput = self.critic.input_gradient(self._critic_cache, self._mean_q_grad)
         return loss, dloss_dinput[:, self.obs_dim :] * self.action_high
 
-    def actor_gradients(self, states):
-        """Objective mean Q(s, actor(s)) and the actor tape that descends ``actor_loss``."""
+    def actor_update(self, states) -> float:
+        """One Adam step on the actor, ascending mean Q(s, actor(s)); returns that mean."""
         head, self._actor_cache = self.actor.forward_cached(states, self._actor_cache)
         loss, dloss_dhead = self.actor_loss(states, head)
+        if not math.isfinite(loss):
+            raise NumericFault(f"actor objective is not finite ({-loss})")
         tape = self.actor.backward(self._actor_cache, dloss_dhead, self._actor_tape)
-        return -loss, tape
-
-    def actor_update(self, states) -> float:
-        objective, tape = self.actor_gradients(states)
-        if not math.isfinite(objective):
-            raise NumericFault(f"actor objective is not finite ({objective})")
         adam_step(self.actor, tape, self.actor_adam)
-        return objective
+        return -loss
 
     def soft_update(self) -> None:
         """Blend targets toward online nets: target <- tau*online + (1-tau)*target."""

@@ -74,24 +74,28 @@ class RunConfig:
             raise ConfigError(f"unknown env {self.env!r}, expected one of {ENV_NAMES}")
         if self.sampler not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler {self.sampler!r}, expected one of {SAMPLER_KINDS}")
-        # every int setting is a count with a lower bound; a library caller can
-        # pass anything, and bool is an int subclass but no count
+        # a library caller can pass anything: each field takes its declared type,
+        # and bool is an int subclass but neither a count nor a number; every
+        # int setting is a count with a lower bound
+        accepted = {int: ((int, np.integer), "an integer"), bool: (bool, "a bool"), str: (str, "a string"),
+                    float: ((int, float, np.integer, np.floating), "a number")}
         positive = {"rollout_steps", "batch_size", "buffer_capacity", "reward_window", "trace_interval",
                     "ero_batch_size", "rank_refresh_interval"}
         for name, typ in field_types(RunConfig).items():
-            if typ is not int:
+            if typ not in accepted:  # hidden_sizes, checked below
                 continue
-            value, low = getattr(self, name), int(name in positive)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
+            (kinds, what), value = accepted[typ], getattr(self, name)
+            if (isinstance(value, bool) and typ is not bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if typ is int and value < (low := int(name in positive)):
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
         for name in ("per_alpha", "per_epsilon", "ou_theta", "ou_sigma"):
             if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
                 raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         # an empty tuple is valid: the nets then have no hidden layer
-        if any(isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
-               for width in self.hidden_sizes):
+        if not isinstance(self.hidden_sizes, (tuple, list)) or any(
+                isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
+                for width in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be integers >= 1, got {self.hidden_sizes}")
         if not 0.0 <= self.per_beta0 <= 1.0:
             raise ConfigError(f"per_beta0 must be in [0, 1], got {self.per_beta0}")

@@ -170,13 +170,14 @@ class Mlp:
     shape for the relu masks, each mapped on first use on its own memory map
     (``memory.mapped_zeros``). Only the pages a call writes become
     resident, and a dropped net gives its pages back to the operating
-    system. ``forward`` writes its hidden layers there (running
-    larger inputs in ``row_blocks``) and ``backward``/``input_gradient``
-    their per-layer gradients and masks, so those intermediates are reused
-    from call to call; a request for more than ``BLOCK + 1`` rows gets
-    fresh arrays instead. What the methods return is never workspace memory:
-    ``forward`` returns a fresh array on every call. The workspace makes a
-    net unsafe to run from two threads at once.
+    system. ``forward`` writes its hidden layers there and
+    ``backward``/``input_gradient`` their per-layer gradients and masks, so
+    those intermediates are reused from call to call; a request for more
+    than ``BLOCK + 1`` rows gets fresh arrays instead. ``forward`` never
+    splits its input: ERO's eager rescore does its own ``row_blocks``.
+    What the methods return is never workspace memory: ``forward`` returns
+    a fresh array on every call. The workspace makes a net unsafe to run
+    from two threads at once.
 
     Each layer's activation and its chain rule are looked up once, at
     construction (``_KERNELS``), not dispatched on the tag at every call.
@@ -245,16 +246,12 @@ class Mlp:
         """Run the network on a (batch, input_dim) matrix; returns a fresh (batch, output_dim) array.
 
         Each layer computes ``matmul(h, W, out=z); z += b`` and applies its
-        activation in place, the same bits as ``act(h @ W + b)``. Inputs of
-        at most ``BLOCK + 1`` rows run as one block, without slicing.
+        activation in place, the same bits as ``act(h @ W + b)``. The input
+        runs as one block, without slicing.
         """
         x = self._check_input(x)
         y = np.empty((len(x), self.output_dim))
-        if len(x) <= BLOCK + 1:
-            self._forward_block(x, self._scratch(len(x))[0][:-1] + [y])
-        else:
-            for start, stop in row_blocks(len(x)):
-                self._forward_block(x[start:stop], self._scratch(stop - start)[0][:-1] + [y[start:stop]])
+        self._forward_block(x, self._scratch(len(x))[0][:-1] + [y])
         return y
 
     def _forward_block(self, h: np.ndarray, outs: list[np.ndarray]) -> None:

@@ -610,7 +610,7 @@ class TestGradcheckCommand:
             loss, dloss_dout = mask_surrogate(out, bits, replay_reward)
             return loss, -dloss_dout
 
-        # where DdpgAgent.critic_gradients and EroPolicy.update_policy look them up
+        # where DdpgAgent.critic_update and EroPolicy.update_policy look them up
         monkeypatch.setattr(ddpg, "td_loss", td_loss_unweighted_gradient)
         monkeypatch.setattr(ero, "mask_surrogate", mask_surrogate_flipped_gradient)
         assert gradchecks.check_critic_loss() >= gradchecks.THRESHOLD

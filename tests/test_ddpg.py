@@ -243,12 +243,13 @@ class TestCriticUpdate:
             assert err < 1e-4
 
     def test_is_weights_scale_loss(self):
-        agent = make_agent()
+        # two agents from the same seeds: each loss is taken before its agent's first step
+        weighted, unweighted = make_agent(), make_agent()
         states, actions, rewards, next_states, dones = random_batch(4)
-        loss_w, _, _ = agent.critic_gradients(
+        loss_w, _ = weighted.critic_update(
             states, actions, rewards, next_states, dones, is_weights=np.full(4, 0.5)
         )
-        loss_u, _, _ = agent.critic_gradients(states, actions, rewards, next_states, dones)
+        loss_u, _ = unweighted.critic_update(states, actions, rewards, next_states, dones)
         assert loss_w == pytest.approx(0.5 * loss_u)
 
     def test_nonfinite_loss_raises_numeric_fault(self):
@@ -286,7 +287,9 @@ class TestActorUpdate:
         agent.actor.weights[0][0, 0] = 0.5
         zero_net(agent.critic)
         agent.critic.weights[0][1, 0] = 1.0  # Q = action input
-        _, tape = agent.actor_gradients(np.array([[1.0]]))
+        states = np.array([[1.0]])
+        head, cache = agent.actor.forward_cached(states)
+        tape = agent.actor.backward(cache, agent.actor_loss(states, head)[1])
         # ascending mean Q means the stored (descent) gradient is -1
         assert tape.weight_grads[0][0, 0] == pytest.approx(-1.0)
 

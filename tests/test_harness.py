@@ -32,6 +32,7 @@ from replay_opt.harness import (
     write_summary_csv,
     write_trace_csv,
 )
+from replay_opt.nn import BLOCK, Mlp
 from test_acceptance import gate_step
 
 
@@ -132,6 +133,14 @@ class TestRun:
             ({"rollout_steps": True}, "rollout_steps must be an integer, got True"),
             ({"total_timesteps": "100"}, "total_timesteps must be an integer, got '100'"),
             ({"hidden_sizes": (True,)}, r"hidden_sizes must be integers >= 1, got \(True,\)"),
+            # and every other field takes its declared type
+            ({"tau": True}, "tau must be a number, got True"),
+            ({"per_alpha": True}, "per_alpha must be a number, got True"),
+            ({"gamma": "0.9"}, "gamma must be a number, got '0.9'"),
+            ({"early_stop_threshold": "-100"}, "early_stop_threshold must be a number, got '-100'"),
+            ({"lazy_refresh": 2}, "lazy_refresh must be a bool, got 2"),
+            ({"out_dir": 5}, "out_dir must be a string, got 5"),
+            ({"hidden_sizes": 64}, "hidden_sizes must be integers >= 1, got 64"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):
@@ -144,6 +153,7 @@ class TestRun:
         quick_config(hidden_sizes=()).validate()  # nets with no hidden layer
         quick_config(hidden_sizes=(1,)).validate()
         quick_config(seed=np.int64(3), batch_size=np.int32(8)).validate()
+        quick_config(tau=1, early_stop_threshold=-100, hidden_sizes=[8, 8]).validate()  # ints are numbers
 
     # validate only: never run these through run or the CLI, which would allocate them
     @pytest.mark.parametrize("setting", [{"hidden_sizes": (100_000_000,)}, {"batch_size": 100_000_000}])
@@ -343,6 +353,25 @@ class TestTrainer:
             trainer.rollout_phase()
             trainer.train_phase()
         assert trainer.summary.train_steps == 100 and not drawn
+
+    @pytest.mark.parametrize(
+        "sampler, lazy",
+        [("uniform", False), ("per_prop", False), ("per_rank", False), ("ero", False), ("ero", True)],
+    )
+    def test_every_forward_fits_the_workspace(self, monkeypatch, sampler, lazy):
+        # ``Mlp.forward`` runs any input as one block; a run keeps each call
+        # within the workspace's ``BLOCK + 1`` rows (eager ERO rescores its
+        # 1500 rows in ``row_blocks``)
+        rows, forward = [], Mlp.forward
+
+        def counted_forward(net, x):
+            rows.append(len(x))
+            return forward(net, x)
+
+        monkeypatch.setattr(Mlp, "forward", counted_forward)
+        run(quick_config(sampler=sampler, lazy_refresh=lazy, total_timesteps=1500))
+        assert rows and max(rows) <= BLOCK + 1
+        assert (max(rows) >= BLOCK) == (sampler == "ero" and not lazy)
 
 
 def episodes_csv(summary) -> str:

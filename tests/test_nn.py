@@ -568,10 +568,11 @@ class TestWorkspace:
         net = mlp_init([3, 64, 64, 1], ["relu", "relu", "sigmoid"], seed=0)
         out = net.forward(np.zeros((100_000, 3)))
         assert out.shape == (100_000, 1)
-        assert net._workspace and all(len(ws) == BLOCK + 1 for ws in net._workspace)
+        assert not net._workspace  # more than ``BLOCK + 1`` rows run in fresh arrays
         # one folded block, the largest ``row_blocks`` makes, runs in the workspace
         x = np.random.default_rng(0).normal(size=(BLOCK + 1, 3))
         net.forward(x)
+        assert all(len(ws) == BLOCK + 1 for ws in net._workspace)
         hidden = _KERNELS["relu"][0](x @ net.weights[0] + net.biases[0])
         assert net._workspace[0].tobytes() == hidden.tobytes()
 
