@@ -1,8 +1,8 @@
 """The learned replay policy in isolation: score transitions, draw a mask,
 compute the replay reward from the episode records' return window, and watch one policy-gradient
-step push scores in the reward's direction. The policy is driven through the
-learned sampler (``SubsetSampler``), which owns the mask bits and draws the
-agent's batches from the subset they select.
+step push scores in the reward's direction. The policy owns the mask it draws;
+the learned sampler (``SubsetSampler``) drives it through the sampler hooks and
+draws the agent's batches from the subset the mask selects.
 
 Run: python3 demos/learned_replay_policy.py
 """
@@ -37,11 +37,11 @@ scores = policy.priority_scores[:32]
 print(f"initial scores hover near 0.5: min={scores.min():.3f} max={scores.max():.3f}")
 
 print("\n== Draw a Bernoulli mask over the whole buffer ==")
-size = policy.refresh_subset(buf, 32, sampler)
+size = policy.refresh_subset(buf, 32)
 print(f"subset holds {size} of {len(buf)} transitions")
-print(f"mask bits for the first 16 slots: {sampler.mask_drawn[:16].tolist()}")
+print(f"mask bits for the first 16 slots: {policy.mask_drawn[:16].tolist()}")
 batch = sampler.sample(8)
-print(f"a batch of 8 comes from the subset only: {set(batch.indices) <= set(sampler.subset_indices())}")
+print(f"a batch of 8 comes from the subset only: {set(batch.indices) <= set(policy.subset_indices(buf))}")
 
 print("\n== Replay reward from the episode records ==")
 # as a run does: each record's rc_window is the mean return of the last 100
@@ -56,18 +56,18 @@ for ret in (-1500.0, -1400.0, -1300.0):
     print(f"episode return {ret:+.0f} -> window mean {record.rc_window:+.1f}, replay reward {shown}")
 
 print("\n== Policy-gradient steps with a positive replay reward ==")
-selected = sampler.mask_drawn[:32] == 1
+selected = policy.mask_drawn[:32] == 1
 before = policy.priority_scores[:32].copy()
 
 
 def mask_log_likelihood() -> float:
     # the surrogate the update descends is -replay_reward * log-likelihood
-    return -mask_surrogate(policy.priority_scores[:32, None], sampler.mask_drawn[:32], 1.0)[0]
+    return -mask_surrogate(policy.priority_scores[:32, None], policy.mask_drawn[:32], 1.0)[0]
 
 
 log_lik_before = mask_log_likelihood()
 for _ in range(200):
-    policy.update_policy(buf, 25.0, 32, sampler)
+    policy.update_policy(buf, 25.0, 32)
 policy.refresh_scores(buf, np.arange(32), current_step=32)
 after = policy.priority_scores[:32]
 

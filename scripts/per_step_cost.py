@@ -45,7 +45,7 @@ import time
 import numpy as np
 
 from replay_opt.ddpg import DdpgAgent, OuNoise
-from replay_opt.ero import EroPolicy
+from replay_opt.ero import EroPolicy, draw_mask
 from replay_opt.replay import (
     PerProportionalSampler,
     ReplayBuffer,
@@ -154,20 +154,17 @@ def peak_kib() -> int:
 
 
 def rescore_setup(fill: int, lazy: bool = False):
-    """A policy, a ``fill``-row buffer of ``CAPACITY`` slots and its learned sampler.
+    """A policy and a ``fill``-row buffer of ``CAPACITY`` slots.
 
     The columns the rescore reads are written in place, in blocks, so that
     no temporary of ``fill`` rows raises the peak before the rescore runs.
-    The policy has drawn one mask over a two-row buffer, so its code is
-    loaded and its score net's workspace mapped; with ``lazy`` it switches
-    to lazy mode after that draw, so its score cache is mapped for this
-    buffer.
+    The policy has drawn two rows' bits as a rescore draws a block's, so
+    its code is loaded and its score net's workspace mapped, and its mask
+    (with ``lazy``, also its score cache) is mapped for this buffer with
+    every live slot set: a peak read after this grows by the rescore alone.
     """
     rng = np.random.default_rng(fill)
-    policy = EroPolicy(init_seed=0, draw_rng=1)
-    small = ReplayBuffer(2, OBS_DIM, ACTION_DIM)
-    small.size = 2
-    policy.refresh_subset(small, 2, SubsetSampler(small, rng, policy))
+    policy = EroPolicy(lazy_refresh=lazy, init_seed=0, draw_rng=1)
     buf = ReplayBuffer(CAPACITY, OBS_DIM, ACTION_DIM)
     rng.standard_normal(out=buf.rewards[:fill])
     rng.standard_normal(out=buf.td_errors[:fill])
@@ -177,21 +174,23 @@ def rescore_setup(fill: int, lazy: bool = False):
     buf.size, buf.cursor = fill, fill % CAPACITY
     for idx in range(1000):
         policy.normalizer.update((buf.rewards[idx], buf.td_errors[idx]))
-    policy.lazy_refresh = lazy
-    return policy, buf, SubsetSampler(buf, rng, policy)
+    policy.mask(buf)[:2] = draw_mask(policy.score(policy.features(buf, slice(0, 2), fill)), rng)
+    if lazy:
+        policy.cached_scores(buf)
+    return policy, buf
 
 
 def rescore_peak_growth_kib(fill: int) -> int:
     """KiB by which one eager rescore at ``fill`` live rows raises this process's peak."""
-    policy, buf, sampler = rescore_setup(fill)
+    policy, buf = rescore_setup(fill)
     before = peak_kib()
-    policy.refresh_subset(buf, fill, sampler)
+    policy.refresh_subset(buf, fill)
     return peak_kib() - before
 
 
 def rescore_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
-    policy, buf, sampler = rescore_setup(fill)
-    us = per_call_us(lambda: policy.refresh_subset(buf, fill, sampler), max(calls // 10, 1), rounds)
+    policy, buf = rescore_setup(fill)
+    us = per_call_us(lambda: policy.refresh_subset(buf, fill), max(calls // 10, 1), rounds)
     # a fresh process, whose peak no earlier figure has raised
     child = subprocess.run([sys.executable, __file__, "--rescore-peak", str(fill)],
                            capture_output=True, text=True, check=True)
@@ -199,7 +198,8 @@ def rescore_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
 
 
 def lazy_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
-    policy, buf, sampler = rescore_setup(fill, lazy=True)
+    policy, buf = rescore_setup(fill, lazy=True)
+    sampler = SubsetSampler(buf, np.random.default_rng(fill), policy)
     rng = np.random.default_rng(fill + 1)
     # a store and its on_store, timed together call by call, as in a run's rollout
     on_store_us = []

@@ -65,6 +65,7 @@ def make_out_dir(path, files=()) -> Path:
     """Create the output directory ``path`` (and its parents) if missing.
 
     Commands call it before any run, so that it fails before any step when
+    the directory is not writable (a probe file is created and removed) or
     one of the ``files`` they write there is an existing directory.
     """
     out = Path(path)
@@ -72,6 +73,12 @@ def make_out_dir(path, files=()) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    probe = out / ".replay-opt-write-probe"
+    try:
+        probe.touch()
+        probe.unlink(missing_ok=True)  # a concurrent run in the same directory may have removed it
+    except OSError as exc:
+        raise ConfigError(f"cannot write in output directory {path}: {exc.strerror}") from exc
     for name in files:
         if (out / name).is_dir():
             raise ConfigError(f"output path {out / name} is a directory")

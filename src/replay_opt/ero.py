@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractViolation
 from .memory import mapped_zeros
 from .nn import AdamState, adam_step, mlp_init, row_blocks
 from .replay import ReplayBuffer
@@ -21,6 +22,7 @@ from .seeding import as_generator
 FEATURE_DIM = 3          # transition reward, cached TD error, age ratio
 SCORE_EPS = 1e-8         # log arguments clamped to [SCORE_EPS, 1 - SCORE_EPS]
 STD_FLOOR = 1e-6
+MASK_UNDRAWN = -1        # mask value of a slot stored since the last draw
 
 
 class RunningNorm:
@@ -83,14 +85,30 @@ def mask_surrogate(out: np.ndarray, bits: np.ndarray, replay_reward: float):
     return loss, dloss_dout
 
 
+def _per_slot(array: np.ndarray | None, buffer: ReplayBuffer, fill, dtype=np.float64) -> np.ndarray:
+    """``array`` checked against ``buffer``'s capacity; when None, a new one whose live slots hold ``fill``.
+
+    Each later slot is set as it is stored, so pages a run never reaches stay untouched.
+    """
+    if array is None:
+        array = mapped_zeros(buffer.capacity, dtype=dtype)
+        array[: buffer.size] = fill
+    elif len(array) != buffer.capacity:
+        raise ContractViolation(f"policy mapped for {len(array)} slots, buffer has {buffer.capacity}")
+    return array
+
+
 class EroPolicy:
-    """Scoring network, feature pipeline, mask draws, and the network's optimizer.
+    """Scoring network, feature pipeline, the mask it draws, and the network's optimizer.
 
     Features are (reward, cached TD error, insert_step / current_step). The
     first two are standardized by running statistics accumulated at store
     time; the age ratio is already bounded in (0, 1] and passes through
     unchanged (its store-time value is identically 1, so running statistics
     over it would be degenerate).
+
+    The mask holds each slot's last drawn bit, or ``MASK_UNDRAWN`` for a slot stored since
+    (in the subset until the next draw). It and lazy mode's scores are mapped for one capacity.
     """
 
     def __init__(
@@ -113,6 +131,8 @@ class EroPolicy:
         self.lazy_refresh = lazy_refresh
         self._rng = as_generator(draw_rng)
         self.priority_scores: np.ndarray | None = None  # lazy mode only, see cached_scores
+        self.mask_drawn: np.ndarray | None = None  # see mask
+        self._subset: np.ndarray | None = None  # subset_indices(); None until recomputed
         self.skipped_nonfinite = 0
         self.skipped_no_candidates = 0
 
@@ -135,19 +155,25 @@ class EroPolicy:
         return self.score_net.forward(features)[:, 0]
 
     def cached_scores(self, buffer: ReplayBuffer) -> np.ndarray:
-        """Lazy mode's per-slot scores (0.5 until scored), mapped at ``buffer``'s capacity on first use.
-
-        Only the live slots are set to 0.5 then: ``observe_store`` scores
-        each later slot before anything reads it, so the pages of slots the
-        run never fills stay untouched (``memory.mapped_zeros``).
-        """
-        if self.priority_scores is None:
-            self.priority_scores = mapped_zeros(buffer.capacity)
-            self.priority_scores[: buffer.size] = 0.5
+        """Lazy mode's per-slot scores (0.5 until scored); ``observe_store`` scores each new slot."""
+        self.priority_scores = _per_slot(self.priority_scores, buffer, 0.5)
         return self.priority_scores
 
+    def mask(self, buffer: ReplayBuffer) -> np.ndarray:
+        """The int8 mask over ``buffer``'s slots (live slots undrawn until the first draw)."""
+        self.mask_drawn = _per_slot(self.mask_drawn, buffer, MASK_UNDRAWN, np.int8)
+        return self.mask_drawn
+
+    def subset_indices(self, buffer: ReplayBuffer) -> np.ndarray:
+        """Live slots inside the active subset: drawn bit 1, or no bit yet."""
+        if self._subset is None:
+            self._subset = np.flatnonzero(self.mask(buffer)[: buffer.size] != 0)
+        return self._subset
+
     def observe_store(self, buffer: ReplayBuffer, idx: int, current_step: int) -> None:
-        """Update feature statistics; in lazy mode also score the freshly stored slot."""
+        """Mark the freshly stored slot undrawn and update feature statistics; in lazy mode also score it."""
+        self.mask(buffer)[idx] = MASK_UNDRAWN
+        self._subset = None
         self.normalizer.update((buffer.rewards[idx], buffer.td_errors[idx]))
         if self.lazy_refresh:
             feats = self.features(buffer, np.array([idx]), current_step)
@@ -161,10 +187,8 @@ class EroPolicy:
         indices = np.unique(indices[indices < buffer.size])
         self.cached_scores(buffer)[indices] = self.score(self.features(buffer, indices, current_step))
 
-    def refresh_subset(self, buffer: ReplayBuffer, current_step: int, subset) -> int:
-        """Draw a fresh Bernoulli mask over every live slot into ``subset``; returns subset size.
-
-        ``subset`` is the ``replay.SubsetSampler`` that owns the mask bits.
+    def refresh_subset(self, buffer: ReplayBuffer, current_step: int) -> int:
+        """Draw a fresh Bernoulli mask over every live slot; returns subset size.
 
         Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
         set, in which case the cached (lazily updated) scores are used as-is.
@@ -176,6 +200,8 @@ class EroPolicy:
         generator's stream does not depend on how its draws are split and
         the blocks meet the BLAS kernels as one product over all rows does.
         """
+        mask = self.mask(buffer)
+        self._subset = None
         selected = 0
         for start, stop in row_blocks(len(buffer)):
             if self.lazy_refresh:
@@ -183,25 +209,24 @@ class EroPolicy:
             else:
                 scores = self.score(self.features(buffer, slice(start, stop), current_step))
             bits = draw_mask(scores, self._rng)
-            subset.set_subset_mask(bits, start)
+            mask[start:stop] = bits
             selected += int(np.count_nonzero(bits))
         return selected
 
-    def update_policy(
-        self, buffer: ReplayBuffer, replay_reward: float, current_step: int, subset
-    ) -> float | None:
+    def update_policy(self, buffer: ReplayBuffer, replay_reward: float, current_step: int) -> float | None:
         """One REINFORCE update of the scoring network.
 
-        Samples a uniform mini-batch over the slots that carry a bit of
-        ``subset``'s mask (slots stored after the last draw have no realized
-        action and are excluded) and descends ``mask_surrogate`` over the
-        batch. Returns the minimized surrogate value, or None when the update
-        was skipped.
+        Samples a uniform mini-batch over the slots that carry a drawn bit
+        (slots stored after the last draw have no realized action and are
+        excluded) and descends ``mask_surrogate`` over the batch, with those
+        bits as labels. Returns the minimized surrogate value, or None when
+        the update was skipped.
         """
         if replay_reward is None or not np.isfinite(replay_reward):
             self.skipped_nonfinite += 1
             return None
-        candidates = subset.drawn_slots()
+        mask = self.mask(buffer)
+        candidates = np.flatnonzero(mask[: buffer.size] != MASK_UNDRAWN)
         if len(candidates) == 0:
             self.skipped_no_candidates += 1
             return None
@@ -209,7 +234,7 @@ class EroPolicy:
         loss = None
         for _ in range(self.update_steps):
             indices = candidates[self._rng.integers(0, len(candidates), size=self.update_batch_size)]
-            bits = subset.mask_drawn[indices].astype(np.float64)
+            bits = mask[indices].astype(np.float64)
             feats = self.features(buffer, indices, current_step)
             out, cache = self.score_net.forward_cached(feats)
             loss, dloss_dout = mask_surrogate(out, bits, replay_reward)

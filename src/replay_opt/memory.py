@@ -1,11 +1,11 @@
 """Run-lived arrays on their own anonymous memory maps.
 
-The replay buffer's columns, the learned sampler's mask, the proportional
-sampler's sum tree and each network's workspace are sized by the buffer's
-capacity or by a row block, not by what a run reaches, and they live as long
-as the run. They come from ``mapped_zeros``, so untouched pages cost no
-resident memory and every page goes back to the operating system when the
-array is dropped.
+The replay buffer's columns, the learned replay policy's mask, the
+proportional sampler's sum tree and each network's workspace are sized by
+the buffer's capacity or by a row block, not by what a run reaches, and they
+live as long as the run. They come from ``mapped_zeros``, so untouched pages
+cost no resident memory and every page goes back to the operating system
+when the array is dropped.
 """
 
 from __future__ import annotations

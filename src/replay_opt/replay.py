@@ -6,7 +6,7 @@ One fixed-capacity ring buffer backs four interchangeable samplers:
 * proportional prioritization by TD-error magnitude on a sum tree,
 * rank-based prioritization with a power law over TD-error ranks,
 * uniform draws restricted to the subset selected by the mask that the
-  learned replay policy draws (the sampler owns the mask bits).
+  learned replay policy (``ero.EroPolicy``) draws and owns.
 
 Storage is struct-of-arrays so a batch gather is one indexed read per column.
 """
@@ -25,8 +25,6 @@ from .errors import (
     EmptyBufferError,
 )
 from .memory import mapped_zeros
-
-MASK_UNDRAWN = -1  # slot has never received a Bernoulli draw
 
 
 @dataclass
@@ -331,6 +329,8 @@ def beta_at(beta0: float, anneal_steps: int, calls: int) -> float:
 
 def _is_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
     """IS weights ``(n * probs) ** -beta``, divided by the largest a slot can get (at ``min_prob``)."""
+    if not min_prob > 0.0:  # underflowed: the largest weight is infinite
+        raise DegeneratePriorityError(f"the smallest sampling probability is {min_prob}")
     return (n * probs) ** -beta / (n * min_prob) ** -beta
 
 
@@ -373,13 +373,10 @@ class UniformSampler:
 class SubsetSampler(UniformSampler):
     """The learned replay policy's sampler (ERO): uniform draws over the subset its mask selects.
 
-    ``policy`` (an ``ero.EroPolicy``) scores the slots and draws the mask,
-    and the hooks drive it as Algorithm 1 of Zha et al. (2019) does:
-    ``on_store`` shows it each stored slot, ``update_priorities`` each
-    replayed batch, and ``on_episode_end`` turns the replay reward into a
-    policy update and a fresh mask. The sampler owns the mask bits, one per
-    slot: the bit the last mask drew, or ``MASK_UNDRAWN`` for a slot stored
-    since, which is in the subset until the next draw.
+    ``policy`` (an ``ero.EroPolicy``) owns the mask and the rest of ERO's state, and
+    the hooks drive it as Algorithm 1 of Zha et al. (2019) does: ``on_store`` shows it
+    each stored slot, ``update_priorities`` each replayed batch, and ``on_episode_end``
+    turns the replay reward into a policy update and a fresh mask.
 
     An empty subset falls back to the whole buffer so training never stalls;
     each fallback increments ``buffer.subset_fallbacks``.
@@ -388,42 +385,12 @@ class SubsetSampler(UniformSampler):
     def __init__(self, buffer: ReplayBuffer, rng: np.random.Generator, policy):
         super().__init__(buffer, rng)
         self.policy = policy
-        # a slot at or above ``buffer.size`` is never read, and ``on_store``
-        # marks each slot it fills, so only the live slots need marking here
-        self.mask_drawn = mapped_zeros(buffer.capacity, dtype=np.int8)
-        self.mask_drawn[: buffer.size] = MASK_UNDRAWN
-        self._subset: np.ndarray | None = None  # subset_indices(); None until recomputed
 
     def on_store(self, idx: int, step: int) -> None:
-        self.mask_drawn[idx] = MASK_UNDRAWN
-        self._subset = None
         self.policy.observe_store(self.buffer, idx, step)
 
-    def subset_indices(self) -> np.ndarray:
-        """Live slots inside the active subset: drawn bit 1, or no bit yet."""
-        if self._subset is None:
-            self._subset = np.flatnonzero(self.mask_drawn[: self.buffer.size] != 0)
-        return self._subset
-
-    def drawn_slots(self) -> np.ndarray:
-        """Live slots that carry a drawn bit (not stored since the last draw)."""
-        return np.flatnonzero(self.mask_drawn[: self.buffer.size] != MASK_UNDRAWN)
-
-    def set_subset_mask(self, bits: np.ndarray, start: int = 0) -> None:
-        """Overwrite the subset membership of live slots ``start, start + 1, ...`` with drawn bits.
-
-        A mask drawn block by block is written one block at a time.
-        """
-        bits = np.asarray(bits, dtype=bool)
-        if bits.ndim != 1 or not 0 <= start <= start + len(bits) <= self.buffer.size:
-            raise ContractViolation(
-                f"mask shape {bits.shape} at slot {start} does not match size {self.buffer.size}"
-            )
-        self.mask_drawn[start : start + len(bits)] = bits
-        self._subset = None
-
     def sample(self, batch_size: int) -> Batch:
-        subset = self.subset_indices()
+        subset = self.policy.subset_indices(self.buffer)
         if len(subset) == 0:
             self.buffer.subset_fallbacks += 1
             return super().sample(batch_size)
@@ -436,9 +403,9 @@ class SubsetSampler(UniformSampler):
     def on_episode_end(self, replay_reward: float | None, step: int):
         """From the second episode end on (a replay reward exists), a policy update and a fresh mask."""
         if replay_reward is not None:
-            self.policy.update_policy(self.buffer, replay_reward, step, self)
-            self.policy.refresh_subset(self.buffer, step, self)
-        return replay_reward, len(self.subset_indices()), self.buffer.subset_fallbacks
+            self.policy.update_policy(self.buffer, replay_reward, step)
+            self.policy.refresh_subset(self.buffer, step)
+        return replay_reward, len(self.policy.subset_indices(self.buffer)), self.buffer.subset_fallbacks
 
 
 class PerProportionalSampler(UniformSampler):

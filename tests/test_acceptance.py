@@ -26,7 +26,6 @@ from replay_opt.replay import (
     PerProportionalSampler,
     PerRankSampler,
     ReplayBuffer,
-    SubsetSampler,
     Transition,
 )
 
@@ -154,14 +153,13 @@ def test_c03_bernoulli_mask_statistics():
     buf = random_buffer(n, seed=3)
     policy = EroPolicy(lazy_refresh=True, init_seed=3, draw_rng=np.random.default_rng(33))
     policy.cached_scores(buf)[:n] = 0.5  # lambda fixed at one half
-    subset = SubsetSampler(buf, np.random.default_rng(3), policy)
 
     refreshes = 200
     sizes = np.zeros(refreshes)
     inclusion = np.zeros(n)
     for k in range(refreshes):
-        sizes[k] = policy.refresh_subset(buf, n, subset)
-        inclusion += subset.mask_drawn[:n]
+        sizes[k] = policy.refresh_subset(buf, n)
+        inclusion += policy.mask_drawn[:n]
 
     mean_bound = 3 * (50 / np.sqrt(refreshes))
     assert abs(sizes.mean() - 5000) <= mean_bound, f"mean {sizes.mean()} outside {mean_bound}"
@@ -183,18 +181,17 @@ def test_c04_reinforce_sign_property(monkeypatch):
                 init_seed=buf_seed,
                 draw_rng=np.random.default_rng(buf_seed + 1),
             )
-            subset = SubsetSampler(buf, np.random.default_rng(buf_seed), policy)
-            policy.refresh_subset(buf, 10, subset)
-            return buf, policy, subset
+            policy.refresh_subset(buf, 10)
+            return buf, policy
 
-        def mask_log_likelihood(policy, buf, subset, indices):
+        def mask_log_likelihood(policy, buf, indices):
             feats = policy.features(buf, indices, current_step=10)
             phi = np.clip(policy.score(feats), 1e-8, 1 - 1e-8)
-            bits = subset.mask_drawn[indices].astype(float)
+            bits = policy.mask_drawn[indices].astype(float)
             return float(np.sum(bits * np.log(phi) + (1 - bits) * np.log(1 - phi)))
 
         for reward, expect in ((1.0, "up"), (-1.0, "down"), (0.0, "same")):
-            buf, policy, subset = fresh(trial)
+            buf, policy = fresh(trial)
             net = policy.score_net
             before_net = Mlp(net.layer_sizes, net.activations, net.params.copy())
             featured = []  # the slots the update step reads features for
@@ -206,12 +203,12 @@ def test_c04_reinforce_sign_property(monkeypatch):
 
             with monkeypatch.context() as patch:
                 patch.setattr(policy, "features", recording_features)
-                policy.update_policy(buf, reward, 10, subset)
+                policy.update_policy(buf, reward, 10)
             (idx,) = featured
-            after = mask_log_likelihood(policy, buf, subset, idx)
+            after = mask_log_likelihood(policy, buf, idx)
             saved = policy.score_net
             policy.score_net = before_net
-            before = mask_log_likelihood(policy, buf, subset, idx)
+            before = mask_log_likelihood(policy, buf, idx)
             policy.score_net = saved
             if expect == "up":
                 assert after > before, f"trial {trial}: {after} <= {before}"

@@ -157,6 +157,29 @@ class TestConfigIO:
         assert cli.main([command, "--set", "total_timesteps=100", "--out", str(out)]) == 2
         assert f"config error: output path {out / name} is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unwritable_output_directory_exits_2_before_any_run(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # root may write anywhere, so the probe's write is made to fail as a read-only directory fails it
+        def read_only(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        def no_run(config):
+            raise AssertionError("a run started despite an unwritable output directory")
+
+        monkeypatch.setattr(cli.harness, "run", no_run)
+        monkeypatch.setattr(cli.Path, "touch", read_only)
+        out = tmp_path / "out"
+        assert cli.main([command, "--set", "total_timesteps=100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write in output directory {out}: Permission denied" in err
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_write_probe_leaves_no_file(self, tmp_path):
+        out = cli.make_out_dir(tmp_path / "out", ["episodes.csv"])
+        assert out.is_dir() and not any(out.iterdir())
+
 
 class TestRunCommand:
     def test_missing_config_exits_2_naming_path(self, tmp_path, capsys):

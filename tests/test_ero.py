@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from replay_opt.errors import ContractViolation
 from replay_opt.ero import (
     FEATURE_DIM,
+    MASK_UNDRAWN,
     EroPolicy,
     RunningNorm,
     draw_mask,
@@ -41,8 +43,13 @@ def fresh_policy(**kwargs) -> EroPolicy:
 
 
 def subset_of(policy: EroPolicy, buf: ReplayBuffer) -> SubsetSampler:
-    """The learned sampler over ``buf`` that owns ``policy``'s mask bits."""
+    """The learned sampler over ``buf`` that drives ``policy``."""
     return SubsetSampler(buf, np.random.default_rng(2), policy)
+
+
+def drawn_slots(policy: EroPolicy, buf: ReplayBuffer) -> np.ndarray:
+    """Live slots that carry a drawn bit (not stored since the last draw)."""
+    return np.flatnonzero(policy.mask(buf)[: len(buf)] != MASK_UNDRAWN)
 
 
 def force_constant_score(policy: EroPolicy, value_preactivation: float = 0.0) -> None:
@@ -180,7 +187,7 @@ class TestStoreScoring:
     def test_eager_refresh_scores_and_subset_leave_cache(self, monkeypatch):
         buf = make_buffer(20)
         policy = fresh_policy()
-        policy.refresh_subset(buf, 20, subset_of(policy, buf))
+        policy.refresh_subset(buf, 20)
         self.no_scoring(monkeypatch, policy)
         policy.refresh_scores(buf, np.arange(20), current_step=20)
         assert policy.priority_scores is None
@@ -217,15 +224,44 @@ class TestStoreScoring:
         assert a.traces == b.traces
 
 
+class TestPerSlotArrays:
+    """The mask and lazy mode's scores are mapped for one buffer capacity."""
+
+    @pytest.mark.parametrize("capacity", [128, 512])
+    def test_a_buffer_of_another_capacity_is_rejected(self, capacity):
+        buf = make_buffer(20)  # 256 slots
+        policy = fresh_policy(lazy_refresh=True)
+        policy.observe_store(buf, 19, 20)
+        assert len(policy.mask_drawn) == len(policy.priority_scores) == 256
+        other = make_buffer(20, capacity=capacity)
+        match = f"policy mapped for 256 slots, buffer has {capacity}"
+        for call in (
+            lambda: policy.observe_store(other, 19, 20),
+            lambda: policy.refresh_subset(other, 20),
+            lambda: policy.update_policy(other, 1.0, 20),
+            lambda: policy.refresh_scores(other, np.arange(4), 20),
+            lambda: policy.cached_scores(other),
+        ):
+            with pytest.raises(ContractViolation, match=match):
+                call()
+        assert policy.normalizer.count == 1 and policy.skipped_no_candidates == 0
+
+    def test_mask_is_mapped_with_the_live_slots_undrawn(self):
+        buf = make_buffer(5, capacity=8)
+        policy = fresh_policy()
+        assert policy.mask_drawn is None
+        assert policy.subset_indices(buf).tolist() == [0, 1, 2, 3, 4]
+        assert policy.mask_drawn.tolist() == [MASK_UNDRAWN] * 5 + [0] * 3
+
+
 class TestMaskDraws:
     def test_saturated_scores_select_everything(self):
         buf = make_buffer(50)
         policy = fresh_policy(lazy_refresh=True)
         policy.cached_scores(buf)[:50] = 1.0 - 1e-15
-        subset = subset_of(policy, buf)
-        size = policy.refresh_subset(buf, 50, subset)
+        size = policy.refresh_subset(buf, 50)
         assert size == 50
-        assert len(subset.subset_indices()) == 50
+        assert len(policy.subset_indices(buf)) == 50
 
     def test_half_scores_concentrate_binomially(self):
         rng = np.random.default_rng(3)
@@ -240,9 +276,8 @@ class TestMaskDraws:
         sizes, masks = [], []
         for _ in range(2):
             policy = fresh_policy(draw_rng=np.random.default_rng(5))
-            subset = subset_of(policy, buf)
-            sizes.append(policy.refresh_subset(buf, 100, subset))
-            masks.append(subset.subset_indices().copy())
+            sizes.append(policy.refresh_subset(buf, 100))
+            masks.append(policy.subset_indices(buf).copy())
         assert sizes[0] == sizes[1]
         assert np.array_equal(masks[0], masks[1])
 
@@ -259,15 +294,14 @@ class TestMaskDraws:
             policy.normalizer.update((buf.rewards[i], buf.td_errors[i]))
         whole_rng = np.random.default_rng(9)
         expected = draw_mask(policy.score(policy.features(buf, slice(0, n), n)), whole_rng)
-        subset = subset_of(policy, buf)
-        assert policy.refresh_subset(buf, n, subset) == expected.sum()
-        assert np.array_equal(subset.mask_drawn[:n], expected)
+        assert policy.refresh_subset(buf, n) == expected.sum()
+        assert np.array_equal(policy.mask_drawn[:n], expected)
         assert policy._rng.bit_generator.state == whole_rng.bit_generator.state
 
     def test_empty_buffer_noop(self):
         buf = ReplayBuffer(8, obs_dim=3, action_dim=1)
         policy = fresh_policy()
-        assert policy.refresh_subset(buf, 0, subset_of(policy, buf)) == 0
+        assert policy.refresh_subset(buf, 0) == 0
 
     def test_mask_bits_independent_across_slots(self):
         # covariance of pairs of bits under a fixed score vector is zero
@@ -330,47 +364,44 @@ class TestUpdatePolicy:
     def prepared(self, n=8, seed=0):
         buf = make_buffer(n, seed=seed)
         policy = fresh_policy(draw_rng=np.random.default_rng(seed + 100))
-        subset = subset_of(policy, buf)
-        policy.refresh_subset(buf, n, subset)
-        return buf, policy, subset
+        policy.refresh_subset(buf, n)
+        return buf, policy
 
     def test_zero_reward_first_step_leaves_params_unchanged(self):
-        buf, policy, subset = self.prepared()
+        buf, policy = self.prepared()
         before = [w.copy() for w in policy.score_net.weights]
-        policy.update_policy(buf, 0.0, 8, subset)
+        policy.update_policy(buf, 0.0, 8)
         assert all(np.array_equal(a, b) for a, b in zip(before, policy.score_net.weights))
 
     def test_positive_reward_raises_score_of_selected_slot(self):
         buf = make_buffer(1)
         policy = fresh_policy()
-        subset = subset_of(policy, buf)
-        subset.set_subset_mask(np.array([True]))
+        policy.mask(buf)[0] = 1  # slot 0 was drawn into the subset
         before = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
-        policy.update_policy(buf, 1.0, 1, subset)
+        policy.update_policy(buf, 1.0, 1)
         after = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
         assert after > before
 
     def test_negative_reward_lowers_score_of_selected_slot(self):
         buf = make_buffer(1)
         policy = fresh_policy()
-        subset = subset_of(policy, buf)
-        subset.set_subset_mask(np.array([True]))
+        policy.mask(buf)[0] = 1  # slot 0 was drawn into the subset
         before = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
-        policy.update_policy(buf, -1.0, 1, subset)
+        policy.update_policy(buf, -1.0, 1)
         after = float(policy.score(policy.features(buf, np.array([0]), 1))[0])
         assert after < before
 
     def test_nonfinite_reward_skipped_with_counter(self):
-        buf, policy, subset = self.prepared()
+        buf, policy = self.prepared()
         before = [w.copy() for w in policy.score_net.weights]
-        assert policy.update_policy(buf, float("nan"), 8, subset) is None
+        assert policy.update_policy(buf, float("nan"), 8) is None
         assert policy.skipped_nonfinite == 1
         assert all(np.array_equal(a, b) for a, b in zip(before, policy.score_net.weights))
 
     def test_no_drawn_bits_skipped_with_counter(self):
         buf = make_buffer(4)
         policy = fresh_policy()
-        assert policy.update_policy(buf, 1.0, 4, subset_of(policy, buf)) is None
+        assert policy.update_policy(buf, 1.0, 4) is None
         assert policy.skipped_no_candidates == 1
 
     def test_surrogate_gradient_matches_finite_differences(self):
@@ -384,8 +415,7 @@ class TestUpdatePolicy:
     def test_update_restricted_to_drawn_slots(self, monkeypatch):
         buf = make_buffer(6)
         policy = fresh_policy()
-        subset = subset_of(policy, buf)
-        policy.refresh_subset(buf, 6, subset)
+        policy.refresh_subset(buf, 6)
         idx = buf.store(
             Transition(
                 state=np.zeros(3),
@@ -396,7 +426,7 @@ class TestUpdatePolicy:
                 insert_timestep=7,
             )
         )
-        subset.on_store(idx, 7)
+        policy.observe_store(buf, idx, 7)
         featured = []  # the slots each update step reads features for
         features = policy.features
 
@@ -405,7 +435,7 @@ class TestUpdatePolicy:
             return features(buffer, indices, current_step)
 
         monkeypatch.setattr(policy, "features", recording_features)
-        policy.update_policy(buf, 1.0, 7, subset)
+        policy.update_policy(buf, 1.0, 7)
         assert len(featured) == policy.update_steps
         assert idx not in featured[0]
 
@@ -420,7 +450,7 @@ class TestOnEpisodeEnd:
         assert reward is None
         # no draw without a replay reward: every slot is still in the subset
         assert (size, fallbacks) == (10, 0)
-        assert len(subset.drawn_slots()) == 0
+        assert len(drawn_slots(subset.policy, buf)) == 0
 
     def test_second_episode_updates_then_refreshes(self):
         buf = make_buffer(10)
@@ -429,7 +459,7 @@ class TestOnEpisodeEnd:
         subset.on_episode_end(None, 10)
         reward, size, _ = subset.on_episode_end(25.0, 20)
         assert reward == 25.0  # the column the record gets
-        assert len(subset.drawn_slots()) == 10 and size == len(subset.subset_indices())
+        assert len(drawn_slots(policy, buf)) == 10 and size == len(policy.subset_indices(buf))
         # first update had no drawn bits yet; refresh happened anyway
         assert policy.skipped_no_candidates == 1
         subset.on_episode_end(10.0, 30)

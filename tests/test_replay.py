@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replay_opt
-from replay_opt.ero import EroPolicy
+from replay_opt.ero import MASK_UNDRAWN, EroPolicy
 from replay_opt.errors import (
     ConfigError,
     ContractViolation,
@@ -26,7 +26,6 @@ from replay_opt.errors import (
 from replay_opt.harness import SAMPLER_KINDS, RunConfig, make_sampler
 from replay_opt.nn import BLOCK
 from replay_opt.replay import (
-    MASK_UNDRAWN,
     Batch,
     PerProportionalSampler,
     PerRankSampler,
@@ -144,6 +143,8 @@ class WalkSampler:
         values = (np.arange(batch_size) + self.rng.random(batch_size)) / batch_size * total
         indices = reference_find(self.tree, values)
         if indices.max() >= len(self.buffer) or not (self.tree.leaf_masses()[indices] > 0).all():
+            return None
+        if self.tree.min_mass() / total == 0.0:  # the largest IS weight would be infinite
             return None
         return indices
 
@@ -469,6 +470,15 @@ class TestPerProportional:
         assert np.array_equal(batch.indices, [0, 0, 0, 0])
         assert np.all(np.isfinite(batch.is_weights))
 
+    def test_smallest_probability_underflowing_to_zero_is_degenerate(self):
+        # at epsilon 0, 1e-300 / 1e300 underflows: the largest IS weight would be infinite
+        buf = filled_buffer(2)
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0, epsilon=0.0)
+        s.update_priorities(np.arange(2), np.array([1e300, 1e-300]), 0)
+        assert s.tree.min_mass() > 0.0 and s.tree.min_mass() / s.tree.total() == 0.0
+        with pytest.raises(DegeneratePriorityError, match="smallest sampling probability is 0.0"):
+            s.sample(4)
+
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0)
@@ -746,10 +756,12 @@ class TestTreeFromTdColumn:
                 tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
                 s.update_priorities(slots, tds, step)
             elif op == "sample":
-                try:
+                total = s.tree.total()
+                if total == 0.0 or s.tree.min_mass() / total == 0.0:
+                    with pytest.raises(DegeneratePriorityError):
+                        s.sample(4)
+                else:
                     s.sample(4)
-                except DegeneratePriorityError:
-                    assert s.tree.total() == 0.0
             fresh = SumTree(capacity)
             priorities = np.abs(buf.td_errors[: len(buf)]) + epsilon
             fresh.set(np.arange(len(buf)), np.array([math.pow(p, alpha) for p in priorities.tolist()]))
@@ -847,18 +859,31 @@ class TestPerRank:
         w = s.sample(64).is_weights
         assert np.all(w > 0) and np.all(w <= 1.0 + 1e-12)
 
+    def test_smallest_probability_underflowing_to_zero_is_degenerate(self):
+        # rank 10 ** -400 underflows to 0, and so does the last rank's probability
+        s = PerRankSampler(filled_buffer(10), np.random.default_rng(0), alpha=400.0)
+        with pytest.raises(DegeneratePriorityError, match="smallest sampling probability is 0.0"):
+            s.sample(4)
+        assert s._probs[-1] == 0.0
+
 
 def subset_sampler(buf: ReplayBuffer, seed: int = 0) -> SubsetSampler:
-    """The learned sampler over ``buf``, with an eager policy of its own."""
-    policy = EroPolicy(init_seed=seed, draw_rng=np.random.default_rng(seed + 1))
+    """The learned sampler over ``buf``, with a lazy policy of its own, so that ``draw`` can set its scores."""
+    policy = EroPolicy(lazy_refresh=True, init_seed=seed, draw_rng=np.random.default_rng(seed + 1))
     return SubsetSampler(buf, np.random.default_rng(seed), policy)
+
+
+def draw(sampler: SubsetSampler, bits) -> None:
+    """Have the sampler's policy draw ``bits`` over the live slots: a score of 1 or 0 draws its bit for certain."""
+    sampler.policy.cached_scores(sampler.buffer)[: len(bits)] = bits
+    sampler.policy.refresh_subset(sampler.buffer, 1)
 
 
 class TestSubsetSampler:
     def test_full_subset_behaves_uniformly(self):
         buf = filled_buffer(100, capacity=128)
         s = subset_sampler(buf)
-        assert len(s.subset_indices()) == 100
+        assert len(s.policy.subset_indices(buf)) == 100
         batch = s.sample(1000)
         assert batch.indices.min() >= 0 and batch.indices.max() < 100
         assert len(np.unique(batch.indices)) > 50
@@ -868,13 +893,13 @@ class TestSubsetSampler:
         mask = np.zeros(20, dtype=bool)
         mask[7] = True
         s = subset_sampler(buf)
-        s.set_subset_mask(mask)
+        draw(s, mask)
         assert np.all(s.sample(64).indices == 7)
 
     def test_empty_subset_falls_back_to_whole_buffer(self):
         buf = filled_buffer(20)
         s = subset_sampler(buf)
-        s.set_subset_mask(np.zeros(20, dtype=bool))
+        draw(s, np.zeros(20, dtype=bool))
         batch = s.sample(64)
         assert len(batch) == 64
         assert buf.subset_fallbacks == 1
@@ -884,41 +909,28 @@ class TestSubsetSampler:
         s = subset_sampler(buf)
         for i in range(4):
             s.on_store(buf.store(make_transition(i)), i + 1)
-        s.set_subset_mask(np.array([False, True, False, False]))
+        draw(s, [False, True, False, False])
         s.on_store(buf.store(make_transition(10)), 11)  # evicts slot 0, whose drawn bit was 0
-        assert s.mask_drawn[0] == MASK_UNDRAWN
-        assert np.array_equal(s.subset_indices(), [0, 1])
-        assert np.array_equal(s.drawn_slots(), [1, 2, 3])
+        assert s.policy.mask_drawn.tolist() == [MASK_UNDRAWN, 1, 0, 0]
+        assert np.array_equal(s.policy.subset_indices(buf), [0, 1])
 
     def test_immediate_join_by_default(self):
         buf = filled_buffer(4)
         s = subset_sampler(buf)
-        s.set_subset_mask(np.zeros(4, dtype=bool))
+        draw(s, np.zeros(4, dtype=bool))
         idx = buf.store(make_transition(9))
         s.on_store(idx, 10)
-        assert idx in s.subset_indices()
-
-    def test_mask_written_block_by_block(self):
-        s = subset_sampler(filled_buffer(6))
-        s.set_subset_mask(np.array([True, False, True, False]))
-        assert np.array_equal(s.subset_indices(), [0, 2, 4, 5])  # slots 4 and 5 have no bit yet
-        s.set_subset_mask(np.array([False, True]), start=4)
-        assert s.mask_drawn[:6].tolist() == [1, 0, 1, 0, 0, 1]
-        assert np.array_equal(s.subset_indices(), [0, 2, 5])
-        with pytest.raises(ContractViolation, match="at slot 5 does not match size 6"):
-            s.set_subset_mask(np.array([True, True]), start=5)
-        with pytest.raises(ContractViolation):
-            s.set_subset_mask(np.array([True]), start=-1)
-
-    def test_mask_of_the_wrong_length_is_rejected(self):
-        s = subset_sampler(filled_buffer(4))
-        with pytest.raises(ContractViolation, match="does not match size 4"):
-            s.set_subset_mask(np.ones(5, dtype=bool))
+        assert idx in s.policy.subset_indices(buf)
 
     def test_buffer_holds_no_mask_state(self):
         buf = filled_buffer(4)
         for name in ("mask_drawn", "subset_indices", "set_subset_mask", "_subset_cache"):
             assert not hasattr(buf, name)
+
+    def test_sampler_holds_no_mask_state(self):
+        s = subset_sampler(filled_buffer(4))
+        s.sample(4)
+        assert set(vars(s)) == {"buffer", "rng", "policy"}
 
 
 class OldMembership:
@@ -968,7 +980,7 @@ class TestMembershipFromMaskBits:
                 model.store()
             elif op == "mask":
                 bits = data.draw(st.lists(st.booleans(), min_size=model.size, max_size=model.size))
-                sampler.set_subset_mask(np.array(bits, dtype=bool))
+                draw(sampler, bits)
                 model.set_mask(bits)
             elif model.size > 0:
                 batch = sampler.sample(8)
@@ -979,8 +991,8 @@ class TestMembershipFromMaskBits:
                     fallbacks += 1
                     expected = model_rng.integers(0, model.size, size=8)
                 assert np.array_equal(batch.indices, expected)
-            assert sampler.subset_indices().tolist() == model.subset()
-            assert sampler.mask_drawn[: buf.size].tolist() == model.mask[: model.size]
+            assert sampler.policy.subset_indices(buf).tolist() == model.subset()
+            assert sampler.policy.mask(buf)[: buf.size].tolist() == model.mask[: model.size]
             assert buf.subset_fallbacks == fallbacks
 
 
@@ -1021,7 +1033,8 @@ class TestMakeSampler:
         for reward, size, fallbacks in columns[1:]:
             assert reward == 5.0  # handed back as the record's column
             assert 0 <= size <= 16 and fallbacks == buf.subset_fallbacks
-        assert size == len(sampler.subset_indices()) and len(sampler.drawn_slots()) == 16
+        assert size == len(sampler.policy.subset_indices(buf))
+        assert not np.any(sampler.policy.mask_drawn == MASK_UNDRAWN)  # every slot has a drawn bit
 
 
 # Five cycles of: build a score-net-shaped Mlp and run 3000 rows through it
