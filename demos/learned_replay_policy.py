@@ -9,7 +9,7 @@ Run: python3 demos/learned_replay_policy.py
 
 import numpy as np
 
-from replay_opt import EpisodeRecord, EroPolicy, ReplayBuffer, SubsetSampler, Transition
+from replay_opt import EpisodeRecord, EroPolicy, ReplayBuffer, SubsetSampler
 from replay_opt.ero import mask_surrogate
 from replay_opt.harness import replay_reward, window_mean
 
@@ -23,14 +23,12 @@ sampler = SubsetSampler(buf, np.random.default_rng(2), policy)
 print("== Store transitions; each gets scored as it arrives ==")
 for i in range(32):
     idx = buf.store(
-        Transition(
-            state=rng.normal(size=2),
-            action=rng.normal(size=1),
-            reward=float(rng.normal()),
-            next_state=rng.normal(size=2),
-            done=False,
-            insert_timestep=i + 1,
-        )
+        state=rng.normal(size=2),
+        action=rng.normal(size=1),
+        reward=float(rng.normal()),
+        next_state=rng.normal(size=2),
+        done=False,
+        insert_timestep=i + 1,
     )
     sampler.on_store(idx, i + 1)  # the sampler shows the policy each stored slot
 scores = policy.priority_scores[:32]

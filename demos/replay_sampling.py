@@ -7,27 +7,19 @@ Run: python3 demos/replay_sampling.py
 
 import numpy as np
 
-from replay_opt import (
-    PerProportionalSampler,
-    PerRankSampler,
-    ReplayBuffer,
-    Transition,
-    UniformSampler,
-)
+from replay_opt import PerProportionalSampler, PerRankSampler, ReplayBuffer, UniformSampler
 
 rng = np.random.default_rng(0)
 N = 1000
 buf = ReplayBuffer(N, obs_dim=2, action_dim=1)
 for i in range(N):
     buf.store(
-        Transition(
-            state=rng.normal(size=2),
-            action=rng.normal(size=1),
-            reward=float(rng.normal()),
-            next_state=rng.normal(size=2),
-            done=False,
-            insert_timestep=i + 1,
-        )
+        state=rng.normal(size=2),
+        action=rng.normal(size=1),
+        reward=float(rng.normal()),
+        next_state=rng.normal(size=2),
+        done=False,
+        insert_timestep=i + 1,
     )
 tds = rng.exponential(size=N)  # spread of TD magnitudes, written by the proportional sampler
 

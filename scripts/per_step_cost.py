@@ -28,7 +28,8 @@ rescores for ``refresh_subset_ms``). The
 store phases run last, and their stores raise the fill of the two smaller
 buffers by 10 x ``--calls`` x ``--rounds`` rows.
 Point ``PYTHONPATH`` at another tree's ``src`` to measure that tree with
-the same script (one whose ``train_step`` takes a ``Batch``).
+the same script (one whose ``train_step`` takes a ``Batch`` and whose
+``store`` takes the six values).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from replay_opt.replay import (
     PerProportionalSampler,
     ReplayBuffer,
     SubsetSampler,
-    Transition,
     UniformSampler,
 )
 
@@ -61,15 +61,10 @@ OBS_DIM, ACTION_DIM, BATCH = 3, 1, 64
 STORE_PHASE = 100  # stores per rollout phase of a run (``RunConfig.rollout_steps``)
 
 
-def transition(rng: np.random.Generator, step: int) -> Transition:
-    return Transition(
-        state=rng.normal(size=OBS_DIM),
-        action=rng.normal(size=ACTION_DIM),
-        reward=float(rng.normal()),
-        next_state=rng.normal(size=OBS_DIM),
-        done=False,
-        insert_timestep=step,
-    )
+def transition(rng: np.random.Generator, step: int) -> tuple:
+    """``ReplayBuffer.store``'s six arguments for a random transition stored at env step ``step``."""
+    state, action, reward = rng.normal(size=OBS_DIM), rng.normal(size=ACTION_DIM), float(rng.normal())
+    return state, action, reward, rng.normal(size=OBS_DIM), False, step
 
 
 def per_call_us(fn, calls: int, rounds: int) -> float:
@@ -88,7 +83,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     buf = ReplayBuffer(CAPACITY, OBS_DIM, ACTION_DIM)
     sampler = PerProportionalSampler(buf, np.random.default_rng(1))
     for step in range(1, fill + 1):
-        sampler.on_store(buf.store(transition(rng, step)), step)
+        sampler.on_store(buf.store(*transition(rng, step)), step)
     # spread the priorities the way training does: every slot written once
     for start in range(0, fill, BATCH):
         idx = np.arange(start, min(start + BATCH, fill))
@@ -99,7 +94,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     for step in range(fill + 1, fill + 1 + calls):
         t = transition(rng, step)
         start = time.perf_counter()
-        idx = buf.store(t)
+        idx = buf.store(*t)
         middle = time.perf_counter()
         sampler.on_store(idx, step)
         store_us.append((middle - start) * 1e6)
@@ -123,7 +118,7 @@ def replay_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
 
     def store_phase():
         for _ in range(STORE_PHASE):
-            sampler.on_store(buf.store(next(stored)), 0)
+            sampler.on_store(buf.store(*next(stored)), 0)
         sampler.sample(BATCH)
 
     costs["store_phase_100"] = per_call_us(store_phase, max(calls // 10, 1), rounds)
@@ -135,7 +130,7 @@ def agent_costs(calls: int, rounds: int) -> dict[str, float]:
     agent = DdpgAgent(OBS_DIM, ACTION_DIM, np.array([2.0]), actor_seed=0, critic_seed=1)
     buf = ReplayBuffer(10_000, OBS_DIM, ACTION_DIM)
     for step in range(1, 5_001):
-        buf.store(transition(rng, step))
+        buf.store(*transition(rng, step))
     sampler = UniformSampler(buf, np.random.default_rng(2))
     noise = OuNoise(ACTION_DIM, rng=3)
     obs = rng.normal(size=OBS_DIM)
@@ -206,7 +201,7 @@ def lazy_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     for step in range(fill + 1, fill + 1 + calls):
         t = transition(rng, step)
         start = time.perf_counter()
-        sampler.on_store(buf.store(t), step)
+        sampler.on_store(buf.store(*t), step)
         on_store_us.append((time.perf_counter() - start) * 1e6)
     replayed = iter(rng.integers(0, len(buf), size=(calls * rounds, BATCH)))
     step = fill + calls

@@ -42,7 +42,6 @@ from .replay import (
     ReplayBuffer,
     SubsetSampler,
     SumTree,
-    Transition,
     UniformSampler,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "SubsetSampler",
     "SumTree",
     "TraceRecord",
-    "Transition",
     "UniformSampler",
     "adam_step",
     "draw_mask",

@@ -23,9 +23,9 @@ import numpy as np
 from .ddpg import DdpgAgent, OuNoise
 from .envs import ENV_NAMES, ENVS, make_env
 from .ero import FEATURE_DIM, EroPolicy
-from .errors import ConfigError, NumericFault
+from .errors import ConfigError, DegeneratePriorityError, NumericFault
 from .nn import count_params
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, importance_weights, rank_probabilities
 from .replay import PerProportionalSampler, PerRankSampler, SubsetSampler, UniformSampler
 from .seeding import named_streams
 
@@ -123,9 +123,16 @@ class RunConfig:
         need, have = 8 * planned_floats(self), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
             raise ConfigError(
-                f"hidden_sizes {self.hidden_sizes} and batch_size {self.batch_size} need at least "
-                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+                f"hidden_sizes {self.hidden_sizes}, batch_size {self.batch_size} and sampler {self.sampler} "
+                f"need at least {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
             )
+        # the smallest rank probability falls as the buffer fills; beta = 1 gives the largest IS weight
+        if self.sampler == "per_rank" and (n := min(self.buffer_capacity, self.total_timesteps)):
+            probs = rank_probabilities(n, self.per_alpha)
+            try:
+                importance_weights(n, probs[-1:], probs[-1], 1.0)
+            except DegeneratePriorityError as err:
+                raise ConfigError(f"per_alpha {self.per_alpha} is too large for {n} slots: {err}") from None
 
     def to_items(self) -> list[tuple[str, str]]:
         out = []
@@ -157,9 +164,10 @@ def planned_floats(config: RunConfig) -> int:
 
     Eight per agent parameter (the block's online and target rows, Adam's two
     moments and two scratch vectors, a gradient tape, the target blend's
-    row), six per ERO score-net parameter, and one batch's activations in
-    every actor and critic layer. The buffer's columns are memory maps,
-    resident only as they fill, and are not counted.
+    row), six per ERO score-net parameter, three per slot of a full rank-PER
+    buffer (its sorted slots, probabilities and CDF), and one batch's
+    activations in every actor and critic layer. The buffer's columns are
+    memory maps, resident only as they fill, and are not counted.
     """
     spec, hidden = ENVS[config.env].spec(), list(config.hidden_sizes)
     actor = [spec.obs_dim, *hidden, spec.action_dim]
@@ -167,6 +175,8 @@ def planned_floats(config: RunConfig) -> int:
     floats = 8 * (count_params(actor) + count_params(critic)) + config.batch_size * (sum(actor) + sum(critic))
     if config.sampler == "ero":
         floats += 6 * count_params([FEATURE_DIM, *hidden, 1])
+    if config.sampler == "per_rank":
+        floats += 3 * min(config.buffer_capacity, config.total_timesteps)
     return floats
 
 
@@ -304,7 +314,7 @@ class Trainer:
             action = act(obs, noise)
             result = step_env(action)
             step = summary.total_steps = summary.total_steps + 1
-            on_store(store(Transition(obs, action, result.reward, result.next_obs, result.done, step)), step)
+            on_store(store(obs, action, result.reward, result.next_obs, result.done, step), step)
             self.episode_return += result.reward
             self.episode_length += 1
             if result.done or result.truncated:

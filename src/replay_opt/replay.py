@@ -1,4 +1,4 @@
-"""Transition storage and the sampling strategies used for agent training.
+"""Replay storage and the sampling strategies used for agent training.
 
 One fixed-capacity ring buffer backs four interchangeable samplers:
 
@@ -8,7 +8,9 @@ One fixed-capacity ring buffer backs four interchangeable samplers:
 * uniform draws restricted to the subset selected by the mask that the
   learned replay policy (``ero.EroPolicy``) draws and owns.
 
-Storage is struct-of-arrays so a batch gather is one indexed read per column.
+Storage is struct-of-arrays so a batch gather is one indexed read per column,
+and ``ReplayBuffer.store`` takes an env step's values directly, as the OpenAI
+baselines buffer's ``add`` does.
 """
 
 from __future__ import annotations
@@ -25,21 +27,6 @@ from .errors import (
     EmptyBufferError,
 )
 from .memory import mapped_zeros
-
-
-@dataclass
-class Transition:
-    """One stored experience plus its bookkeeping.
-
-    ``done`` marks a genuine terminal state, never a time-limit truncation.
-    """
-
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    insert_timestep: int
 
 
 @dataclass
@@ -66,11 +53,13 @@ class Batch:
 class ReplayBuffer:
     """Fixed-capacity ring store of transitions with per-slot caches.
 
-    Slot ``i`` for ``i < size`` is always live; once full, new stores
-    overwrite the oldest slot. Per-slot state beyond the transition itself
-    is only what more than one component reads: a cached TD error. State
-    that one sampler reads belongs to that sampler (``SubsetSampler`` only
-    counts its fallbacks in ``subset_fallbacks`` here).
+    A transition is one row across the columns: ``store`` writes one from its
+    six values, and ``gather`` reads rows back as a ``Batch``. Slot ``i`` for
+    ``i < size`` is always live; once full, new stores overwrite the oldest
+    slot. Per-slot state beyond the transition itself is only what more than
+    one component reads: a cached TD error. State that one sampler reads
+    belongs to that sampler (``SubsetSampler`` only counts its fallbacks in
+    ``subset_fallbacks`` here).
 
     The buffer caches the maximum live |TD| that ``store`` seeds new slots
     with. ``update_td_errors`` drops the cache, and the next ``store``
@@ -96,48 +85,38 @@ class ReplayBuffer:
         self.size = 0
         self.cursor = 0
         self.subset_fallbacks = 0
-        self._td_max = None  # max |TD| over live slots; None until (re)scanned
+        self._td_max = None  # max |TD| over live slots (1 when none); None until (re)scanned
 
     def __len__(self) -> int:
         return self.size
 
-    def store(self, transition: Transition) -> int:
-        """Insert a transition, evicting the oldest slot when full.
+    def store(self, state, action, reward: float, next_state, done: bool, insert_timestep: int) -> int:
+        """Insert one env step's transition, evicting the oldest slot when full; returns its slot.
 
-        The TD cache starts at the current maximum live |TD| (1 when empty),
-        so fresh transitions are replayed at least as eagerly as any
-        existing one. That maximum is cached, not rescanned: a store never
-        changes it, because the new slot takes it and an evicted slot held
-        at most it.
+        ``done`` marks a genuine terminal state, never a time-limit truncation.
+        The TD cache starts at the current maximum live |TD| (1 when empty), so
+        fresh transitions are replayed at least as eagerly as any existing one.
+        That maximum is cached, not rescanned: a store never changes it,
+        because the new slot takes it and an evicted slot held at most it.
         """
-        state = np.asarray(transition.state, dtype=np.float64).reshape(-1)
-        action = np.asarray(transition.action, dtype=np.float64).reshape(-1)
-        next_state = np.asarray(transition.next_state, dtype=np.float64).reshape(-1)
+        state = np.asarray(state, dtype=np.float64).reshape(-1)
+        action = np.asarray(action, dtype=np.float64).reshape(-1)
+        next_state = np.asarray(next_state, dtype=np.float64).reshape(-1)
         if state.shape != (self.obs_dim,) or next_state.shape != (self.obs_dim,):
-            raise ContractViolation(
-                f"state width {state.shape} does not match obs_dim {self.obs_dim}"
-            )
+            raise ContractViolation(f"state width {state.shape} does not match obs_dim {self.obs_dim}")
         if action.shape != (self.action_dim,):
-            raise ContractViolation(
-                f"action width {action.shape} does not match action_dim {self.action_dim}"
-            )
+            raise ContractViolation(f"action width {action.shape} does not match action_dim {self.action_dim}")
 
-        if self.size == 0:
-            td_init = 1.0
-        else:
-            if self._td_max is None:
-                self._td_max = float(np.max(np.abs(self.td_errors[: self.size])))
-            td_init = self._td_max
-
+        if self._td_max is None:
+            self._td_max = float(np.max(np.abs(self.td_errors[: self.size]))) if self.size else 1.0
         idx = self.cursor
         self.states[idx] = state
         self.actions[idx] = action
-        self.rewards[idx] = transition.reward
+        self.rewards[idx] = reward
         self.next_states[idx] = next_state
-        self.dones[idx] = transition.done
-        self.insert_timesteps[idx] = transition.insert_timestep
-        self.td_errors[idx] = td_init
-        self._td_max = td_init
+        self.dones[idx] = done
+        self.insert_timesteps[idx] = insert_timestep
+        self.td_errors[idx] = self._td_max
 
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -327,11 +306,21 @@ def beta_at(beta0: float, anneal_steps: int, calls: int) -> float:
     return beta0 + (1.0 - beta0) * min(1.0, calls / anneal_steps)
 
 
-def _is_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
+def importance_weights(n: int, probs: np.ndarray, min_prob, beta: float) -> np.ndarray:
     """IS weights ``(n * probs) ** -beta``, divided by the largest a slot can get (at ``min_prob``)."""
-    if not min_prob > 0.0:  # underflowed: the largest weight is infinite
+    if not min_prob > 0.0:  # underflowed
         raise DegeneratePriorityError(f"the smallest sampling probability is {min_prob}")
-    return (n * probs) ** -beta / (n * min_prob) ** -beta
+    try:  # numpy's scalar ``**`` bits, but an error where ``**`` would warn and return inf
+        largest = math.pow(n * min_prob, -beta)
+    except OverflowError:
+        raise DegeneratePriorityError(f"the IS weight at sampling probability {min_prob} overflows") from None
+    return (n * probs) ** -beta / largest
+
+
+def rank_probabilities(n: int, alpha: float) -> np.ndarray:
+    """Rank PER's sampling probabilities ``rank ** -alpha / sum`` for ranks 1 to ``n``."""
+    masses = np.arange(1, n + 1, dtype=np.float64) ** -alpha
+    return masses / masses.sum()
 
 
 class UniformSampler:
@@ -469,7 +458,7 @@ class PerProportionalSampler(UniformSampler):
         masses = tree.leaf_masses()[indices]
         if not np.minimum.reduce(masses, initial=math.inf) > 0.0:
             raise DegeneratePriorityError("a draw landed on a slot without priority mass")
-        weights = _is_weights(n, masses / total, tree.min_mass() / total, beta)
+        weights = importance_weights(n, masses / total, tree.min_mass() / total, beta)
         return self.buffer.gather(indices, is_weights=weights)
 
     def update_priorities(self, indices, td_errors, step: int) -> None:
@@ -511,9 +500,7 @@ class PerRankSampler(UniformSampler):
         abs_td = np.abs(self.buffer.td_errors[:n])
         # lexsort: primary key last; descending |TD|, then older first
         self._sorted_slots = np.lexsort((self.buffer.insert_timesteps[:n], -abs_td))
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        masses = ranks ** -self.alpha
-        self._probs = masses / masses.sum()
+        self._probs = rank_probabilities(n, self.alpha)
         self._cdf = np.cumsum(self._probs)
         self._cdf[-1] = 1.0
         self._stores_since_sort = 0
@@ -528,8 +515,7 @@ class PerRankSampler(UniformSampler):
 
         n = len(self._sorted_slots)
         values = _stratified_values(batch_size, 1.0, self.rng)
-        ranks = np.searchsorted(self._cdf, values, side="right")
-        ranks = np.minimum(ranks, n - 1)
+        ranks = np.minimum(np.searchsorted(self._cdf, values, side="right"), n - 1)
         indices = self._sorted_slots[ranks]
-        weights = _is_weights(n, self._probs[ranks], self._probs[-1], beta)
+        weights = importance_weights(n, self._probs[ranks], self._probs[-1], beta)
         return self.buffer.gather(indices, is_weights=weights)

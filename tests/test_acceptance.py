@@ -22,12 +22,7 @@ from replay_opt.ddpg import DdpgAgent, td_loss
 from replay_opt.ero import EroPolicy, mask_surrogate
 from replay_opt.harness import EpisodeRecord, RunConfig, TraceRecord, read_csv, run
 from replay_opt.nn import Mlp, grad_check, mlp_init
-from replay_opt.replay import (
-    PerProportionalSampler,
-    PerRankSampler,
-    ReplayBuffer,
-    Transition,
-)
+from replay_opt.replay import PerProportionalSampler, PerRankSampler, ReplayBuffer
 
 
 def report(criterion: int, name: str) -> None:
@@ -50,14 +45,12 @@ def random_buffer(n: int, capacity: int | None = None, seed: int = 0, obs_dim: i
     buf = ReplayBuffer(capacity or n, obs_dim=obs_dim, action_dim=1)
     for i in range(n):
         buf.store(
-            Transition(
-                state=rng.normal(size=obs_dim),
-                action=rng.uniform(-1, 1, size=1),
-                reward=float(rng.normal()),
-                next_state=rng.normal(size=obs_dim),
-                done=bool(rng.random() < 0.1),
-                insert_timestep=i + 1,
-            )
+            state=rng.normal(size=obs_dim),
+            action=rng.uniform(-1, 1, size=1),
+            reward=float(rng.normal()),
+            next_state=rng.normal(size=obs_dim),
+            done=bool(rng.random() < 0.1),
+            insert_timestep=i + 1,
         )
     return buf
 
@@ -235,14 +228,12 @@ def test_c05_sum_tree_oracle_equivalence():
         if buf.size == 0 or rng.random() < 0.3:
             step += 1
             idx = buf.store(
-                Transition(
-                    state=rng.normal(size=3),
-                    action=rng.normal(size=1),
-                    reward=float(rng.normal()),
-                    next_state=rng.normal(size=3),
-                    done=False,
-                    insert_timestep=step,
-                )
+                state=rng.normal(size=3),
+                action=rng.normal(size=1),
+                reward=float(rng.normal()),
+                next_state=rng.normal(size=3),
+                done=False,
+                insert_timestep=step,
             )
             sampler.on_store(idx, step)
             brute[idx] = (abs(buf.td_errors[idx]) + epsilon) ** alpha

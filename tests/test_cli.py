@@ -280,6 +280,18 @@ class TestRunCommand:
         assert err.startswith("config error: cannot map 2400000000000 bytes for an array of shape (100000000000, 3)")
         assert not (out / "episodes.csv").exists()
 
+    def test_underflowing_rank_alpha_exits_2_before_any_env_step(self, tmp_path, monkeypatch, capsys):
+        def no_env(*args, **kwargs):
+            raise AssertionError("an env was made despite an invalid config")
+
+        monkeypatch.setattr(cli.harness, "make_env", no_env)
+        out = tmp_path / "o"
+        argv = ["run", "--set", "sampler=per_rank", "--set", "per_alpha=400", "--set", "total_timesteps=1500",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: per_alpha 400.0 is too large for 1500 slots")
+        assert not (out / "episodes.csv").exists()
+
     def test_warmup_above_capacity_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
         def no_training(*args, **kwargs):
             raise AssertionError("training started despite an invalid config")

@@ -8,7 +8,7 @@ import pytest
 from replay_opt.ddpg import DdpgAgent, OuNoise, td_loss
 from replay_opt.errors import NumericFault
 from replay_opt.nn import Mlp, _KERNELS, grad_check, mlp_init
-from replay_opt.replay import PerProportionalSampler, ReplayBuffer, Transition, UniformSampler
+from replay_opt.replay import PerProportionalSampler, ReplayBuffer, UniformSampler
 
 
 def make_agent(**kwargs) -> DdpgAgent:
@@ -377,14 +377,12 @@ def fill_buffer(n=80):
     buf = ReplayBuffer(128, obs_dim=3, action_dim=1)
     for i in range(n):
         buf.store(
-            Transition(
-                state=rng.normal(size=3),
-                action=rng.uniform(-2, 2, size=1),
-                reward=float(rng.normal()),
-                next_state=rng.normal(size=3),
-                done=bool(rng.random() < 0.1),
-                insert_timestep=i + 1,
-            )
+            state=rng.normal(size=3),
+            action=rng.uniform(-2, 2, size=1),
+            reward=float(rng.normal()),
+            next_state=rng.normal(size=3),
+            done=bool(rng.random() < 0.1),
+            insert_timestep=i + 1,
         )
     return buf
 
@@ -465,14 +463,12 @@ class TestTrainStep:
             sampler = PerProportionalSampler(buf, np.random.default_rng(3))
         for i in range(300):
             idx = buf.store(
-                Transition(
-                    state=rng.normal(size=obs_dim),
-                    action=rng.uniform(-1, 1, size=len(action_high)),
-                    reward=float(rng.normal()),
-                    next_state=rng.normal(size=obs_dim),
-                    done=bool(rng.random() < 0.1),
-                    insert_timestep=i + 1,
-                )
+                state=rng.normal(size=obs_dim),
+                action=rng.uniform(-1, 1, size=len(action_high)),
+                reward=float(rng.normal()),
+                next_state=rng.normal(size=obs_dim),
+                done=bool(rng.random() < 0.1),
+                insert_timestep=i + 1,
             )
             sampler.on_store(idx, 0)
         kwargs = dict(obs_dim=obs_dim, action_dim=len(action_high), action_high=np.array(action_high),

@@ -16,7 +16,7 @@ from replay_opt.ero import (
 )
 from replay_opt.harness import EpisodeRecord, RunConfig, replay_reward, run, window_mean
 from replay_opt.nn import BLOCK, grad_check, mlp_init
-from replay_opt.replay import ReplayBuffer, SubsetSampler, Transition
+from replay_opt.replay import ReplayBuffer, SubsetSampler
 
 
 def make_buffer(n: int, capacity: int = 256, seed: int = 0) -> ReplayBuffer:
@@ -24,14 +24,12 @@ def make_buffer(n: int, capacity: int = 256, seed: int = 0) -> ReplayBuffer:
     buf = ReplayBuffer(capacity, obs_dim=3, action_dim=1)
     for i in range(n):
         buf.store(
-            Transition(
-                state=rng.normal(size=3),
-                action=rng.normal(size=1),
-                reward=float(rng.normal()),
-                next_state=rng.normal(size=3),
-                done=False,
-                insert_timestep=i + 1,
-            )
+            state=rng.normal(size=3),
+            action=rng.normal(size=1),
+            reward=float(rng.normal()),
+            next_state=rng.normal(size=3),
+            done=False,
+            insert_timestep=i + 1,
         )
     return buf
 
@@ -111,14 +109,12 @@ class TestFeatures:
         policy = fresh_policy()
         for i in range(10):
             idx = buf.store(
-                Transition(
-                    state=np.zeros(3),
-                    action=np.zeros(1),
-                    reward=3.0,
-                    next_state=np.zeros(3),
-                    done=False,
-                    insert_timestep=i + 1,
-                )
+                state=np.zeros(3),
+                action=np.zeros(1),
+                reward=3.0,
+                next_state=np.zeros(3),
+                done=False,
+                insert_timestep=i + 1,
             )
             policy.observe_store(buf, idx, i + 1)
         feats = policy.features(buf, np.arange(10), current_step=10)
@@ -417,14 +413,12 @@ class TestUpdatePolicy:
         policy = fresh_policy()
         policy.refresh_subset(buf, 6)
         idx = buf.store(
-            Transition(
-                state=np.zeros(3),
-                action=np.zeros(1),
-                reward=0.0,
-                next_state=np.zeros(3),
-                done=False,
-                insert_timestep=7,
-            )
+            state=np.zeros(3),
+            action=np.zeros(1),
+            reward=0.0,
+            next_state=np.zeros(3),
+            done=False,
+            insert_timestep=7,
         )
         policy.observe_store(buf, idx, 7)
         featured = []  # the slots each update step reads features for

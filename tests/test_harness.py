@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from replay_opt import replay
-from replay_opt.errors import ConfigError
+from replay_opt.errors import ConfigError, DegeneratePriorityError
 from replay_opt.harness import (
     EpisodeRecord,
     EvalRecord,
@@ -175,6 +175,38 @@ class TestRun:
         config = RunConfig(hidden_sizes=(2,), batch_size=5)
         assert planned_floats(config) == 8 * (11 + 13) + 5 * (6 + 7)
         assert planned_floats(dataclasses.replace(config, sampler="ero")) == 257 + 6 * 11
+        # rank PER: sorted slots, probabilities and CDF over the largest live size
+        rank = dataclasses.replace(config, sampler="per_rank", buffer_capacity=3000, total_timesteps=2000)
+        assert planned_floats(rank) == 257 + 3 * 2000
+
+    @pytest.mark.parametrize("alpha, valid", [(0.6, True), (309.0, True), (310.0, False), (330.0, False)])
+    def test_rank_alpha_rejected_exactly_where_a_full_buffer_draw_is_degenerate(self, alpha, valid):
+        # over 10 ranks the smallest probability is about 10 ** -alpha: at 310 its
+        # IS weight at beta = 1 overflows, and at 330 it underflows to 0
+        config = RunConfig(sampler="per_rank", per_alpha=alpha, buffer_capacity=10, total_timesteps=10,
+                           warmup_transitions=10)
+        buf = replay.ReplayBuffer(10, obs_dim=1, action_dim=1)
+        for step in range(1, 11):
+            buf.store([0.0], [0.0], 0.0, [0.0], False, step)
+        sampler = replay.PerRankSampler(buf, np.random.default_rng(0), alpha=alpha, beta0=1.0)
+        if valid:
+            config.validate()
+            assert np.all(np.isfinite(sampler.sample(4).is_weights))
+        else:
+            with pytest.raises(ConfigError, match=f"per_alpha {alpha} is too large for 10 slots"):
+                config.validate()
+            with pytest.raises(DegeneratePriorityError):
+                sampler.sample(4)
+
+    def test_rank_alpha_checked_at_the_largest_live_size(self):
+        # at alpha 100 the smallest probability is about 100 ** -100 = 1e-200 over 100
+        # ranks, and 10_000 ** -100 underflows to 0: the check ranks min(capacity, steps)
+        # slots, 10_000 for the default 10k-step run into a 100k buffer
+        RunConfig(sampler="per_rank").validate()  # the default alpha
+        RunConfig(sampler="per_rank", per_alpha=100.0, total_timesteps=100, warmup_transitions=100).validate()
+        with pytest.raises(ConfigError, match="per_alpha 100.0 is too large for 10000 slots"):
+            RunConfig(sampler="per_rank", per_alpha=100.0).validate()
+        RunConfig(sampler="per_prop", per_alpha=100.0).validate()  # proportional PER is not ranked
 
     def test_warmup_above_capacity_rejected(self):
         # the buffer stops growing at its capacity, so such a run never trains

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -32,21 +33,23 @@ from replay_opt.replay import (
     ReplayBuffer,
     SubsetSampler,
     SumTree,
-    Transition,
     UniformSampler,
     beta_at,
+    importance_weights,
+    rank_probabilities,
 )
 from replay_opt.seeding import named_streams
 
 
-def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float | None = None) -> Transition:
-    return Transition(
-        state=np.full(obs_dim, float(i)),
-        action=np.full(action_dim, 0.1 * i),
-        reward=float(i) if reward is None else reward,
-        next_state=np.full(obs_dim, float(i) + 0.5),
-        done=(i % 7 == 0),
-        insert_timestep=i + 1,
+def make_transition(i: int, obs_dim: int = 2, action_dim: int = 1, reward: float | None = None) -> tuple:
+    """``ReplayBuffer.store``'s six arguments for transition ``i``: store it with ``buf.store(*t)``."""
+    return (
+        np.full(obs_dim, float(i)),  # state
+        np.full(action_dim, 0.1 * i),  # action
+        float(i) if reward is None else reward,
+        np.full(obs_dim, float(i) + 0.5),  # next state
+        i % 7 == 0,  # done
+        i + 1,  # insert timestep
     )
 
 
@@ -126,8 +129,8 @@ class WalkSampler:
         self.tree = WalkTree(capacity)
         self.rng = np.random.default_rng(seed)
 
-    def store(self, transition: Transition) -> None:
-        idx = self.buffer.store(transition)
+    def store(self, *transition) -> None:
+        idx = self.buffer.store(*transition)
         self.tree.set(idx, (abs(self.buffer.td_errors[idx]) + self.epsilon) ** self.alpha)
 
     def update_priorities(self, indices, td_errors) -> None:
@@ -152,20 +155,20 @@ class WalkSampler:
 def filled_buffer(n: int, capacity: int = 64, **kwargs) -> ReplayBuffer:
     buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1, **kwargs)
     for i in range(n):
-        buf.store(make_transition(i))
+        buf.store(*make_transition(i))
     return buf
 
 
 class TestRingStorage:
     def test_first_store_lands_at_zero(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
-        assert buf.store(make_transition(0)) == 0
+        assert buf.store(*make_transition(0)) == 0
         assert len(buf) == 1
 
     def test_fifth_store_overwrites_oldest(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         for i in range(5):
-            idx = buf.store(make_transition(i))
+            idx = buf.store(*make_transition(i))
         assert idx == 0
         assert len(buf) == 4
         # slot 0 now holds transition 4
@@ -174,7 +177,7 @@ class TestRingStorage:
     def test_live_transitions_are_exactly_the_last_capacity_in_order(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         for i in range(21):
-            buf.store(make_transition(i))
+            buf.store(*make_transition(i))
         # transition i sits in slot i % capacity
         rewards = [float(buf.rewards[i % 8]) for i in range(13, 21)]
         assert rewards == [float(i) for i in range(13, 21)]
@@ -188,23 +191,23 @@ class TestRingStorage:
             assert len(col) == 3000 and col.flags.writeable and not col.any()
         for i, a in enumerate(columns):
             assert not any(np.shares_memory(a, b) for b in columns[i + 1 :])
-        buf.store(make_transition(5))
+        buf.store(*make_transition(5))
         assert buf.rewards[0] == 5.0 and not buf.rewards[1:].any()
 
     def test_dim_mismatch_rejected(self):
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         bad = make_transition(0, obs_dim=3)
         with pytest.raises(ContractViolation):
-            buf.store(bad)
+            buf.store(*bad)
 
     def test_td_and_priority_init_track_live_maximum(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         sampler = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6)
-        sampler.on_store(buf.store(make_transition(0)), 0)
+        sampler.on_store(buf.store(*make_transition(0)), 0)
         assert buf.td_errors[0] == 1.0
         assert sampler.tree.leaf_masses()[0] == math.pow(1.0 + 0.01, 0.6)
         sampler.update_priorities(np.array([0]), np.array([-3.0]), 0)
-        idx = buf.store(make_transition(1))
+        idx = buf.store(*make_transition(1))
         sampler.on_store(idx, 0)
         assert buf.td_errors[idx] == 3.0
         masses = sampler.tree.leaf_masses()
@@ -216,28 +219,29 @@ class TestRingEviction:
     @given(capacity=st.integers(1, 6), data=st.data())
     def test_live_slots_match_a_deque_model(self, capacity, data):
         buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
-        model: deque[Transition] = deque(maxlen=capacity)
+        model: deque[tuple] = deque(maxlen=capacity)  # store's six arguments, oldest first
         value = st.floats(-1e6, 1e6, allow_nan=False)
         for count in range(1, data.draw(st.integers(0, 3 * capacity + 2)) + 1):
-            transition = Transition(
-                state=np.array(data.draw(st.lists(value, min_size=2, max_size=2))),
-                action=np.array([data.draw(value)]),
-                reward=data.draw(value),
-                next_state=np.array(data.draw(st.lists(value, min_size=2, max_size=2))),
-                done=data.draw(st.booleans()),
-                insert_timestep=data.draw(st.integers(0, 10**9)),
+            transition = (
+                data.draw(st.lists(value, min_size=2, max_size=2)),
+                [data.draw(value)],
+                data.draw(value),
+                data.draw(st.lists(value, min_size=2, max_size=2)),
+                data.draw(st.booleans()),
+                data.draw(st.integers(0, 10**9)),
             )
-            assert buf.store(transition) == (count - 1) % capacity
+            assert buf.store(*transition) == (count - 1) % capacity
             model.append(transition)
             # the k-th oldest live transition sits in slot (stores - live + k) mod capacity
             slots = [(count - len(model) + k) % capacity for k in range(len(model))]
             assert len(buf) == len(model)
-            assert buf.states[slots].tolist() == [t.state.tolist() for t in model]
-            assert buf.actions[slots].tolist() == [t.action.tolist() for t in model]
-            assert buf.rewards[slots].tolist() == [t.reward for t in model]
-            assert buf.next_states[slots].tolist() == [t.next_state.tolist() for t in model]
-            assert buf.dones[slots].tolist() == [t.done for t in model]
-            assert buf.insert_timesteps[slots].tolist() == [t.insert_timestep for t in model]
+            states, actions, rewards, next_states, dones, steps = map(list, zip(*model))
+            assert buf.states[slots].tolist() == states
+            assert buf.actions[slots].tolist() == actions
+            assert buf.rewards[slots].tolist() == rewards
+            assert buf.next_states[slots].tolist() == next_states
+            assert buf.dones[slots].tolist() == dones
+            assert buf.insert_timesteps[slots].tolist() == steps
 
 
 class TestUniformSampler:
@@ -406,9 +410,9 @@ class TestPerProportional:
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.0)
         for i in range(4):
-            s.on_store(buf.store(make_transition(i)), 0)
+            s.on_store(buf.store(*make_transition(i)), 0)
         s.update_priorities(np.arange(4), np.array([5.0, 1.0, 2.0, 3.0]), 0)
-        idx = buf.store(make_transition(4))  # evicts slot 0, the largest priority
+        idx = buf.store(*make_transition(4))  # evicts slot 0, the largest priority
         s.on_store(idx, 0)
         assert idx == 0 and buf.td_errors[0] == 5.0
         assert s.tree.leaf_masses()[0] == 5.0**0.6
@@ -448,7 +452,7 @@ class TestPerProportional:
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, np.random.default_rng(0), epsilon=0.0, alpha=1.0)
         for i in range(n):
-            s.on_store(buf.store(make_transition(i)), 0)
+            s.on_store(buf.store(*make_transition(i)), 0)
         s.update_priorities(np.arange(n), np.array(tds), 0)
         s.update_priorities(np.arange(n), np.zeros(n), 0)
         assert s.tree.total() == 0.0 and not s.tree.leaf_masses().any()
@@ -462,7 +466,7 @@ class TestPerProportional:
         buf = ReplayBuffer(3, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.0)
         for i in range(3):
-            s.on_store(buf.store(make_transition(i)), 0)
+            s.on_store(buf.store(*make_transition(i)), 0)
         s.update_priorities([0, 1, 2], first, 0)
         s.update_priorities([0, 1, 2], [1e-300, 0.0, 0.0], 0)
         assert s.tree.total() == s.tree.leaf_masses()[0] > 0.0
@@ -478,6 +482,17 @@ class TestPerProportional:
         assert s.tree.min_mass() > 0.0 and s.tree.min_mass() / s.tree.total() == 0.0
         with pytest.raises(DegeneratePriorityError, match="smallest sampling probability is 0.0"):
             s.sample(4)
+
+    def test_overflowing_largest_weight_is_degenerate_without_a_warning(self):
+        # the smallest leaf mass is subnormal: (n * min_prob) ** -1 = (2 * 2e-320) ** -1 overflows
+        buf = filled_buffer(2)
+        s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0, epsilon=0.0, beta0=1.0)
+        s.update_priorities(np.arange(2), np.array([0.5, 1e-320]), 0)
+        assert s.tree.min_mass() == 1e-320 and s.tree.min_mass() / s.tree.total() > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePriorityError, match="overflows"):
+                s.sample(4)
 
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
@@ -510,9 +525,9 @@ class TestPerProportional:
     def test_new_transition_gets_max_priority_leaf(self):
         buf = ReplayBuffer(8, obs_dim=2, action_dim=1)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0, epsilon=0.0)
-        s.on_store(buf.store(make_transition(0)), 0)
+        s.on_store(buf.store(*make_transition(0)), 0)
         s.update_priorities(np.array([0]), np.array([2.5]), 0)
-        idx = buf.store(make_transition(1))
+        idx = buf.store(*make_transition(1))
         s.on_store(idx, 0)
         assert s.tree.leaf_masses()[idx] == pytest.approx(2.5)
 
@@ -526,7 +541,7 @@ class TestBatchedPriorityWrite:
             buf = ReplayBuffer(capacity, obs_dim=2, action_dim=1)
             s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=0.6, epsilon=0.01)
             for i in range(stores):
-                s.on_store(buf.store(make_transition(i)), 0)
+                s.on_store(buf.store(*make_transition(i)), 0)
             twins.append(s)
         return twins
 
@@ -547,7 +562,7 @@ class TestBatchedPriorityWrite:
             # of them; the write lands on their new occupants
             for _ in range(int(rng.integers(0, 20))):
                 for s in (batched, reference):
-                    s.on_store(s.buffer.store(make_transition(step)), step)
+                    s.on_store(s.buffer.store(*make_transition(step)), step)
                 step += 1
             batched.update_priorities(indices, td, 0)
             reference_update_priorities(reference, indices, td)
@@ -610,7 +625,7 @@ class TestCachedExtrema:
             if len(buf) == 0 or data.draw(st.booleans()):
                 for _ in range(data.draw(st.integers(1, capacity + 1))):
                     step += 1
-                    s.on_store(buf.store(make_transition(step)), step)
+                    s.on_store(buf.store(*make_transition(step)), step)
                     self.assert_caches_exact(s)
                 continue
             # repeated slots, and slots evicted since earlier writes
@@ -623,7 +638,7 @@ class TestCachedExtrema:
             # leaf gets the largest live mass
             td_max, _ = scanned_extrema(s)
             step += 1
-            idx = buf.store(make_transition(step))
+            idx = buf.store(*make_transition(step))
             s.on_store(idx, 0)
             masses = s.tree.leaf_masses()
             assert buf.td_errors[idx] == td_max
@@ -657,7 +672,7 @@ class TestTdMaxCache:
                     # the store seeds its slot with the scanned maximum (1 when empty)
                     seed = self.scanned_td_max(buf) if buf.size else 1.0
                     step += 1
-                    idx = buf.store(make_transition(step))
+                    idx = buf.store(*make_transition(step))
                     assert buf.td_errors[idx] == seed or (math.isnan(seed) and math.isnan(buf.td_errors[idx]))
                     self.assert_cache_exact(buf)
                 continue
@@ -708,8 +723,8 @@ class TestQueuedStores:
                 read_tree = data.draw(st.booleans())
                 for _ in range(data.draw(st.integers(1, 2 * capacity + 1))):
                     step += 1
-                    s.on_store(buf.store(make_transition(step)), step)
-                    oracle.store(make_transition(step))
+                    s.on_store(buf.store(*make_transition(step)), step)
+                    oracle.store(*make_transition(step))
             elif op == "update":
                 slots = data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8))
                 slots = np.array(slots, dtype=np.int64)
@@ -750,7 +765,7 @@ class TestTreeFromTdColumn:
             if op == "store" or len(buf) == 0:
                 for _ in range(data.draw(st.integers(1, 2 * capacity + 1))):
                     step += 1
-                    s.on_store(buf.store(make_transition(step)), step)
+                    s.on_store(buf.store(*make_transition(step)), step)
             elif op == "update":
                 slots = np.array(data.draw(st.lists(st.integers(0, len(buf) - 1), max_size=8)), dtype=np.int64)
                 tds = np.array([data.draw(td) for _ in slots], dtype=np.float64)
@@ -844,11 +859,11 @@ class TestPerRank:
         s.sample(4)
         n_before = len(s._sorted_slots)
         for i in range(3):
-            s.on_store(buf.store(make_transition(100 + i)), 0)
+            s.on_store(buf.store(*make_transition(100 + i)), 0)
         s.sample(4)
         assert len(s._sorted_slots) == n_before  # not yet refreshed
         for i in range(2):
-            s.on_store(buf.store(make_transition(200 + i)), 0)
+            s.on_store(buf.store(*make_transition(200 + i)), 0)
         s.sample(4)
         assert len(s._sorted_slots) == 15
 
@@ -865,6 +880,34 @@ class TestPerRank:
         with pytest.raises(DegeneratePriorityError, match="smallest sampling probability is 0.0"):
             s.sample(4)
         assert s._probs[-1] == 0.0
+
+
+class TestImportanceWeights:
+    def test_overflowing_largest_weight_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePriorityError, match="probability 1e-320 overflows"):
+                importance_weights(2, np.array([0.5, 1e-320]), np.float64(1e-320), 1.0)
+            with pytest.raises(DegeneratePriorityError, match="smallest sampling probability is 0.0"):
+                importance_weights(2, np.array([0.5, 0.5]), np.float64(0.0), 0.5)
+
+    def test_finite_weights_keep_the_numpy_expression_bits(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 100_000))
+            probs = np.exp(rng.uniform(-600, 0, size=16))  # no weight overflows
+            min_prob = np.float64(probs.min() * rng.choice([1.0, 1e-5]))
+            beta = float(rng.choice([0.0, 1.0, rng.random()]))
+            reference = (n * probs) ** -beta / (n * min_prob) ** -beta
+            assert importance_weights(n, probs, min_prob, beta).tobytes() == reference.tobytes()
+            # a Python float smallest probability, as proportional PER's may be
+            assert importance_weights(n, probs, float(min_prob), beta).tobytes() == reference.tobytes()
+
+    def test_rank_probabilities_are_the_samplers(self):
+        s = PerRankSampler(filled_buffer(50), np.random.default_rng(0), alpha=0.7)
+        s.sample(4)
+        masses = np.arange(1, 51, dtype=np.float64) ** -0.7
+        assert rank_probabilities(50, 0.7).tobytes() == s._probs.tobytes() == (masses / masses.sum()).tobytes()
 
 
 def subset_sampler(buf: ReplayBuffer, seed: int = 0) -> SubsetSampler:
@@ -908,9 +951,9 @@ class TestSubsetSampler:
         buf = ReplayBuffer(4, obs_dim=2, action_dim=1)
         s = subset_sampler(buf)
         for i in range(4):
-            s.on_store(buf.store(make_transition(i)), i + 1)
+            s.on_store(buf.store(*make_transition(i)), i + 1)
         draw(s, [False, True, False, False])
-        s.on_store(buf.store(make_transition(10)), 11)  # evicts slot 0, whose drawn bit was 0
+        s.on_store(buf.store(*make_transition(10)), 11)  # evicts slot 0, whose drawn bit was 0
         assert s.policy.mask_drawn.tolist() == [MASK_UNDRAWN, 1, 0, 0]
         assert np.array_equal(s.policy.subset_indices(buf), [0, 1])
 
@@ -918,7 +961,7 @@ class TestSubsetSampler:
         buf = filled_buffer(4)
         s = subset_sampler(buf)
         draw(s, np.zeros(4, dtype=bool))
-        idx = buf.store(make_transition(9))
+        idx = buf.store(*make_transition(9))
         s.on_store(idx, 10)
         assert idx in s.policy.subset_indices(buf)
 
@@ -976,7 +1019,7 @@ class TestMembershipFromMaskBits:
         ops = data.draw(st.lists(st.sampled_from(["store", "mask", "sample"]), max_size=40))
         for step, op in enumerate(ops):
             if op == "store":
-                sampler.on_store(buf.store(make_transition(step)), step + 1)
+                sampler.on_store(buf.store(*make_transition(step)), step + 1)
                 model.store()
             elif op == "mask":
                 bits = data.draw(st.lists(st.booleans(), min_size=model.size, max_size=model.size))
@@ -1018,7 +1061,7 @@ class TestMakeSampler:
         sampler = make_sampler(RunConfig(sampler=kind), buf, named_streams(0))
         columns = []
         for step in range(1, 41):  # 40 stores into 16 slots, so slots are evicted
-            sampler.on_store(buf.store(make_transition(step)), step)
+            sampler.on_store(buf.store(*make_transition(step)), step)
             batch = sampler.sample(8)
             assert len(batch) == 8 and batch.indices.max() < len(buf)
             sampler.update_priorities(batch.indices, np.full(8, 0.25 * step), step)
@@ -1110,7 +1153,7 @@ _LAZY_STORE = textwrap.dedent(
     """
     import numpy as np
     from replay_opt.ero import EroPolicy
-    from replay_opt.replay import ReplayBuffer, SubsetSampler, Transition
+    from replay_opt.replay import ReplayBuffer, SubsetSampler
 
     def peak_kib():
         with open("/proc/self/status") as status:
@@ -1120,7 +1163,7 @@ _LAZY_STORE = textwrap.dedent(
         buf = ReplayBuffer(capacity, obs_dim=3, action_dim=1)
         policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=1)
         sampler = SubsetSampler(buf, np.random.default_rng(0), policy)
-        sampler.on_store(buf.store(Transition(np.zeros(3), np.zeros(1), 0.0, np.zeros(3), False, 1)), 1)
+        sampler.on_store(buf.store(np.zeros(3), np.zeros(1), 0.0, np.zeros(3), False, 1), 1)
         return buf, sampler
 
     kept = lazy_store(2)
