@@ -14,7 +14,7 @@ The package bundles, in plain numpy:
 """
 
 from .ddpg import DdpgAgent, OuNoise
-from .envs import EnvSpec, Pendulum, PointReacher, StepResult, make_env
+from .envs import Pendulum, PointReacher, make_env
 from .ero import EroPolicy, RunningNorm, draw_mask
 from .errors import (
     ConfigError,
@@ -55,7 +55,6 @@ __all__ = [
     "DdpgAgent",
     "DegeneratePriorityError",
     "EmptyBufferError",
-    "EnvSpec",
     "EpisodeRecord",
     "EroPolicy",
     "GradTape",
@@ -71,7 +70,6 @@ __all__ = [
     "RunConfig",
     "RunSummary",
     "RunningNorm",
-    "StepResult",
     "SubsetSampler",
     "SumTree",
     "TraceRecord",

@@ -125,6 +125,7 @@ def write_effective_config(config: harness.RunConfig, path: Path) -> None:
 def cmd_run(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
     config = build_run_config(mapping, parse_set_flags(args.set or []))
+    config.validate()  # before the output directory is made
     files = ("config.txt", "episodes.csv", "trace.csv", "summary.csv", "evals.csv")
     out_dir = make_out_dir(args.out or config.out_dir, files)
 

@@ -1,14 +1,17 @@
 """Desk-scale continuous-control tasks with a gym-style episodic interface.
 
-Both environments are deterministic given the reset seed, keep all state in
-plain floats, and distinguish time-limit truncation from genuine terminal
-states so the critic can bootstrap correctly through truncations.
+Each task class declares its sizes as class attributes (``OBS_DIM``,
+``ACTION_DIM``, ``ACTION_HIGH``, ``MAX_EPISODE_STEPS``). ``reset`` returns the
+first observation and ``step`` returns ``(next_obs, reward, done, truncated)``,
+as Gymnasium's ``step`` does without its ``info``. Both environments are
+deterministic given the reset seed, keep all state in plain floats, and
+distinguish time-limit truncation (``truncated``) from genuine terminal states
+(``done``) so the critic can bootstrap correctly through truncations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,23 +19,6 @@ from .errors import ConfigError, ContractViolation
 from .seeding import as_generator
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class EnvSpec:
-    obs_dim: int
-    action_dim: int
-    action_low: np.ndarray
-    action_high: np.ndarray
-    max_episode_steps: int
-
-
-@dataclass
-class StepResult:
-    next_obs: np.ndarray
-    reward: float
-    done: bool        # genuine terminal state
-    truncated: bool   # time-limit cut, bootstrap through it
 
 
 def _wrap_angle(theta: float) -> float:
@@ -62,6 +48,9 @@ class Pendulum:
     MAX_TORQUE = 2.0
     MAX_SPEED = 8.0
     MAX_EPISODE_STEPS = 200
+    OBS_DIM = 3
+    ACTION_DIM = 1
+    ACTION_HIGH = MAX_TORQUE
 
     def __init__(self):
         self._rng = np.random.default_rng()
@@ -69,16 +58,6 @@ class Pendulum:
         self.theta_dot = 0.0
         self._steps = 0
         self._live = False
-
-    @classmethod
-    def spec(cls) -> EnvSpec:
-        return EnvSpec(
-            obs_dim=3,
-            action_dim=1,
-            action_low=np.array([-cls.MAX_TORQUE]),
-            action_high=np.array([cls.MAX_TORQUE]),
-            max_episode_steps=cls.MAX_EPISODE_STEPS,
-        )
 
     def _obs(self) -> np.ndarray:
         return np.array([math.cos(self.theta), math.sin(self.theta), self.theta_dot])
@@ -92,7 +71,7 @@ class Pendulum:
         self._live = True
         return self._obs()
 
-    def step(self, action) -> StepResult:
+    def step(self, action) -> tuple[np.ndarray, float, bool, bool]:
         if not self._live:
             raise ContractViolation("step() after episode end; call reset() first")
         u = _scalar_action(action, self.MAX_TORQUE)
@@ -109,7 +88,7 @@ class Pendulum:
         truncated = self._steps >= self.MAX_EPISODE_STEPS
         if truncated:
             self._live = False
-        return StepResult(next_obs=self._obs(), reward=reward, done=False, truncated=truncated)
+        return self._obs(), reward, False, truncated
 
 
 class PointReacher:
@@ -126,6 +105,9 @@ class PointReacher:
     MAX_SPEED = 2.0
     GOAL_RADIUS = 0.02
     MAX_EPISODE_STEPS = 200
+    OBS_DIM = 2
+    ACTION_DIM = 1
+    ACTION_HIGH = MAX_FORCE
 
     def __init__(self):
         self._rng = np.random.default_rng()
@@ -133,16 +115,6 @@ class PointReacher:
         self.velocity = 0.0
         self._steps = 0
         self._live = False
-
-    @classmethod
-    def spec(cls) -> EnvSpec:
-        return EnvSpec(
-            obs_dim=2,
-            action_dim=1,
-            action_low=np.array([-cls.MAX_FORCE]),
-            action_high=np.array([cls.MAX_FORCE]),
-            max_episode_steps=cls.MAX_EPISODE_STEPS,
-        )
 
     def _obs(self) -> np.ndarray:
         return np.array([self.position, self.velocity])
@@ -156,7 +128,7 @@ class PointReacher:
         self._live = True
         return self._obs()
 
-    def step(self, action) -> StepResult:
+    def step(self, action) -> tuple[np.ndarray, float, bool, bool]:
         if not self._live:
             raise ContractViolation("step() after episode end; call reset() first")
         u = _scalar_action(action, self.MAX_FORCE)
@@ -171,10 +143,10 @@ class PointReacher:
         truncated = self._steps >= self.MAX_EPISODE_STEPS
         if done or truncated:
             self._live = False
-        return StepResult(next_obs=self._obs(), reward=reward, done=done, truncated=truncated)
+        return self._obs(), reward, done, truncated
 
 
-ENVS = {"pendulum": Pendulum, "point_reacher": PointReacher}  # each class's ``spec`` needs no instance
+ENVS = {"pendulum": Pendulum, "point_reacher": PointReacher}  # each class's sizes need no instance
 ENV_NAMES = tuple(ENVS)
 
 

@@ -89,6 +89,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
             if typ is int and value < (low := int(name in positive)):
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
+            # the effective config file is ``key = value`` lines with '#' comments
+            if typ is str and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(
+                    f"{name} must have no '#', line break, or leading or trailing whitespace, got {value!r}")
         for name in ("per_alpha", "per_epsilon", "ou_theta", "ou_sigma"):
             if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
                 raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
@@ -169,9 +173,9 @@ def planned_floats(config: RunConfig) -> int:
     activations in every actor and critic layer. The buffer's columns are
     memory maps, resident only as they fill, and are not counted.
     """
-    spec, hidden = ENVS[config.env].spec(), list(config.hidden_sizes)
-    actor = [spec.obs_dim, *hidden, spec.action_dim]
-    critic = [spec.obs_dim + spec.action_dim, *hidden, 1]
+    env, hidden = ENVS[config.env], list(config.hidden_sizes)
+    actor = [env.OBS_DIM, *hidden, env.ACTION_DIM]
+    critic = [env.OBS_DIM + env.ACTION_DIM, *hidden, 1]
     floats = 8 * (count_params(actor) + count_params(critic)) + config.batch_size * (sum(actor) + sum(critic))
     if config.sampler == "ero":
         floats += 6 * count_params([FEATURE_DIM, *hidden, 1])
@@ -287,16 +291,15 @@ class Trainer:
         self.config = config
         streams = named_streams(config.seed)
 
-        self.env = make_env(config.env)
-        spec = self.env.spec()
-        self.obs = self.env.reset(seed=streams["env"])
+        env = self.env = make_env(config.env)
+        self.obs = env.reset(seed=streams["env"])
         self.agent = DdpgAgent(
-            spec.obs_dim, spec.action_dim, spec.action_high, config.hidden_sizes,
+            env.OBS_DIM, env.ACTION_DIM, np.full(env.ACTION_DIM, env.ACTION_HIGH), config.hidden_sizes,
             actor_lr=config.actor_lr, critic_lr=config.critic_lr, gamma=config.gamma, tau=config.tau,
             actor_seed=streams["actor_init"], critic_seed=streams["critic_init"],
         )
-        self.noise = OuNoise(spec.action_dim, config.ou_theta, config.ou_sigma, rng=streams["noise"])
-        self.buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.action_dim)
+        self.noise = OuNoise(env.ACTION_DIM, config.ou_theta, config.ou_sigma, rng=streams["noise"])
+        self.buffer = ReplayBuffer(config.buffer_capacity, env.OBS_DIM, env.ACTION_DIM)
         self.sampler = make_sampler(config, self.buffer, streams)
         self.eval_env = make_env(config.env)
         self.eval_env.reset(seed=streams["eval_env"])
@@ -312,16 +315,16 @@ class Trainer:
         for _ in range(min(config.rollout_steps, config.total_timesteps - summary.total_steps)):
             obs = self.obs
             action = act(obs, noise)
-            result = step_env(action)
+            next_obs, reward, done, truncated = step_env(action)
             step = summary.total_steps = summary.total_steps + 1
-            on_store(store(obs, action, result.reward, result.next_obs, result.done, step), step)
-            self.episode_return += result.reward
+            on_store(store(obs, action, reward, next_obs, done, step), step)
+            self.episode_return += reward
             self.episode_length += 1
-            if result.done or result.truncated:
+            if done or truncated:
                 if self.end_episode():
                     return
             else:
-                self.obs = result.next_obs
+                self.obs = next_obs
 
     def end_episode(self) -> bool:
         """Record the open episode and start the next; returns True when the run stops early."""
@@ -351,12 +354,11 @@ class Trainer:
         obs = env.reset()
         total, length = 0.0, 0
         while True:
-            result = env.step(act(obs))
-            total += result.reward
+            obs, reward, done, truncated = env.step(act(obs))
+            total += reward
             length += 1
-            if result.done or result.truncated:
+            if done or truncated:
                 break
-            obs = result.next_obs
         self.summary.evals.append(EvalRecord(self.summary.total_steps, total, length))
 
     def train_phase(self) -> None:

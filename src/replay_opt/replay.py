@@ -451,7 +451,8 @@ class PerProportionalSampler(UniformSampler):
         self.sample_calls += 1
 
         values = _stratified_values(batch_size, total, self.rng)
-        indices = tree.find(values)
+        # the last stratum's draw can round up to the total, which ``find`` walks past
+        indices = tree.find(np.minimum(values, math.nextafter(total, 0.0), out=values))
         # safety checks: a draw must land on a live slot with mass
         if np.maximum.reduce(indices, initial=0) >= n:
             raise DegeneratePriorityError(f"a draw landed past the {n} live slots")

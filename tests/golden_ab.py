@@ -10,9 +10,14 @@ its own ``src/``. Each prints its host tag and the digests of every golden case
 both trees run on one host, this check needs no stored digests, so it holds
 on any machine, unlike the tagged gate in ``golden_digests.json``.
 
-Exit code: 0 when every case has the same digests, 1 when any differs (the
-differing cases and files are printed), 2 when a tree could not be exported
-or run.
+A change that means to write other bytes lists the cases it changes in this
+checkout's ``golden_changes.txt``, one ``case: reason`` per line (``#``
+starts a comment). A listed case must differ and an unlisted one must not, so
+the list names exactly what one commit changes, and the next commit empties it.
+
+Exit code: 0 when exactly the listed cases differ, 1 when an unlisted case
+differs or a listed one does not (each is printed), 2 when a tree could not be
+exported or run, or the list cannot be read.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CHANGES_PATH = Path(__file__).with_name("golden_changes.txt")
 
 
 def digests(tree: Path, label: str) -> dict:
@@ -38,16 +44,38 @@ def digests(tree: Path, label: str) -> dict:
     return table
 
 
-def differences(base: dict, head: dict) -> list[str]:
-    """One line per case or file whose digests differ."""
-    lines = []
+def differences(base: dict, head: dict) -> dict[str, list[str]]:
+    """Case -> what differs in it, for each case whose digests differ."""
+    cases = {}
     for case in sorted(set(base) | set(head)):
         if case not in base or case not in head:
-            lines.append(f"{case}: only in {'this checkout' if case in head else 'the base'}")
+            cases[case] = [f"only in {'this checkout' if case in head else 'the base'}"]
             continue
-        for name in sorted(set(base[case]) | set(head[case])):
-            if base[case].get(name) != head[case].get(name):
-                lines.append(f"{case}: {name} differs")
+        names = sorted(set(base[case]) | set(head[case]))
+        if changed := [f"{name} differs" for name in names if base[case].get(name) != head[case].get(name)]:
+            cases[case] = changed
+    return cases
+
+
+def read_changes(text: str) -> dict[str, str]:
+    """Case -> reason, from ``case: reason`` lines; '#' starts a comment, blanks are skipped."""
+    listed = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        case, _, reason = (part.strip() for part in line.partition(":"))
+        if not case or not reason or case in listed:
+            raise ValueError(f"{CHANGES_PATH.name}:{lineno}: expected one 'case: reason' per case, got {raw!r}")
+        listed[case] = reason
+    return listed
+
+
+def verdict(changed: dict[str, list[str]], listed: dict[str, str]) -> list[str]:
+    """The lines that fail the check: an unlisted case that differs, a listed case that does not."""
+    lines = [f"{case}: {what} (not in {CHANGES_PATH.name})"
+             for case, whats in changed.items() if case not in listed for what in whats]
+    lines += [f"{case}: listed ({listed[case]}) but unchanged" for case in listed if case not in changed]
     return lines
 
 
@@ -57,22 +85,26 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="golden_ab_") as tmp:
         base_tree = Path(tmp)
         try:
+            listed = read_changes(CHANGES_PATH.read_text(encoding="utf-8"))
             archive = subprocess.run(["git", "archive", ref, "src", "tests"], cwd=ROOT,
                                      capture_output=True, check=True)
             subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive.stdout,
                            capture_output=True, check=True)
             base, head = digests(base_tree, ref), digests(ROOT, "this checkout")
-        except (subprocess.CalledProcessError, RuntimeError, ValueError) as exc:
+        except (OSError, subprocess.CalledProcessError, RuntimeError, ValueError) as exc:
             stderr = getattr(exc, "stderr", None)
             detail = stderr.decode(errors="replace") if isinstance(stderr, bytes) else ""
             print(f"golden A/B could not run: {exc}\n{detail}", file=sys.stderr)
             return 2
-    lines = differences(base, head)
-    for line in lines:
+    changed = differences(base, head)
+    for case in sorted(set(changed) & set(listed)):
+        print(f"{case}: {', '.join(changed[case])} (listed: {listed[case]})")
+    failures = verdict(changed, listed)
+    for line in failures:
         print(line)
-    print(f"{len(base)} golden cases, {ref} against this checkout: "
-          f"{'no difference' if not lines else f'{len(lines)} difference(s)'}")
-    return 1 if lines else 0
+    print(f"{len(base)} golden cases, {ref} against this checkout: {len(changed)} changed, "
+          f"{len(listed)} listed, {'as listed' if not failures else f'{len(failures)} failure(s)'}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

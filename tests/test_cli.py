@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import mmap
 
@@ -9,7 +10,7 @@ import pytest
 
 from replay_opt import cli, ddpg, ero, gradchecks
 from replay_opt.errors import ConfigError
-from replay_opt.harness import EpisodeRecord, EvalRecord, TraceRecord, read_csv
+from replay_opt.harness import EpisodeRecord, EvalRecord, RunConfig, TraceRecord, read_csv
 
 
 def write_config(tmp_path, name="run.cfg", **kwargs):
@@ -66,6 +67,23 @@ class TestConfigParsing:
     def test_tuple_field(self):
         config = cli.build_run_config({"hidden_sizes": "32,16"}, {})
         assert config.hidden_sizes == (32, 16)
+
+    def test_effective_config_reads_back_as_the_config(self, tmp_path):
+        changed = RunConfig(
+            env="point_reacher", sampler="per_rank", total_timesteps=1234, seed=7, rollout_steps=50,
+            train_steps_per_iter=3, batch_size=32, buffer_capacity=500, warmup_transitions=100, gamma=0.95,
+            tau=0.1 + 0.2, actor_lr=3e-4, critic_lr=2e-3, hidden_sizes=(32, 16), ou_theta=0.2, ou_sigma=0.3,
+            per_alpha=0.7, per_beta0=0.5, per_epsilon=1e-3, rank_refresh_interval=10, ero_lr=1e-3,
+            replay_updating_steps=2, ero_batch_size=16, reward_window=10, lazy_refresh=True, trace_interval=100,
+            eval_every=5, early_stop_window=20, early_stop_threshold=-150.25, out_dir="runs/a b=c",
+            config_id="x = y",
+        )
+        assert all(getattr(changed, f.name) != f.default for f in dataclasses.fields(RunConfig))
+        for config in (RunConfig(), changed):
+            config.validate()
+            path = tmp_path / "config.txt"
+            cli.write_effective_config(config, path)
+            assert cli.build_run_config(cli.load_config_file(str(path)), {}) == config
 
     @pytest.mark.parametrize("second", ["env = point_reacher", "env=pendulum", "per_alpha = 0.5"])
     def test_key_set_twice_rejected_naming_both_lines(self, second):
@@ -291,6 +309,19 @@ class TestRunCommand:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: per_alpha 400.0 is too large for 1500 slots")
         assert not (out / "episodes.csv").exists()
+
+    @pytest.mark.parametrize("setting", ["out_dir=runs#1", "config_id=x#y"])
+    def test_string_the_effective_config_cannot_carry_exits_2_before_any_env_step(
+            self, tmp_path, monkeypatch, capsys, setting):
+        def no_env(*args, **kwargs):
+            raise AssertionError("an env was made despite an invalid config")
+
+        monkeypatch.setattr(cli.harness, "make_env", no_env)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--set", setting]) == 2
+        name = setting.split("=")[0]
+        assert f"config error: {name} must have no '#'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no output directory was made
 
     def test_warmup_above_capacity_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
         def no_training(*args, **kwargs):

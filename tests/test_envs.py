@@ -13,18 +13,25 @@ from replay_opt.errors import ConfigError, ContractViolation
 
 class TestSpecs:
     def test_pendulum_spec(self):
-        spec = Pendulum().spec()
-        assert spec.obs_dim == 3
-        assert spec.action_dim == 1
-        assert spec.action_low[0] == -2.0 and spec.action_high[0] == 2.0
-        assert spec.max_episode_steps == 200
+        assert Pendulum.OBS_DIM == 3
+        assert Pendulum.ACTION_DIM == 1
+        assert Pendulum.ACTION_HIGH == 2.0 and type(Pendulum.ACTION_HIGH) is float
+        assert Pendulum.MAX_EPISODE_STEPS == 200
 
     def test_point_reacher_spec(self):
-        spec = PointReacher().spec()
-        assert spec.obs_dim == 2
-        assert spec.action_dim == 1
-        assert spec.action_low[0] == -1.0 and spec.action_high[0] == 1.0
-        assert spec.max_episode_steps == 200
+        assert PointReacher.OBS_DIM == 2
+        assert PointReacher.ACTION_DIM == 1
+        assert PointReacher.ACTION_HIGH == 1.0 and type(PointReacher.ACTION_HIGH) is float
+        assert PointReacher.MAX_EPISODE_STEPS == 200
+
+    @pytest.mark.parametrize("name", ["pendulum", "point_reacher"])
+    def test_step_returns_four_plain_values(self, name):
+        env = make_env(name)
+        env.reset(seed=0)
+        next_obs, reward, done, truncated = env.step(0.0)
+        assert next_obs.shape == (env.OBS_DIM,) and next_obs.dtype == np.float64
+        assert type(reward) is float
+        assert done is False and truncated is False
 
     def test_make_env(self):
         assert isinstance(make_env("pendulum"), Pendulum)
@@ -63,10 +70,10 @@ class TestPendulumStep:
         env.reset(seed=0)
         env.theta = 0.0
         env.theta_dot = 0.0
-        res = env.step(0.0)
+        _, reward, done, truncated = env.step(0.0)
         assert env.theta == 0.0 and env.theta_dot == 0.0
-        assert res.reward == 0.0
-        assert not res.done and not res.truncated
+        assert reward == 0.0
+        assert not done and not truncated
 
     def test_hanging_down_reward(self):
         # at theta=pi with no velocity and no torque, sin(pi) vanishes so the
@@ -75,25 +82,25 @@ class TestPendulumStep:
         env.reset(seed=0)
         env.theta = math.pi
         env.theta_dot = 0.0
-        res = env.step(0.0)
-        assert res.reward == pytest.approx(-math.pi**2, abs=1e-9)
+        _, reward, _, _ = env.step(0.0)
+        assert reward == pytest.approx(-math.pi**2, abs=1e-9)
 
     def test_action_clamped_before_use(self):
         env_a, env_b = Pendulum(), Pendulum()
         env_a.reset(seed=1)
         env_b.reset(seed=1)
-        ra = env_a.step(100.0)
-        rb = env_b.step(2.0)
-        assert np.array_equal(ra.next_obs, rb.next_obs)
-        assert ra.reward == rb.reward
+        obs_a, reward_a, _, _ = env_a.step(100.0)
+        obs_b, reward_b, _, _ = env_b.step(2.0)
+        assert np.array_equal(obs_a, obs_b)
+        assert reward_a == reward_b
 
     def test_truncates_at_200_and_refuses_further_steps(self):
         env = Pendulum()
         env.reset(seed=0)
         for i in range(200):
-            res = env.step(0.0)
-            assert res.done is False
-            assert res.truncated == (i == 199)
+            _, _, done, truncated = env.step(0.0)
+            assert done is False
+            assert truncated == (i == 199)
         with pytest.raises(ContractViolation):
             env.step(0.0)
 
@@ -103,8 +110,8 @@ class TestPendulumStep:
         lo = -(math.pi**2 + 0.1 * 64.0 + 0.001 * 4.0)
         rng = np.random.default_rng(7)
         for _ in range(200):
-            res = env.step(rng.uniform(-2, 2))
-            assert lo <= res.reward <= 0.0
+            _, reward, _, _ = env.step(rng.uniform(-2, 2))
+            assert lo <= reward <= 0.0
 
     def test_non_finite_action_rejected(self):
         env = Pendulum()
@@ -119,9 +126,9 @@ class TestPointReacherStep:
         env.reset(seed=0)
         env.position = 0.795
         env.velocity = 0.0
-        res = env.step(0.01)
+        _, _, done, _ = env.step(0.01)
         assert abs(env.position - 0.8) < 0.02
-        assert res.done is True
+        assert done is True
         with pytest.raises(ContractViolation):
             env.step(0.0)
 
@@ -130,25 +137,25 @@ class TestPointReacherStep:
         env.reset(seed=0)
         env.position = -1.0
         env.velocity = -2.0
-        res = env.step(-1.0)
+        next_obs, _, _, _ = env.step(-1.0)
         assert env.velocity >= -2.0
         assert env.position >= -1.0
-        assert np.all(np.isfinite(res.next_obs))
+        assert np.all(np.isfinite(next_obs))
 
     def test_reward_is_negative_distance(self):
         env = PointReacher()
         env.reset(seed=3)
-        res = env.step(0.5)
-        assert res.reward == -abs(env.position - 0.8)
+        _, reward, _, _ = env.step(0.5)
+        assert reward == -abs(env.position - 0.8)
 
     def test_truncation_at_200(self):
         env = PointReacher()
         env.reset(seed=0)
         env.position = -1.0
-        last = None
+        truncated = None
         for _ in range(200):
-            last = env.step(-1.0)  # push away from the goal, never terminal
-        assert last.truncated is True
+            _, _, _, truncated = env.step(-1.0)  # push away from the goal, never terminal
+        assert truncated is True
 
 
 class TestTrajectoryDeterminism:
@@ -160,10 +167,10 @@ class TestTrajectoryDeterminism:
             rewards = []
             act_rng = np.random.default_rng(9)
             for _ in range(150):
-                res = env.step(act_rng.uniform(-1, 1))
-                obs.append(res.next_obs)
-                rewards.append(res.reward)
-                if res.done or res.truncated:
+                next_obs, reward, done, truncated = env.step(act_rng.uniform(-1, 1))
+                obs.append(next_obs)
+                rewards.append(reward)
+                if done or truncated:
                     obs.append(env.reset())
             return np.concatenate(obs), np.array(rewards)
 
@@ -179,10 +186,10 @@ def test_pendulum_no_nan_over_a_million_random_steps():
     steps = 0
     episode = 0
     while steps < 1_000_000:
-        res = env.step(0.0)
+        _, reward, _, truncated = env.step(0.0)
         steps += 1
-        assert math.isfinite(res.reward)
-        if res.truncated:
+        assert math.isfinite(reward)
+        if truncated:
             episode += 1
             env.reset()
     assert episode == 5000

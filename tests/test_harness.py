@@ -141,6 +141,12 @@ class TestRun:
             ({"lazy_refresh": 2}, "lazy_refresh must be a bool, got 2"),
             ({"out_dir": 5}, "out_dir must be a string, got 5"),
             ({"hidden_sizes": 64}, "hidden_sizes must be integers >= 1, got 64"),
+            # a string the effective config file's ``key = value`` lines cannot carry
+            ({"out_dir": "runs#1"}, "out_dir must have no '#', line break, or leading or trailing whitespace, got"),
+            ({"config_id": "a\nb"}, "config_id must have no '#', line break, or leading or trailing whitespace"),
+            ({"config_id": "a\u2028b"}, "config_id must have no '#', line break, or leading or trailing whitespace"),
+            ({"config_id": " x"}, "config_id must have no '#', line break, or leading or trailing whitespace"),
+            ({"out_dir": "runs\t"}, "out_dir must have no '#', line break, or leading or trailing whitespace"),
         ],
     )
     def test_invalid_learning_settings_rejected(self, setting, message):

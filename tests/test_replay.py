@@ -494,6 +494,19 @@ class TestPerProportional:
             with pytest.raises(DegeneratePriorityError, match="overflows"):
                 s.sample(4)
 
+    def test_draw_at_the_top_of_the_unit_interval_lands_on_a_live_slot(self):
+        # (63 + (1 - 2**-53)) / 64 rounds to 1.0, so the last stratum's value
+        # would equal the total and walk into the tree's unwritten leaves
+        class TopOfUnitInterval:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        s = self.sampler_with_priorities([1.0] * 10)
+        s.rng = TopOfUnitInterval()
+        batch = s.sample(64)
+        assert batch.indices.max() == 9
+        assert np.all(batch.indices >= 0)
+
     def test_zero_mass_degenerate(self):
         buf = filled_buffer(3)
         s = PerProportionalSampler(buf, np.random.default_rng(0), alpha=1.0)
