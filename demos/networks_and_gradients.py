@@ -6,7 +6,7 @@ Run: python3 demos/networks_and_gradients.py
 
 import numpy as np
 
-from replay_opt import AdamState, GradTape, adam_step, grad_check, mlp_init
+from replay_opt import AdamState, adam_step, grad_check, mlp_init
 
 rng = np.random.default_rng(0)
 
@@ -37,8 +37,8 @@ data_x = np.array([[1.0]])
 for step in range(1, 101):
     y, cache = toy.forward_cached(data_x)
     diff = y - 2.0
-    tape = toy.backward(cache, 2.0 * diff)
-    adam_step(toy, tape, state)
+    toy.backward(cache, 2.0 * diff)
+    adam_step(toy, state)
     if step in (1, 10, 100):
         w, b = toy.params
         print(f"step {step:3d}: w = {w:+.4f}  b = {b:+.4f}  loss = {float(diff[0, 0] ** 2):.5f}")
@@ -46,5 +46,5 @@ for step in range(1, 101):
 print("\nzero gradients leave parameters untouched on the first step:")
 fresh = mlp_init([1, 1], ["linear"], seed=3)
 w_before = fresh.weights[0][0, 0]
-adam_step(fresh, GradTape.zeros_like(fresh), AdamState.for_net(fresh, learning_rate=0.1))
+adam_step(fresh, AdamState.for_net(fresh, learning_rate=0.1))  # a fresh net's own grads are zero
 print(f"w before {w_before:+.6f}, after {fresh.weights[0][0, 0]:+.6f}")

@@ -34,7 +34,7 @@ from .harness import (
     run_suite,
     summarize,
 )
-from .nn import AdamState, GradTape, Mlp, adam_step, grad_check, mlp_init
+from .nn import AdamState, Mlp, adam_step, grad_check, mlp_init
 from .replay import (
     Batch,
     PerProportionalSampler,
@@ -57,7 +57,6 @@ __all__ = [
     "EmptyBufferError",
     "EpisodeRecord",
     "EroPolicy",
-    "GradTape",
     "Mlp",
     "NumericFault",
     "OuNoise",

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation, NumericFault
-from .nn import AdamState, GradTape, Mlp, adam_step, mlp_init
+from .nn import AdamState, Mlp, adam_step, mlp_init
 from .seeding import as_generator
 
 
@@ -67,11 +67,13 @@ class DdpgAgent:
     are the agent's whole learned state.
 
     The learning methods work in arrays the agent owns and reuses from call
-    to call: the critic's concatenated (state, action) input, the actor's
-    and the critic's forward caches, one gradient tape per online net, the
-    actor objective's constant output gradient, and the target blend's
-    scratch row. Each update backpropagates into its net's tape, so a tape
-    holds only the last update's gradients: the next update overwrites it.
+    to call: the critic's concatenated (state, action) input, the actor
+    objective's constant output gradient, and the target blend's scratch
+    row. Each online net owns its forward cache and its gradient
+    (``net.grads``): a cache is valid until the net's next
+    ``forward_cached``, and ``net.grads`` until its next ``backward``, so
+    each holds only the last update's values. The target nets only run
+    ``forward``; their ``grads`` stay zero.
     """
 
     def __init__(
@@ -115,10 +117,6 @@ class DdpgAgent:
         )
         self.actor_adam = AdamState.for_net(self.actor, learning_rate=actor_lr)
         self.critic_adam = AdamState.for_net(self.critic, learning_rate=critic_lr)
-        self._actor_tape = GradTape.zeros_like(self.actor)
-        self._critic_tape = GradTape.zeros_like(self.critic)
-        self._actor_cache: list | None = None
-        self._critic_cache: list | None = None
         self._critic_in: np.ndarray | None = None
         self._mean_q_grad: np.ndarray | None = None  # d(-mean q)/dq, (n, 1) filled with -1/n
         self._blend = np.empty_like(self.params[0])
@@ -161,17 +159,15 @@ class DdpgAgent:
     def critic_update(self, states, actions, rewards, next_states, dones, is_weights=None):
         """One Adam step on the critic; returns (loss, per-sample TD errors)."""
         targets = self.critic_targets(rewards, next_states, dones)
-        q, self._critic_cache = self.critic.forward_cached(
-            self._critic_input(states, actions), self._critic_cache
-        )
+        q, cache = self.critic.forward_cached(self._critic_input(states, actions))
         loss, dloss_dq, td_errors = td_loss(q, targets, is_weights)
         if not math.isfinite(loss):
             raise NumericFault(
                 f"critic loss is not finite (loss={loss}, "
                 f"max|target|={np.max(np.abs(targets))})"
             )
-        tape = self.critic.backward(self._critic_cache, dloss_dq, self._critic_tape)
-        adam_step(self.critic, tape, self.critic_adam)
+        self.critic.backward(cache, dloss_dq)
+        adam_step(self.critic, self.critic_adam)
         return loss, td_errors
 
     def actor_loss(self, states, head):
@@ -181,23 +177,21 @@ class DdpgAgent:
         """
         n = len(states)
         actions = self.action_high * head
-        q, self._critic_cache = self.critic.forward_cached(
-            self._critic_input(states, actions), self._critic_cache
-        )
+        q, cache = self.critic.forward_cached(self._critic_input(states, actions))
         loss = -float(np.add.reduce(q[:, 0]) / n)
         if self._mean_q_grad is None or len(self._mean_q_grad) != n:
             self._mean_q_grad = np.full((n, 1), -1.0 / n)
-        dloss_dinput = self.critic.input_gradient(self._critic_cache, self._mean_q_grad)
+        dloss_dinput = self.critic.input_gradient(cache, self._mean_q_grad)
         return loss, dloss_dinput[:, self.obs_dim :] * self.action_high
 
     def actor_update(self, states) -> float:
         """One Adam step on the actor, ascending mean Q(s, actor(s)); returns that mean."""
-        head, self._actor_cache = self.actor.forward_cached(states, self._actor_cache)
+        head, cache = self.actor.forward_cached(states)
         loss, dloss_dhead = self.actor_loss(states, head)
         if not math.isfinite(loss):
             raise NumericFault(f"actor objective is not finite ({-loss})")
-        tape = self.actor.backward(self._actor_cache, dloss_dhead, self._actor_tape)
-        adam_step(self.actor, tape, self.actor_adam)
+        self.actor.backward(cache, dloss_dhead)
+        adam_step(self.actor, self.actor_adam)
         return -loss
 
     def soft_update(self) -> None:

@@ -238,6 +238,6 @@ class EroPolicy:
             feats = self.features(buffer, indices, current_step)
             out, cache = self.score_net.forward_cached(feats)
             loss, dloss_dout = mask_surrogate(out, bits, replay_reward)
-            tape = self.score_net.backward(cache, dloss_dout)
-            adam_step(self.score_net, tape, self.adam)
+            self.score_net.backward(cache, dloss_dout)
+            adam_step(self.score_net, self.adam)
         return loss

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ddpg, ero
 from .ddpg import DdpgAgent, OuNoise
-from .nn import AdamState, GradTape, adam_step, grad_check, mlp_init
+from .nn import AdamState, adam_step, grad_check, mlp_init
 
 THRESHOLD = 1e-4
 
@@ -114,15 +114,14 @@ def check_adam_step() -> float:
     rng = np.random.default_rng(500)
     net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=30)
     state = AdamState.for_net(net, learning_rate=1e-3)
-    tape = GradTape.zeros_like(net)
-    for g in tape.weight_grads + tape.bias_grads:
+    for g in net.weight_grads + net.bias_grads:
         g[:] = rng.normal(size=g.shape)
     expected = []
-    for p, g in zip(net.weights + net.biases, tape.weight_grads + tape.bias_grads):
+    for p, g in zip(net.weights + net.biases, net.weight_grads + net.bias_grads):
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         expected.append(p - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8))
-    adam_step(net, tape, state)
+    adam_step(net, state)
     worst = 0.0
     for p, e in zip(net.weights + net.biases, expected):
         worst = max(worst, float(np.max(np.abs(p - e) / np.maximum(np.abs(e), 1e-8))))

@@ -167,10 +167,12 @@ def planned_floats(config: RunConfig) -> int:
     """float64 values a run of ``config`` holds at the least, counted without allocating.
 
     Eight per agent parameter (the block's online and target rows, Adam's two
-    moments and two scratch vectors, a gradient tape, the target blend's
-    row), six per ERO score-net parameter, three per slot of a full rank-PER
-    buffer (its sorted slots, probabilities and CDF), and one batch's
-    activations in every actor and critic layer. The buffer's columns are
+    moments and two scratch vectors, the online net's ``grads``, the target
+    blend's row; a target net's ``grads`` is never written), six per ERO
+    score-net parameter (its parameters and ``grads``, Adam's moments and
+    scratch), three per slot of a full rank-PER buffer (its sorted slots,
+    probabilities and CDF), and one batch's activations in every actor and
+    critic layer (the nets' forward caches). The buffer's columns are
     memory maps, resident only as they fill, and are not counted.
     """
     env, hidden = ENVS[config.env], list(config.hidden_sizes)

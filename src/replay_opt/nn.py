@@ -5,6 +5,10 @@ by layer (no autodiff graph), which keeps every derivative inspectable and
 lets the finite-difference checker validate the whole stack to tight
 tolerances. The same class backs the actor, the critic, and the replay
 scoring network.
+
+A net owns the arrays its passes write: ``forward_cached`` returns a cache
+that is valid until the net's next ``forward_cached``, and ``backward``
+fills ``net.grads``, which is valid until the net's next ``backward``.
 """
 
 from __future__ import annotations
@@ -136,22 +140,6 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list[np.ndarray], list[
     return weights, biases
 
 
-class GradTape:
-    """Parameter gradients for one Mlp.
-
-    ``grads`` is one float64 vector laid out like ``Mlp.params``;
-    ``weight_grads`` and ``bias_grads`` are per-layer views into it.
-    """
-
-    def __init__(self, grads: np.ndarray, layer_sizes) -> None:
-        self.grads = grads
-        self.weight_grads, self.bias_grads = _layer_views(grads, layer_sizes)
-
-    @classmethod
-    def zeros_like(cls, net: "Mlp") -> "GradTape":
-        return cls(np.zeros_like(net.params), net.layer_sizes)
-
-
 class Mlp:
     """Fully connected network with per-layer activation tags.
 
@@ -164,20 +152,28 @@ class Mlp:
     layer from ``params``, so ``adam_step`` and target blending would no
     longer see it.
 
-    Each net owns a workspace: one float64 array per layer, as wide as the
-    layer's output and ``BLOCK + 1`` rows long (the largest block
-    ``row_blocks`` makes), and a bool array of the same
-    shape for the relu masks, each mapped on first use on its own memory map
-    (``memory.mapped_zeros``). Only the pages a call writes become
-    resident, and a dropped net gives its pages back to the operating
-    system. ``forward`` writes its hidden layers there and
-    ``backward``/``input_gradient`` their per-layer gradients and masks, so
-    those intermediates are reused from call to call; a request for more
-    than ``BLOCK + 1`` rows gets fresh arrays instead. ``forward`` never
-    splits its input: ERO's eager rescore does its own ``row_blocks``.
-    What the methods return is never workspace memory: ``forward`` returns
-    a fresh array on every call. The workspace makes a net unsafe to run
-    from two threads at once.
+    Each net owns its gradient ``grads``, a float64 vector laid out like
+    ``params`` with per-layer views ``weight_grads`` and ``bias_grads``, on
+    its own memory map (``memory.mapped_zeros``): a net that never
+    backpropagates, such as a target net, touches none of its pages.
+    ``backward`` overwrites it, so ``net.grads`` is valid until the net's
+    next ``backward``.
+
+    Each net also owns a workspace: per layer, two float64 arrays as wide as
+    the layer's output and ``BLOCK + 1`` rows long (the largest block
+    ``row_blocks`` makes), and a bool array of the same shape for the relu
+    masks, each mapped on first use on its own memory map. Only the pages a
+    call writes become resident, and a dropped net gives its pages back to
+    the operating system. ``forward`` writes its hidden layers into the
+    first set, ``forward_cached`` every layer's output into the second (the
+    cache it returns), and ``backward``/``input_gradient`` their per-layer
+    gradients into the first set and their relu masks into the bool arrays,
+    so those intermediates are reused from call to call; a request for
+    more than ``BLOCK + 1`` rows gets fresh arrays instead. A cache is
+    therefore valid until the net's next ``forward_cached``. ``forward`` never splits
+    its input: ERO's eager rescore does its own ``row_blocks``, and
+    ``forward`` returns a fresh array on every call. The workspace makes a
+    net unsafe to run from two threads at once.
 
     Each layer's activation and its chain rule are looked up once, at
     construction (``_KERNELS``), not dispatched on the tag at every call.
@@ -194,6 +190,8 @@ class Mlp:
             )
         self.params = params
         self.weights, self.biases = _layer_views(params, self.layer_sizes)
+        self.grads = mapped_zeros(expected)
+        self.weight_grads, self.bias_grads = _layer_views(self.grads, self.layer_sizes)
         kernels = [_KERNELS[act] for act in self.activations]
         self._layers = list(zip(self.weights, self.biases, (k[0] for k in kernels)))
         self._grads = [k[1] for k in kernels]
@@ -202,8 +200,9 @@ class Mlp:
         self._input_grads = [(np.multiply if w.shape[1] == 1 else np.matmul, w.T) for w in self.weights]
         self._workspace: list[np.ndarray] = []
         self._masks: list[np.ndarray] = []
-        # (float, bool) workspace views per recently asked row count
-        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        self._outputs: list[np.ndarray] = []
+        # (float, bool, cache output) workspace views per recently asked row count
+        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]] = {}
 
     @property
     def param_count(self) -> int:
@@ -225,21 +224,24 @@ class Mlp:
             )
         return x
 
-    def _scratch(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer (rows, layer width) float and bool arrays: workspace views,
-        fresh above ``BLOCK + 1`` rows."""
+    def _scratch(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (rows, layer width) float, bool and cache-output arrays:
+        workspace views, fresh above ``BLOCK + 1`` rows."""
         views = self._views.get(rows)
         if views is not None:
             return views
         widths = self.layer_sizes[1:]
         if rows > BLOCK + 1:
-            return [np.empty((rows, w)) for w in widths], [np.empty((rows, w), bool) for w in widths]
+            return tuple([np.empty((rows, w), dtype) for w in widths] for dtype in (float, bool, float))
         if not self._workspace:  # a page is resident only once a call writes it
             self._workspace = [mapped_zeros((BLOCK + 1, w)) for w in widths]
             self._masks = [mapped_zeros((BLOCK + 1, w), dtype=bool) for w in widths]
+            self._outputs = [mapped_zeros((BLOCK + 1, w)) for w in widths]
         if len(self._views) >= 4:
             self._views.clear()  # a few row counts recur (1 to act, the batch size to train)
-        views = self._views[rows] = ([a[:rows] for a in self._workspace], [a[:rows] for a in self._masks])
+        views = self._views[rows] = tuple(
+            [a[:rows] for a in arrays] for arrays in (self._workspace, self._masks, self._outputs)
+        )
         return views
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -258,57 +260,48 @@ class Mlp:
         """Run the layers on ``h``, writing each layer's output into ``outs``.
 
         The only layer loop: ``forward`` passes workspace views and its result
-        array, ``forward_cached`` the cache's own arrays.
+        array, ``forward_cached`` the views of the net's cache arrays.
         """
         for (w, b, act), z in zip(self._layers, outs):
             np.matmul(h, w, out=z)
             z += b
             h = act(z, z)
 
-    def forward_cached(self, x: np.ndarray, cache: list | None = None) -> tuple[np.ndarray, list]:
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Forward pass that also returns the intermediates backward() needs.
 
         The cache holds one ``(input, output)`` pair per layer, each layer's
         input being the previous layer's output; the returned output is the
         last layer's. The chain rules read only the outputs, so no
-        pre-activation is kept. Pass back a cache an earlier call returned to
-        have its arrays overwritten instead of fresh ones built (when its
-        batch size differs, fresh ones are built).
+        pre-activation is kept. The outputs are the net's own arrays, reused
+        by every call with the same row count, so the cache and the output
+        are valid until the net's next ``forward_cached``.
         """
         h = self._check_input(x)
-        if cache is None or len(cache[0][1]) != len(h):
-            outs = [np.empty((len(h), width)) for width in self.layer_sizes[1:]]
-        else:
-            outs = [out for _, out in cache]
+        outs = self._scratch(len(h))[2]
         self._forward_block(h, outs)
         return outs[-1], list(zip([h] + outs[:-1], outs))
 
-    def backward(self, cache: list, output_grad: np.ndarray, tape: GradTape | None = None) -> GradTape:
+    def backward(self, cache: list, output_grad: np.ndarray) -> np.ndarray:
         """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-        Returns gradients for every weight and bias, summed over the batch.
-        They are written into ``tape`` when one is given (its old contents
-        are overwritten), into a new tape otherwise. d(loss)/d(input) is not
-        computed here; ``input_gradient`` gives it.
+        Overwrites ``net.grads`` with the gradients of every weight and
+        bias, summed over the batch, and returns it; it is valid until the
+        net's next ``backward``. d(loss)/d(input) is not computed here;
+        ``input_gradient`` gives it.
         """
-        if tape is None:
-            tape = GradTape(np.empty_like(self.params), self.layer_sizes)
-        elif tape.grads.shape != self.params.shape:
-            raise ContractViolation(
-                f"net has {self.params.size} parameters but the tape has {tape.grads.size}"
-            )
-        self._chain(cache, output_grad, tape)
-        return tape
+        self._chain(cache, output_grad, True)
+        return self.grads
 
     def input_gradient(self, cache: list, output_grad: np.ndarray) -> np.ndarray:
         """d(loss)/d(input) for the cached forward pass, without parameter gradients."""
-        return self._chain(cache, output_grad, None)
+        return self._chain(cache, output_grad, False)
 
-    def _chain(self, cache: list, output_grad: np.ndarray, tape: GradTape | None) -> np.ndarray | None:
+    def _chain(self, cache: list, output_grad: np.ndarray, fill_grads: bool) -> np.ndarray | None:
         """Chain ``output_grad`` down through the layers.
 
-        With a ``tape``, fill it with the parameter gradients and stop at
-        layer 0's weights; without one, return d(loss)/d(input).
+        With ``fill_grads``, write the parameter gradients into ``grads`` and
+        stop at layer 0's weights; without, return d(loss)/d(input).
         """
         output_grad = np.asarray(output_grad, dtype=np.float64)
         if output_grad.shape != cache[-1][1].shape:
@@ -316,14 +309,14 @@ class Mlp:
                 f"output_grad shape {output_grad.shape} does not match "
                 f"forward output {cache[-1][1].shape}"
             )
-        scratch, masks = self._scratch(len(output_grad))
+        scratch, masks, _ = self._scratch(len(output_grad))
         dh = output_grad
         for layer in range(len(self.weights) - 1, -1, -1):
             h_in, out = cache[layer]
             dz = self._grads[layer](dh, out, scratch[layer], masks[layer])
-            if tape is not None:
-                np.matmul(h_in.T, dz, out=tape.weight_grads[layer])
-                np.add.reduce(dz, axis=0, out=tape.bias_grads[layer])
+            if fill_grads:
+                np.matmul(h_in.T, dz, out=self.weight_grads[layer])
+                np.add.reduce(dz, axis=0, out=self.bias_grads[layer])
                 if layer == 0:
                     return None
             product, w_t = self._input_grads[layer]
@@ -385,18 +378,19 @@ class AdamState:
         return cls(net.layer_sizes, learning_rate)
 
 
-def adam_step(net: Mlp, tape: GradTape, state: AdamState) -> None:
-    """Apply one bias-corrected Adam update to ``net`` in place.
+def adam_step(net: Mlp, state: AdamState) -> None:
+    """Apply one bias-corrected Adam update to ``net`` in place, from ``net.grads``.
 
-    A non-finite gradient raises ``NumericFault`` naming its first layer and
-    leaves the net and the moments untouched. Every ``_ADAM_FLUSH_EVERY``
-    steps, first moments below ``_TINY`` are set to 0 before they are used.
+    ``net.grads`` holds what the net's last ``backward`` wrote (it is valid
+    until the next one). A non-finite gradient raises ``NumericFault``
+    naming its first layer and leaves the net and the moments untouched.
+    Every ``_ADAM_FLUSH_EVERY`` steps, first moments below ``_TINY`` are set
+    to 0 before they are used.
     """
-    p, g, m, v = net.params, tape.grads, state.m, state.v
-    if not p.size == g.size == m.size == v.size:
+    p, g, m, v = net.params, net.grads, state.m, state.v
+    if not p.size == m.size == v.size:
         raise ContractViolation(
-            f"net has {p.size} parameters but the tape has {g.size} gradients "
-            f"and the Adam state {m.size}/{v.size} moments"
+            f"net has {p.size} parameters but the Adam state has {m.size}/{v.size} moments"
         )
     # a finite sum of squares (one BLAS dot) means every entry is finite; only
     # a non-finite entry, or squares that overflow, need the full scan
@@ -438,14 +432,14 @@ def grad_check(net: Mlp, loss_fn, x: np.ndarray, step: float = 1e-5) -> float:
     """
     y, cache = net.forward_cached(x)
     dy = loss_fn(y)[1]
-    tape = net.backward(cache, dy)
+    grads = net.backward(cache, dy)
 
     def loss_at_params() -> float:
         return float(loss_fn(net.forward(x))[0])
 
     worst = 0.0
-    params = net.params  # every weight and bias is a view into it, laid out like ``tape.grads``
-    for i, analytic in enumerate(tape.grads):
+    params = net.params  # every weight and bias is a view into it, laid out like ``grads``
+    for i, analytic in enumerate(grads):
         orig = params[i]
         params[i] = orig + step
         plus = loss_at_params()

@@ -289,9 +289,9 @@ class TestActorUpdate:
         agent.critic.weights[0][1, 0] = 1.0  # Q = action input
         states = np.array([[1.0]])
         head, cache = agent.actor.forward_cached(states)
-        tape = agent.actor.backward(cache, agent.actor_loss(states, head)[1])
+        agent.actor.backward(cache, agent.actor_loss(states, head)[1])
         # ascending mean Q means the stored (descent) gradient is -1
-        assert tape.weight_grads[0][0, 0] == pytest.approx(-1.0)
+        assert agent.actor.weight_grads[0][0, 0] == pytest.approx(-1.0)
 
     def test_chain_gradient_matches_finite_differences(self):
         agent = make_agent()
@@ -491,6 +491,18 @@ class TestTrainStep:
             assert adam.step_count == 200
         assert np.array_equal(agent.target_actor.params, twin.target_actor.params)
         assert np.array_equal(agent.target_critic.params, twin.target_critic.params)
+
+    def test_online_nets_keep_their_grads_and_targets_never_backpropagate(self):
+        buf = fill_buffer()
+        agent = make_agent()
+        sampler = UniformSampler(buf, np.random.default_rng(6))
+        grads = agent.actor.grads, agent.critic.grads
+        for _ in range(10):
+            agent.train_step(sampler.sample(64))
+        assert agent.actor.grads is grads[0] and agent.critic.grads is grads[1]
+        assert all(np.any(g != 0.0) for g in grads)
+        for target in (agent.target_actor, agent.target_critic):
+            assert not np.any(target.grads)
 
     def test_batch_contract(self):
         buf = fill_buffer()

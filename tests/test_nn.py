@@ -9,7 +9,6 @@ from replay_opt.errors import ConfigError, ContractViolation, NumericFault
 from replay_opt.nn import (
     BLOCK,
     AdamState,
-    GradTape,
     Mlp,
     _KERNELS,
     _layer_views,
@@ -20,10 +19,11 @@ from replay_opt.nn import (
 )
 
 
-def finite_diff_tape(net: Mlp, loss_of_output, x: np.ndarray, h: float = 1e-5) -> GradTape:
-    """Independent oracle: central differences over every parameter."""
-    tape = GradTape.zeros_like(net)
-    arrays = list(zip(net.weights, tape.weight_grads)) + list(zip(net.biases, tape.bias_grads))
+def finite_diff_grads(net: Mlp, loss_of_output, x: np.ndarray, h: float = 1e-5) -> list[np.ndarray]:
+    """Independent oracle: central differences over every parameter, per-layer
+    weight gradients then bias gradients."""
+    weight_grads, bias_grads = _layer_views(np.zeros_like(net.params), net.layer_sizes)
+    arrays = list(zip(net.weights, weight_grads)) + list(zip(net.biases, bias_grads))
     for param, grad in arrays:
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:
@@ -35,7 +35,7 @@ def finite_diff_tape(net: Mlp, loss_of_output, x: np.ndarray, h: float = 1e-5) -
             minus = loss_of_output(net.forward(x))
             param[idx] = orig
             grad[idx] = (plus - minus) / (2.0 * h)
-    return tape
+    return weight_grads + bias_grads
 
 
 def reference_adam_step(
@@ -202,9 +202,10 @@ class TestBackward:
         net = mlp_init([3, 8, 2], ["tanh", "linear"], seed=2)
         x = np.random.default_rng(1).normal(size=(4, 3))
         y, cache = net.forward_cached(x)
-        tape = net.backward(cache, np.zeros_like(y))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in tape.weight_grads)
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in tape.bias_grads)
+        net.grads[:] = np.nan  # backward overwrites every entry
+        net.backward(cache, np.zeros_like(y))
+        assert all(np.array_equal(g, np.zeros_like(g)) for g in net.weight_grads)
+        assert all(np.array_equal(g, np.zeros_like(g)) for g in net.bias_grads)
         assert np.array_equal(net.input_gradient(cache, np.zeros_like(y)), np.zeros_like(x))
 
     @pytest.mark.parametrize("acts", [["tanh", "linear"], ["relu", "sigmoid"], ["sigmoid", "tanh"]])
@@ -213,9 +214,9 @@ class TestBackward:
         net = mlp_init([3, 8, 2], acts, seed=13)
         x = rng.normal(size=(4, 3))
         y, cache = net.forward_cached(x)
-        tape = net.backward(cache, np.ones_like(y))
-        oracle = finite_diff_tape(net, lambda out: float(out.sum()), x)
-        for a, n in zip(tape.weight_grads + tape.bias_grads, oracle.weight_grads + oracle.bias_grads):
+        net.backward(cache, np.ones_like(y))
+        oracle = finite_diff_grads(net, lambda out: float(out.sum()), x)
+        for a, n in zip(net.weight_grads + net.bias_grads, oracle):
             assert max_rel_err(a, n) < 1e-4
 
     def test_relu_gradient_away_from_kinks(self):
@@ -231,9 +232,9 @@ class TestBackward:
                 break
             x = rng.normal(size=(4, 3))
         y, cache = net.forward_cached(x)
-        tape = net.backward(cache, np.ones_like(y))
-        oracle = finite_diff_tape(net, lambda out: float(out.sum()), x)
-        for a, n in zip(tape.weight_grads + tape.bias_grads, oracle.weight_grads + oracle.bias_grads):
+        net.backward(cache, np.ones_like(y))
+        oracle = finite_diff_grads(net, lambda out: float(out.sum()), x)
+        for a, n in zip(net.weight_grads + net.bias_grads, oracle):
             assert max_rel_err(a, n) < 1e-4
 
     def test_batch_additivity(self):
@@ -242,12 +243,12 @@ class TestBackward:
         x = rng.normal(size=(2, 3))
         dy = rng.normal(size=(2, 2))
         _, cache = net.forward_cached(x)
-        whole = net.backward(cache, dy)
-        total = GradTape.zeros_like(net)
+        whole = net.backward(cache, dy).copy()  # the next backward overwrites net.grads
+        total = np.zeros_like(whole)
         for i in range(2):
             _, c = net.forward_cached(x[i : i + 1])
-            total.grads += net.backward(c, dy[i : i + 1]).grads
-        for a, b in zip(whole.weight_grads + whole.bias_grads, total.weight_grads + total.bias_grads):
+            total += net.backward(c, dy[i : i + 1])
+        for a, b in zip(layer_views(whole, net), layer_views(total, net)):
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "linear"])
@@ -316,7 +317,8 @@ class TestAdam:
         net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
         before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
         state = AdamState.for_net(net, learning_rate=0.1)
-        adam_step(net, GradTape.zeros_like(net), state)
+        net.grads[:] = 0.0
+        adam_step(net, state)
         after = list(net.weights) + list(net.biases)
         assert state.step_count == 1
         for b, a in zip(before, after):
@@ -325,11 +327,11 @@ class TestAdam:
     def test_zero_tape_decays_existing_moments(self):
         net = mlp_init([1, 1], ["linear"], seed=0)
         state = AdamState.for_net(net, learning_rate=0.1)
-        tape = GradTape.zeros_like(net)
-        tape.weight_grads[0][0, 0] = 1.0
-        adam_step(net, tape, state)
+        net.weight_grads[0][0, 0] = 1.0
+        adam_step(net, state)
         m_before = state.m[0]  # the one weight's first moment
-        adam_step(net, GradTape.zeros_like(net), state)
+        net.grads[:] = 0.0
+        adam_step(net, state)
         assert state.m[0] == pytest.approx(0.9 * m_before)
         assert state.step_count == 2
 
@@ -338,9 +340,8 @@ class TestAdam:
         # so the update is -0.1 / (1 + 1e-8)
         net = zero_net([1, 1], ["linear"])
         state = AdamState.for_net(net, learning_rate=0.1)
-        tape = GradTape.zeros_like(net)
-        tape.weight_grads[0][0, 0] = 1.0
-        adam_step(net, tape, state)
+        net.weight_grads[0][0, 0] = 1.0
+        adam_step(net, state)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert net.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
         assert abs(net.weights[0][0, 0] + 0.1) < 1e-8
@@ -350,9 +351,8 @@ class TestAdam:
             net = zero_net([1, 1], ["linear"])
             state = AdamState.for_net(net, learning_rate=0.1)
             for g in grads:
-                tape = GradTape.zeros_like(net)
-                tape.weight_grads[0][0, 0] = g
-                adam_step(net, tape, state)
+                net.weight_grads[0][0, 0] = g
+                adam_step(net, state)
             return net.weights[0][0, 0]
 
         assert run([1.0, 1.0]) != run([2.0])
@@ -360,10 +360,9 @@ class TestAdam:
     def test_non_finite_gradient_names_layer(self):
         net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
         state = AdamState.for_net(net, learning_rate=0.1)
-        tape = GradTape.zeros_like(net)
-        tape.weight_grads[1][0, 0] = np.nan
+        net.weight_grads[1][0, 0] = np.nan
         with pytest.raises(NumericFault, match="layer 1"):
-            adam_step(net, tape, state)
+            adam_step(net, state)
 
     @pytest.mark.parametrize("layer", [0, 1, 2])
     @pytest.mark.parametrize("part", ["weight", "bias"])
@@ -371,11 +370,10 @@ class TestAdam:
         net = mlp_init([2, 4, 3, 1], ["tanh", "relu", "linear"], seed=0)
         state = AdamState.for_net(net, learning_rate=0.1)
         before = net.params.copy()
-        tape = GradTape.zeros_like(net)
-        grads = tape.weight_grads if part == "weight" else tape.bias_grads
+        grads = net.weight_grads if part == "weight" else net.bias_grads
         grads[layer].flat[-1] = np.inf
         with pytest.raises(NumericFault, match=f"layer {layer}"):
-            adam_step(net, tape, state)
+            adam_step(net, state)
         assert state.step_count == 0
         assert np.array_equal(net.params, before)
 
@@ -383,10 +381,9 @@ class TestAdam:
         # its squares overflow the quick finiteness check; the full scan clears it
         net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
         state = AdamState.for_net(net, learning_rate=0.1)
-        tape = GradTape.zeros_like(net)
-        tape.grads[:] = 1e154  # the sum of squares overflows; the update itself does not
+        net.grads[:] = 1e154  # the sum of squares overflows; the update itself does not
         with np.errstate(over="ignore"):
-            adam_step(net, tape, state)
+            adam_step(net, state)
         assert state.step_count == 1 and np.isfinite(net.params).all()
 
     def test_state_cannot_be_built_without_moments(self):
@@ -400,15 +397,9 @@ class TestAdam:
         state = AdamState.for_net(small, learning_rate=0.1)
         before = big.params.copy()
         with pytest.raises(ContractViolation, match=r"17 parameters.*13/13 moments"):
-            adam_step(big, GradTape.zeros_like(big), state)
+            adam_step(big, state)
         assert state.step_count == 0
         assert np.array_equal(big.params, before)
-
-    def test_tape_for_another_net_is_rejected(self):
-        small = mlp_init([2, 3, 1], ["tanh", "linear"], seed=0)
-        big = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
-        with pytest.raises(ContractViolation, match=r"17 parameters but the tape has 13"):
-            adam_step(big, GradTape.zeros_like(small), AdamState.for_net(big, learning_rate=0.1))
 
     @pytest.mark.parametrize(
         "sizes,acts",
@@ -424,11 +415,10 @@ class TestAdam:
             [np.zeros_like(a) for a in arrays] for arrays in (weights, weights, biases, biases)
         )
         for t in range(1, 201):
-            tape = GradTape.zeros_like(net)
-            tape.grads[:] = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=tape.grads.size)
-            adam_step(net, tape, state)
+            net.grads[:] = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=net.grads.size)
+            adam_step(net, state)
             reference_adam_step(
-                weights, biases, tape.weight_grads, tape.bias_grads, moments, t, lr=1e-3
+                weights, biases, net.weight_grads, net.bias_grads, moments, t, lr=1e-3
             )
             for flat, ref in zip(
                 (net.weights + net.biases, layer_views(state.m, net), layer_views(state.v, net)),
@@ -450,11 +440,10 @@ class TestAdam:
             return np.count_nonzero((m != 0.0) & (np.abs(m) < tiny))
 
         for t in range(1, 201):
-            tape = GradTape.zeros_like(net)
-            tape.grads[:] = rng.normal(scale=1e-2, size=net.param_count)
-            tape.grads[stuck] = 0.0
-            adam_step(net, tape, state)
-            reference_adam_step(params, [], [tape.grads], [], (m, v, [], []), t, lr=1e-3)
+            net.grads[:] = rng.normal(scale=1e-2, size=net.param_count)
+            net.grads[stuck] = 0.0
+            adam_step(net, state)
+            reference_adam_step(params, [], [net.grads], [], (m, v, [], []), t, lr=1e-3)
             assert net.params.tobytes() == params[0].tobytes()
         others = np.setdiff1d(np.arange(net.param_count), stuck)
         assert np.array_equal(state.m[others], m[0][others])
@@ -479,9 +468,8 @@ class TestFlatStorage:
     def test_every_view_lies_inside_its_vector(self):
         net = mlp_init([3, 8, 8, 2], ["relu", "relu", "tanh"], seed=1)
         _, cache = net.forward_cached(np.ones((4, 3)))
-        owners = [(net.params, net.weights + net.biases)]
-        for tape in (GradTape.zeros_like(net), net.backward(cache, np.ones((4, 2)))):
-            owners.append((tape.grads, tape.weight_grads + tape.bias_grads))
+        assert net.backward(cache, np.ones((4, 2))) is net.grads
+        owners = [(net.params, net.weights + net.biases), (net.grads, net.weight_grads + net.bias_grads)]
         for flat, views in owners:
             assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
             assert flat.size == net.param_count
@@ -493,13 +481,14 @@ class TestFlatStorage:
         net = mlp_init([3, 6, 2], ["tanh", "linear"], seed=4)
         x = np.random.default_rng(2).normal(size=(5, 3))
         y, cache = net.forward_cached(x)
-        tape = net.backward(cache, np.ones_like(y))
+        net.grads[:] = np.nan  # backward overwrites every entry
+        grads = net.backward(cache, np.ones_like(y))
         h1 = np.tanh(x @ net.weights[0] + net.biases[0])
         dz0 = (np.ones_like(y) @ net.weights[1].T) * (1.0 - h1 * h1)
         expected = np.concatenate(
             [(x.T @ dz0).ravel(), dz0.sum(axis=0), (h1.T @ np.ones_like(y)).ravel(), np.full(2, 5.0)]
         )
-        assert np.allclose(tape.grads, expected, rtol=1e-12, atol=0)
+        assert np.allclose(grads, expected, rtol=1e-12, atol=0)
 
     def test_copy_shares_no_memory(self):
         net = mlp_init([3, 8, 2], ["relu", "linear"], seed=2)
@@ -582,20 +571,25 @@ class TestWorkspace:
          ([3, 8, 8, 2], ["sigmoid", "relu", "tanh"])],
     )
     def test_reused_cache_and_tape_bit_equal_to_fresh(self, sizes, acts):
+        """A net's reused cache and ``grads`` are bit-equal to a fresh net's single pass."""
         rng = np.random.default_rng(5)
         net = mlp_init(sizes, acts, seed=6)
-        cache, tape = None, GradTape.zeros_like(net)
+        caches = {}
         for n in (7, 7, 3, 7):
             x = rng.normal(size=(n, sizes[0]))
             dy = rng.normal(size=(n, sizes[-1]))
-            y_fresh, fresh_cache = net.forward_cached(x)
-            fresh = net.backward(fresh_cache, dy)
-            y, cache = net.forward_cached(x, cache)
-            reused = net.backward(cache, dy, tape)
-            assert reused is tape
+            fresh = Mlp(net.layer_sizes, net.activations, net.params.copy())
+            y_fresh, fresh_cache = fresh.forward_cached(x)
+            fresh.backward(fresh_cache, dy)
+            y, cache = net.forward_cached(x)
+            assert net.backward(cache, dy) is net.grads
             assert np.array_equal(y, y_fresh)
-            assert np.array_equal(reused.grads, fresh.grads)
-            assert np.array_equal(net.input_gradient(cache, dy), net.input_gradient(fresh_cache, dy))
+            assert np.array_equal(net.grads, fresh.grads)
+            assert np.array_equal(net.input_gradient(cache, dy), fresh.input_gradient(fresh_cache, dy))
+            outs = [out for _, out in cache]
+            if n in caches:  # the same row count reuses the same arrays
+                assert all(a is b for a, b in zip(outs, caches[n]))
+            caches[n] = outs
 
     @pytest.mark.parametrize("n", [1, 64, BLOCK + 1, 2 * BLOCK + 1])
     def test_cache_pairs_each_layer_input_with_its_output(self, n):
@@ -610,13 +604,6 @@ class TestWorkspace:
             h = _KERNELS[net.activations[layer]][0](h @ net.weights[layer] + net.biases[layer])
             assert out.tobytes() == h.tobytes()
         assert y.tobytes() == net.forward(x).tobytes()
-
-    def test_tape_for_another_net_is_rejected_by_backward(self):
-        net = mlp_init([2, 4, 1], ["tanh", "linear"], seed=0)
-        other = mlp_init([2, 3, 1], ["tanh", "linear"], seed=0)
-        _, cache = net.forward_cached(np.zeros((2, 2)))
-        with pytest.raises(ContractViolation, match="17 parameters but the tape has 13"):
-            net.backward(cache, np.zeros((2, 1)), GradTape.zeros_like(other))
 
     def test_backward_leaves_output_grad_untouched(self):
         net = mlp_init([3, 8, 1], ["relu", "tanh"], seed=2)
@@ -647,8 +634,8 @@ class TestWorkspace:
             dz = _KERNELS[acts[layer]][1](dh, out)
             weight_grads.append(h_in.T @ dz)
             dh = np.matmul(dz, net.weights[layer].T)
-        tape = net.backward(cache, dy)
-        assert [g.tobytes() for g in tape.weight_grads[::-1]] == [g.tobytes() for g in weight_grads]
+        net.backward(cache, dy)
+        assert [g.tobytes() for g in net.weight_grads[::-1]] == [g.tobytes() for g in weight_grads]
         assert net.input_gradient(cache, dy).tobytes() == dh.tobytes()
 
 
@@ -669,9 +656,9 @@ class TestGradCheck:
         assert err < 1e-7
         # cross-check the analytic gradient against the closed form
         y, cache = net.forward_cached(x)
-        tape = net.backward(cache, 2.0 * (y - y0))
+        net.backward(cache, 2.0 * (y - y0))
         closed = 2.0 * (0.7 * 1.3 - 0.2 - y0) * 1.3
-        assert tape.weight_grads[0][0, 0] == pytest.approx(closed, rel=1e-12)
+        assert net.weight_grads[0][0, 0] == pytest.approx(closed, rel=1e-12)
 
     def test_tanh_net_random_loss_weights(self):
         rng = np.random.default_rng(17)
