@@ -1,4 +1,4 @@
-"""Command-line entry point: single runs, comparison suites, trace tooling.
+"""Command-line entry point: single runs, comparison suites, gradient checks.
 
 Config files are flat ``key = value`` lines with ``#`` comments; dotted keys
 (``per.alpha``) map onto the underscored RunConfig fields (``per_alpha``).
@@ -205,42 +205,6 @@ def cmd_compare(args) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def cmd_trace(args) -> int:
-    path = Path(args.input)
-    if path.exists() and not path.is_file():
-        raise ConfigError(f"trace path is not a file: {args.input}")
-    if not path.is_file():
-        raise ConfigError(f"trace file not found: {args.input}")
-    records = harness.read_csv(harness.TraceRecord, path)
-
-    window = args.window
-    if window < 1:
-        raise ConfigError(f"--window must be >= 1, got {window}")
-    smoothed = []
-    for i, rec in enumerate(records):
-        lo = max(0, i - window + 1)
-        chunk = records[lo : i + 1]
-        smoothed.append(
-            harness.TraceRecord(
-                global_step=rec.global_step,
-                mean_abs_td=sum(r.mean_abs_td for r in chunk) / len(chunk),
-                mean_step_diff=sum(r.mean_step_diff for r in chunk) / len(chunk),
-                mean_reward=sum(r.mean_reward for r in chunk) / len(chunk),
-            )
-        )
-
-    out_path = make_out_dir(args.out) / "trace_smoothed.csv" if args.out else None
-    harness.write_trace_csv(smoothed, out_path or sys.stdout)
-
-    for name in ("mean_abs_td", "mean_step_diff", "mean_reward"):
-        series = [getattr(r, name) for r in smoothed]
-        if series:
-            print(f"{name} min={min(series):.6g} max={max(series):.6g} final={series[-1]:.6g}")
-        else:
-            print(f"{name} min=nan max=nan final=nan")
-    return EXIT_OK
-
-
 def cmd_gradcheck(args) -> int:
     results = gradchecks.run_all()
     failed = []
@@ -278,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="ignored; runs execute one at a time (kept so existing command lines parse)")
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_tr = sub.add_parser("trace", help="window-average a trace CSV and print stats")
-    p_tr.add_argument("input", help="trace CSV produced by a run")
-    p_tr.add_argument("--window", type=int, default=1, help="moving-average width")
-    p_tr.add_argument("--out", help="directory for the smoothed CSV")
-    p_tr.set_defaults(func=cmd_trace)
 
     p_gc = sub.add_parser("gradcheck", help="run all gradient verification checks")
     p_gc.set_defaults(func=cmd_gradcheck)

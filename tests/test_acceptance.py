@@ -17,11 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from replay_opt import harness
-from replay_opt.ddpg import DdpgAgent, td_loss
-from replay_opt.ero import EroPolicy, mask_surrogate
+from replay_opt import gradchecks, harness
+from replay_opt.ddpg import DdpgAgent
+from replay_opt.ero import EroPolicy
 from replay_opt.harness import EpisodeRecord, RunConfig, TraceRecord, read_csv, run
-from replay_opt.nn import Mlp, grad_check, mlp_init
+from replay_opt.nn import Mlp
 from replay_opt.replay import PerProportionalSampler, PerRankSampler, ReplayBuffer
 
 
@@ -57,56 +57,16 @@ def random_buffer(n: int, capacity: int | None = None, seed: int = 0, obs_dim: i
 
 def test_c01_gradient_suite():
     start = time.perf_counter()
-    rng = np.random.default_rng(20260811)
-    trials = 20
-
-    # dense nets over every activation used in the repo
-    acts = ("tanh", "relu", "sigmoid", "linear")
-    for trial in range(trials):
-        sizes = [3, int(rng.integers(4, 9)), 2]
-        hidden = acts[trial % 3]
-        net = mlp_init(sizes, [hidden, acts[trial % 4]], seed=trial)
-        x = rng.normal(size=(4, 3))
-        coeff = rng.normal(size=(4, 2))
-
-        def loss_fn(y, coeff=coeff):
-            return float((coeff * y).sum()), coeff.copy()
-
-        assert grad_check(net, loss_fn, x) < 1e-4, f"mlp trial {trial}"
-
-    # critic TD loss with IS weights, through the function the agent trains with
-    for trial in range(trials):
-        agent = small_agent(trial)
-        states = rng.normal(size=(5, 3))
-        actions = rng.uniform(-2, 2, size=(5, 1))
-        targets = agent.critic_targets(
-            rng.normal(size=5), rng.normal(size=(5, 3)), rng.random(5) < 0.4
-        )
-        weights = rng.uniform(0.1, 1.0, size=5)
-        x = np.hstack([states, actions])
-        err = grad_check(agent.critic, lambda q: td_loss(q, targets, weights), x)
-        assert err < 1e-4, f"critic trial {trial}: {err}"
-
-    # actor objective through the frozen critic
-    from replay_opt.gradchecks import _states_away_from_kinks
-
-    for trial in range(trials):
-        agent = small_agent(trial + 500)
-        agent.actor.weights[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.weights[-1].shape)
-        agent.actor.biases[-1][...] = rng.uniform(-0.5, 0.5, agent.actor.biases[-1].shape)
-        states = _states_away_from_kinks(agent, rng)
-        err = grad_check(agent.actor, lambda head: agent.actor_loss(states, head), states)
-        assert err < 1e-4, f"actor trial {trial}: {err}"
-
-    # mask-likelihood surrogate for the replay policy
-    for trial in range(trials):
-        net = mlp_init([3, 6, 1], ["relu", "sigmoid"], seed=trial + 900)
-        feats = rng.normal(size=(6, 3))
-        bits = rng.integers(0, 2, size=6).astype(float)
-        reward = float(rng.normal())
-        err = grad_check(net, lambda y: mask_surrogate(y, bits, reward), feats)
-        assert err < 1e-4, f"surrogate trial {trial}: {err}"
-
+    assert gradchecks.TRIALS >= 20 and gradchecks.THRESHOLD <= 1e-4  # c01's own floor
+    checks = (
+        gradchecks.check_mlp,
+        gradchecks.check_critic_loss,
+        gradchecks.check_actor_chain,
+        gradchecks.check_replay_policy_surrogate,
+    )
+    for check in checks:
+        err = check()
+        assert err < gradchecks.THRESHOLD, f"{check.__name__}: {err}"
     assert time.perf_counter() - start < 30.0
     report(1, "gradient suite (mlp, critic, actor chain, replay surrogate)")
 

@@ -6,11 +6,13 @@ import dataclasses
 import errno
 import mmap
 
+import numpy as np
 import pytest
 
 from replay_opt import cli, ddpg, ero, gradchecks
 from replay_opt.errors import ConfigError
-from replay_opt.harness import EpisodeRecord, EvalRecord, RunConfig, TraceRecord, read_csv
+from replay_opt.harness import EpisodeRecord, EvalRecord, RunConfig, read_csv
+from replay_opt.nn import mlp_init
 
 
 def write_config(tmp_path, name="run.cfg", **kwargs):
@@ -555,108 +557,12 @@ class TestEvalOutput:
         assert all(e.length == 200 for e in evals)
 
 
-class TestTraceCommand:
-    def run_for_trace(self, tmp_path):
-        cfg = write_config(tmp_path, sampler="ero")
-        out = tmp_path / "out"
-        cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        return out / "trace.csv"
-
-    def test_constant_series_stats(self, tmp_path, capsys):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "global_step,mean_abs_td,mean_step_diff,mean_reward\n"
-            "100,1.0,5.0,-2.0\n200,1.0,6.0,-2.0\n"
-        )
-        assert cli.main(["trace", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "mean_abs_td min=1 max=1 final=1" in out
-
-    def test_window_one_is_identity(self, tmp_path):
-        trace = self.run_for_trace(tmp_path)
-        out = tmp_path / "smoothed"
-        assert cli.main(["trace", str(trace), "--window", "1", "--out", str(out)]) == 0
-        assert read_csv(TraceRecord, out / "trace_smoothed.csv") == read_csv(TraceRecord, trace)
-
-    def test_empty_trace_ok_with_header(self, tmp_path, capsys):
-        path = tmp_path / "trace.csv"
-        path.write_text("global_step,mean_abs_td,mean_step_diff,mean_reward\n")
-        out = tmp_path / "smoothed"
-        assert cli.main(["trace", str(path), "--out", str(out)]) == 0
-        assert (out / "trace_smoothed.csv").read_text().splitlines()[0].startswith("global_step")
-        assert "final=nan" in capsys.readouterr().out
-
-    def test_malformed_trace_exit_2_with_line_number(self, tmp_path, capsys):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "global_step,mean_abs_td,mean_step_diff,mean_reward\n"
-            "100,1.0,5.0,-2.0\n200,oops,6.0,-2.0\n"
-        )
-        assert cli.main(["trace", str(path)]) == 2
-        assert ":3" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("window", ["0", "-5"])
-    def test_window_below_one_exit_2(self, tmp_path, capsys, window):
-        path = tmp_path / "trace.csv"
-        path.write_text("global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0\n")
-        out = tmp_path / "smoothed"
-        assert cli.main(["trace", str(path), "--window", window, "--out", str(out)]) == 2
-        assert f"--window must be >= 1, got {window}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_trace_exit_2(self, tmp_path):
-        assert cli.main(["trace", str(tmp_path / "none.csv")]) == 2
-
-    def test_smoothed_output_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
-        path, smoothed = tmp_path / "trace.csv", tmp_path / "out" / "trace_smoothed.csv"
-        cli.harness.write_trace_csv([], path)
-        smoothed.mkdir(parents=True)
-        assert cli.main(["trace", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: cannot write {smoothed}: Is a directory" in capsys.readouterr().err
-
-    def test_trace_directory_exits_2_saying_not_a_file(self, tmp_path, capsys):
-        assert cli.main(["trace", str(tmp_path)]) == 2
-        assert f"trace path is not a file: {tmp_path}" in capsys.readouterr().err
-
-    def test_trace_not_utf8_exits_2_naming_path(self, tmp_path, capsys):
-        path = tmp_path / "latin1.csv"
-        path.write_bytes("global_step,mean_abs_td,mean_step_diff,mean_reward\n# caf\xe9\n".encode("latin-1"))
-        assert cli.main(["trace", str(path)]) == 2
-        assert f"cannot read {path}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "name, text",
-        [
-            ("short.csv", "global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0\n"),
-            ("long.csv", "global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0,9\n"),
-            ("hdr.csv", "global_step,td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0\n"),
-        ],
-    )
-    def test_wrong_width_or_header_exit_2_with_line_number(self, tmp_path, capsys, name, text):
-        path = tmp_path / name
-        path.write_text(text)
-        assert cli.main(["trace", str(path)]) == 2
-        line = 1 if name == "hdr.csv" else 2
-        assert f"{name}:{line}:" in capsys.readouterr().err
-
-    def test_stdout_rows_are_the_csv_format(self, tmp_path, capsys):
-        text = (
-            "global_step,mean_abs_td,mean_step_diff,mean_reward\n"
-            "100,0.1,5.0,-2.0\n200,0.30000000000000004,6.0,-2.0\n"
-        )
-        path = tmp_path / "trace.csv"
-        path.write_text(text)
-        assert cli.main(["trace", str(path)]) == 0
-        assert capsys.readouterr().out.startswith(text)
-
-
 class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        for name in ("mlp", "critic-loss", "actor-chain", "ero-surrogate", "adam-step", "ou-noise"):
-            assert name in out
-        assert out.count("ok") >= 6
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [name for name, _ in gradchecks.CHECKS]
+        assert all(line.endswith("  ok") and "FAIL" not in line for line in lines)
 
     def test_corrupted_gradient_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.gradchecks, "CHECKS", [("critic-loss", lambda: cli.gradchecks.THRESHOLD)])
@@ -684,6 +590,17 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck"]) == 4
         err = capsys.readouterr().err
         assert "critic-loss" in err and "ero-surrogate" in err
+
+
+    def test_kink_guard_redraws_an_input_at_a_relu_kink(self):
+        net = mlp_init([1, 1, 1], ["relu", "linear"], seed=0)
+        net.weights[0][...] = 1.0
+        net.biases[0][...] = 0.0  # the relu's pre-activation is the input itself
+        at_kink, away = np.array([[0.0]]), np.array([[0.5]])
+        draws = [(at_kink, away), (away, at_kink), (away, away)]
+        drawn = iter(draws)
+        assert gradchecks._away_from_kinks([net, net], lambda: next(drawn)) is draws[2]
+        assert next(drawn, None) is None
 
 
 class TestEndToEndDeterminism:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import io
+import re
 import threading
 import weakref
 from pathlib import Path
@@ -548,6 +549,46 @@ class TestCsv:
         evals = [EvalRecord(400, -970.8708896669552, 200), EvalRecord(800, -1.0, 57)]
         write_eval_csv(evals, tmp_path / "evals.csv")
         assert read_csv(EvalRecord, tmp_path / "evals.csv") == evals
+
+    def test_bad_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "global_step,mean_abs_td,mean_step_diff,mean_reward\n"
+            "100,1.0,5.0,-2.0\n200,oops,6.0,-2.0\n"
+        )
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: ")):
+            read_csv(TraceRecord, path)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("short.csv", "global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0\n"),
+            ("long.csv", "global_step,mean_abs_td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0,9\n"),
+            ("hdr.csv", "global_step,td,mean_step_diff,mean_reward\n100,1.0,5.0,-2.0\n"),
+        ],
+        ids=["short.csv", "long.csv", "hdr.csv"],
+    )
+    def test_wrong_width_or_header_names_its_line(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        line = 1 if name == "hdr.csv" else 2
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: ")):
+            read_csv(TraceRecord, path)
+
+    def test_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("global_step,mean_abs_td,mean_step_diff,mean_reward\n# caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read {path}: ")):
+            read_csv(TraceRecord, path)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "none.csv"
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read {path}: ") + ".*No such file"):
+            read_csv(TraceRecord, path)
+
+    def test_directory_names_the_path(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read {tmp_path}: ") + ".*Is a directory"):
+            read_csv(TraceRecord, tmp_path)
 
     def test_readme_schemas_are_the_written_headers(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
