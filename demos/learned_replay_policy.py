@@ -15,12 +15,10 @@ from replay_opt.harness import replay_reward, window_mean
 
 rng = np.random.default_rng(0)
 buf = ReplayBuffer(64, obs_dim=2, action_dim=1)
-# lazy_refresh keeps per-slot scores in policy.priority_scores (scored at store
-# time, rescored when replayed), which is what this demo prints
-policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=np.random.default_rng(1))
+policy = EroPolicy(init_seed=0, draw_rng=np.random.default_rng(1))
 sampler = SubsetSampler(buf, np.random.default_rng(2), policy)
 
-print("== Store transitions; each gets scored as it arrives ==")
+print("== Store transitions; the policy updates its feature statistics with each ==")
 for i in range(32):
     idx = buf.store(
         state=rng.normal(size=2),
@@ -31,8 +29,15 @@ for i in range(32):
         insert_timestep=i + 1,
     )
     sampler.on_store(idx, i + 1)  # the sampler shows the policy each stored slot
-scores = policy.priority_scores[:32]
-print(f"initial scores hover near 0.5: min={scores.min():.3f} max={scores.max():.3f}")
+
+
+def scores() -> np.ndarray:
+    # the scores a mask drawn now would use, for the 32 stored slots
+    return policy.score(policy.features(buf, slice(0, 32), 32))
+
+
+initial = scores()
+print(f"initial scores hover near 0.5: min={initial.min():.3f} max={initial.max():.3f}")
 
 print("\n== Draw a Bernoulli mask over the whole buffer ==")
 size = policy.refresh_subset(buf, 32)
@@ -55,19 +60,18 @@ for ret in (-1500.0, -1400.0, -1300.0):
 
 print("\n== Policy-gradient steps with a positive replay reward ==")
 selected = policy.mask_drawn[:32] == 1
-before = policy.priority_scores[:32].copy()
+before = scores()
 
 
 def mask_log_likelihood() -> float:
     # the surrogate the update descends is -replay_reward * log-likelihood
-    return -mask_surrogate(policy.priority_scores[:32, None], policy.mask_drawn[:32], 1.0)[0]
+    return -mask_surrogate(scores()[:, None], policy.mask_drawn[:32], 1.0)[0]
 
 
 log_lik_before = mask_log_likelihood()
 for _ in range(200):
     policy.update_policy(buf, 25.0, 32)
-policy.refresh_scores(buf, np.arange(32), current_step=32)
-after = policy.priority_scores[:32]
+after = scores()
 
 print(f"log-likelihood of the drawn mask: {log_lik_before:.3f} -> {mask_log_likelihood():.3f}")
 print(f"mean score of selected slots:   {before[selected].mean():.4f} -> {after[selected].mean():.4f}")

@@ -12,12 +12,8 @@ batch 1 and of one train step at batch 64: a uniform ``sample(64)`` and
 eager ``EroPolicy.refresh_subset`` at 20k and 100k live rows (in ms), with
 the growth of the peak RSS (``VmHWM``, KiB) that one such rescore causes in
 a fresh process (``--rescore-peak FILL`` prints only that growth, at FILL
-rows), and of lazy ERO's two per-call costs at the same fills: one
-``store`` with the learned sampler's ``on_store`` (which scores the new
-slot; the median of ``--calls`` pairs, each timed alone) and
-``EroPolicy.refresh_scores`` on 64 replayed slots. Both ERO
-setups' buffer columns are filled directly, not stored transition by
-transition. ``store`` and
+rows). The ERO setup's buffer columns are filled directly, not stored
+transition by transition. ``store`` and
 ``on_store`` are timed call by call over ``--calls`` store/on_store pairs
 (the median call). ``on_store`` only queues its slot, and the next read of
 the sum tree writes the queued slots, so ``store_phase_100`` times a run's
@@ -47,12 +43,7 @@ import numpy as np
 
 from replay_opt.ddpg import DdpgAgent, OuNoise
 from replay_opt.ero import EroPolicy, draw_mask
-from replay_opt.replay import (
-    PerProportionalSampler,
-    ReplayBuffer,
-    SubsetSampler,
-    UniformSampler,
-)
+from replay_opt.replay import PerProportionalSampler, ReplayBuffer, UniformSampler
 
 CAPACITY = 100_000
 FILLS = (1_300, 10_000, 100_000)
@@ -148,18 +139,18 @@ def peak_kib() -> int:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 
-def rescore_setup(fill: int, lazy: bool = False):
+def rescore_setup(fill: int):
     """A policy and a ``fill``-row buffer of ``CAPACITY`` slots.
 
     The columns the rescore reads are written in place, in blocks, so that
     no temporary of ``fill`` rows raises the peak before the rescore runs.
     The policy has drawn two rows' bits as a rescore draws a block's, so
     its code is loaded and its score net's workspace mapped, and its mask
-    (with ``lazy``, also its score cache) is mapped for this buffer with
-    every live slot set: a peak read after this grows by the rescore alone.
+    is mapped for this buffer with every live slot set: a peak read after
+    this grows by the rescore alone.
     """
     rng = np.random.default_rng(fill)
-    policy = EroPolicy(lazy_refresh=lazy, init_seed=0, draw_rng=1)
+    policy = EroPolicy(init_seed=0, draw_rng=1)
     buf = ReplayBuffer(CAPACITY, OBS_DIM, ACTION_DIM)
     rng.standard_normal(out=buf.rewards[:fill])
     rng.standard_normal(out=buf.td_errors[:fill])
@@ -170,8 +161,6 @@ def rescore_setup(fill: int, lazy: bool = False):
     for idx in range(1000):
         policy.normalizer.update((buf.rewards[idx], buf.td_errors[idx]))
     policy.mask(buf)[:2] = draw_mask(policy.score(policy.features(buf, slice(0, 2), fill)), rng)
-    if lazy:
-        policy.cached_scores(buf)
     return policy, buf
 
 
@@ -192,25 +181,6 @@ def rescore_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
     return {"refresh_subset_ms": round(us / 1000, 3), "peak_growth_kib": int(child.stdout)}
 
 
-def lazy_costs(fill: int, calls: int, rounds: int) -> dict[str, float]:
-    policy, buf = rescore_setup(fill, lazy=True)
-    sampler = SubsetSampler(buf, np.random.default_rng(fill), policy)
-    rng = np.random.default_rng(fill + 1)
-    # a store and its on_store, timed together call by call, as in a run's rollout
-    on_store_us = []
-    for step in range(fill + 1, fill + 1 + calls):
-        t = transition(rng, step)
-        start = time.perf_counter()
-        sampler.on_store(buf.store(*t), step)
-        on_store_us.append((time.perf_counter() - start) * 1e6)
-    replayed = iter(rng.integers(0, len(buf), size=(calls * rounds, BATCH)))
-    step = fill + calls
-    return {
-        "store_on_store": round(statistics.median(on_store_us), 2),
-        "refresh_scores_64": per_call_us(lambda: policy.refresh_scores(buf, next(replayed), step), calls, rounds),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300, help="calls per round")
@@ -229,7 +199,6 @@ def main(argv=None) -> int:
         "replay": {str(fill): replay_costs(fill, args.calls, args.rounds) for fill in FILLS},
         "agent": agent_costs(args.calls, args.rounds),
         "ero_rescore": {str(fill): rescore_costs(fill, args.calls, args.rounds) for fill in RESCORE_FILLS},
-        "ero_lazy": {str(fill): lazy_costs(fill, args.calls, args.rounds) for fill in RESCORE_FILLS},
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -85,19 +85,6 @@ def mask_surrogate(out: np.ndarray, bits: np.ndarray, replay_reward: float):
     return loss, dloss_dout
 
 
-def _per_slot(array: np.ndarray | None, buffer: ReplayBuffer, fill, dtype=np.float64) -> np.ndarray:
-    """``array`` checked against ``buffer``'s capacity; when None, a new one whose live slots hold ``fill``.
-
-    Each later slot is set as it is stored, so pages a run never reaches stay untouched.
-    """
-    if array is None:
-        array = mapped_zeros(buffer.capacity, dtype=dtype)
-        array[: buffer.size] = fill
-    elif len(array) != buffer.capacity:
-        raise ContractViolation(f"policy mapped for {len(array)} slots, buffer has {buffer.capacity}")
-    return array
-
-
 class EroPolicy:
     """Scoring network, feature pipeline, the mask it draws, and the network's optimizer.
 
@@ -108,7 +95,7 @@ class EroPolicy:
     over it would be degenerate).
 
     The mask holds each slot's last drawn bit, or ``MASK_UNDRAWN`` for a slot stored since
-    (in the subset until the next draw). It and lazy mode's scores are mapped for one capacity.
+    (in the subset until the next draw). It is mapped for one buffer capacity.
     """
 
     def __init__(
@@ -117,7 +104,6 @@ class EroPolicy:
         learning_rate: float = 1e-4,
         update_steps: int = 1,
         update_batch_size: int = 64,
-        lazy_refresh: bool = False,
         init_seed=None,
         draw_rng=None,
     ):
@@ -128,9 +114,7 @@ class EroPolicy:
         self.normalizer = RunningNorm(2)
         self.update_steps = update_steps
         self.update_batch_size = update_batch_size
-        self.lazy_refresh = lazy_refresh
         self._rng = as_generator(draw_rng)
-        self.priority_scores: np.ndarray | None = None  # lazy mode only, see cached_scores
         self.mask_drawn: np.ndarray | None = None  # see mask
         self._subset: np.ndarray | None = None  # subset_indices(); None until recomputed
         self.skipped_nonfinite = 0
@@ -154,14 +138,16 @@ class EroPolicy:
         """Inclusion probabilities in (0, 1), one per feature row."""
         return self.score_net.forward(features)[:, 0]
 
-    def cached_scores(self, buffer: ReplayBuffer) -> np.ndarray:
-        """Lazy mode's per-slot scores (0.5 until scored); ``observe_store`` scores each new slot."""
-        self.priority_scores = _per_slot(self.priority_scores, buffer, 0.5)
-        return self.priority_scores
-
     def mask(self, buffer: ReplayBuffer) -> np.ndarray:
-        """The int8 mask over ``buffer``'s slots (live slots undrawn until the first draw)."""
-        self.mask_drawn = _per_slot(self.mask_drawn, buffer, MASK_UNDRAWN, np.int8)
+        """The int8 mask over ``buffer``'s slots, mapped at first use with the live slots undrawn.
+
+        Each later slot is set as it is stored, so pages a run never reaches stay untouched.
+        """
+        if self.mask_drawn is None:
+            self.mask_drawn = mapped_zeros(buffer.capacity, dtype=np.int8)
+            self.mask_drawn[: buffer.size] = MASK_UNDRAWN
+        elif len(self.mask_drawn) != buffer.capacity:
+            raise ContractViolation(f"policy mapped for {len(self.mask_drawn)} slots, buffer has {buffer.capacity}")
         return self.mask_drawn
 
     def subset_indices(self, buffer: ReplayBuffer) -> np.ndarray:
@@ -170,28 +156,15 @@ class EroPolicy:
             self._subset = np.flatnonzero(self.mask(buffer)[: buffer.size] != 0)
         return self._subset
 
-    def observe_store(self, buffer: ReplayBuffer, idx: int, current_step: int) -> None:
-        """Mark the freshly stored slot undrawn and update feature statistics; in lazy mode also score it."""
+    def observe_store(self, buffer: ReplayBuffer, idx: int) -> None:
+        """Mark the freshly stored slot undrawn and update feature statistics."""
         self.mask(buffer)[idx] = MASK_UNDRAWN
         self._subset = None
         self.normalizer.update((buffer.rewards[idx], buffer.td_errors[idx]))
-        if self.lazy_refresh:
-            feats = self.features(buffer, np.array([idx]), current_step)
-            self.cached_scores(buffer)[idx] = self.score(feats)[0]
-
-    def refresh_scores(self, buffer: ReplayBuffer, indices: np.ndarray, current_step: int) -> None:
-        """In lazy mode, rescore only the replayed slots; otherwise nothing reads the cache."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if not self.lazy_refresh or len(indices) == 0:
-            return
-        indices = np.unique(indices[indices < buffer.size])
-        self.cached_scores(buffer)[indices] = self.score(self.features(buffer, indices, current_step))
 
     def refresh_subset(self, buffer: ReplayBuffer, current_step: int) -> int:
-        """Draw a fresh Bernoulli mask over every live slot; returns subset size.
+        """Score every live slot and draw a fresh Bernoulli mask over them; returns subset size.
 
-        Scores are recomputed for the whole buffer unless ``lazy_refresh`` is
-        set, in which case the cached (lazily updated) scores are used as-is.
         The slots are drawn in ``nn.row_blocks``, ``nn.BLOCK`` (512) rows at
         a time: each block's features are read from slices of the buffer's
         columns, scored in one forward pass, drawn and written into the mask
@@ -204,10 +177,7 @@ class EroPolicy:
         self._subset = None
         selected = 0
         for start, stop in row_blocks(len(buffer)):
-            if self.lazy_refresh:
-                scores = self.cached_scores(buffer)[start:stop]
-            else:
-                scores = self.score(self.features(buffer, slice(start, stop), current_step))
+            scores = self.score(self.features(buffer, slice(start, stop), current_step))
             bits = draw_mask(scores, self._rng)
             mask[start:stop] = bits
             selected += int(np.count_nonzero(bits))

@@ -16,7 +16,7 @@ import os
 import time
 import typing
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -58,13 +58,18 @@ class RunConfig:
     replay_updating_steps: int = 1
     ero_batch_size: int = 64
     reward_window: int = 100
-    lazy_refresh: bool = False
     trace_interval: int = 1000
     eval_every: int = 0
     early_stop_window: int = 0
     early_stop_threshold: float = 0.0
     out_dir: str = "runs"
     config_id: str = ""
+    # an init-only argument, not a field: ``bench/workload.py`` still passes ``lazy_refresh=False``
+    lazy_refresh: InitVar[bool] = False
+
+    def __post_init__(self, lazy_refresh: bool) -> None:
+        if lazy_refresh is not False:
+            raise ConfigError(f"lazy_refresh is gone (ERO rescores the whole buffer), got {lazy_refresh!r}")
 
     def resolved_id(self) -> str:
         return self.config_id or f"{self.sampler}-{self.env}"
@@ -77,7 +82,7 @@ class RunConfig:
         # a library caller can pass anything: each field takes its declared type,
         # and bool is an int subclass but neither a count nor a number; every
         # int setting is a count with a lower bound
-        accepted = {int: ((int, np.integer), "an integer"), bool: (bool, "a bool"), str: (str, "a string"),
+        accepted = {int: ((int, np.integer), "an integer"), str: (str, "a string"),
                     float: ((int, float, np.integer, np.floating), "a number")}
         positive = {"rollout_steps", "batch_size", "buffer_capacity", "reward_window", "trace_interval",
                     "ero_batch_size", "rank_refresh_interval"}
@@ -85,7 +90,7 @@ class RunConfig:
             if typ not in accepted:  # hidden_sizes, checked below
                 continue
             (kinds, what), value = accepted[typ], getattr(self, name)
-            if (isinstance(value, bool) and typ is not bool) or not isinstance(value, kinds):
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
             if typ is int and value < (low := int(name in positive)):
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
@@ -203,7 +208,6 @@ def make_sampler(config: RunConfig, buffer: ReplayBuffer, streams: dict) -> Unif
             learning_rate=config.ero_lr,
             update_steps=config.replay_updating_steps,
             update_batch_size=config.ero_batch_size,
-            lazy_refresh=config.lazy_refresh,
             init_seed=streams["replay_policy_init"],
             draw_rng=streams["replay_policy_draw"],
         )
@@ -482,13 +486,6 @@ def parse_field(name: str, value: str, typ) -> object:
             return None
         (typ,) = [a for a in args if a is not type(None)]
     try:
-        if typ is bool:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(value)
         if typ is int:
             return int(value)
         if typ is float:
@@ -507,8 +504,6 @@ def _header(record_type) -> list[str]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)

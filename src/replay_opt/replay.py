@@ -364,8 +364,8 @@ class SubsetSampler(UniformSampler):
 
     ``policy`` (an ``ero.EroPolicy``) owns the mask and the rest of ERO's state, and
     the hooks drive it as Algorithm 1 of Zha et al. (2019) does: ``on_store`` shows it
-    each stored slot, ``update_priorities`` each replayed batch, and ``on_episode_end``
-    turns the replay reward into a policy update and a fresh mask.
+    each stored slot, and ``on_episode_end`` turns the replay reward into a policy
+    update and a fresh mask. ``update_priorities`` is the base's TD write.
 
     An empty subset falls back to the whole buffer so training never stalls;
     each fallback increments ``buffer.subset_fallbacks``.
@@ -376,7 +376,7 @@ class SubsetSampler(UniformSampler):
         self.policy = policy
 
     def on_store(self, idx: int, step: int) -> None:
-        self.policy.observe_store(self.buffer, idx, step)
+        self.policy.observe_store(self.buffer, idx)
 
     def sample(self, batch_size: int) -> Batch:
         subset = self.policy.subset_indices(self.buffer)
@@ -384,10 +384,6 @@ class SubsetSampler(UniformSampler):
             self.buffer.subset_fallbacks += 1
             return super().sample(batch_size)
         return self.buffer.gather(subset[self.rng.integers(0, len(subset), size=batch_size)])
-
-    def update_priorities(self, indices, td_errors, step: int) -> None:
-        self.buffer.update_td_errors(indices, td_errors)
-        self.policy.refresh_scores(self.buffer, indices, step)
 
     def on_episode_end(self, replay_reward: float | None, step: int):
         """From the second episode end on (a replay reward exists), a policy update and a fresh mask."""

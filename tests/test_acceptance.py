@@ -100,12 +100,12 @@ def test_c02_soft_update_exactness():
     report(2, "soft-update convex blend exact, tau=1 copies")
 
 
-def test_c03_bernoulli_mask_statistics():
+def test_c03_bernoulli_mask_statistics(monkeypatch):
     start = time.perf_counter()
     n = 10_000
     buf = random_buffer(n, seed=3)
-    policy = EroPolicy(lazy_refresh=True, init_seed=3, draw_rng=np.random.default_rng(33))
-    policy.cached_scores(buf)[:n] = 0.5  # lambda fixed at one half
+    policy = EroPolicy(init_seed=3, draw_rng=np.random.default_rng(33))
+    monkeypatch.setattr(policy, "score", lambda features: np.full(len(features), 0.5))  # lambda fixed at one half
 
     refreshes = 200
     sizes = np.zeros(refreshes)

@@ -60,7 +60,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             cli.build_run_config({"total_timesteps": "many"}, {})
         with pytest.raises(ConfigError, match="cannot parse"):
-            cli.build_run_config({"lazy_refresh": "maybe"}, {})
+            cli.build_run_config({"gamma": "steep"}, {})
 
     def test_overrides_win_over_file(self):
         config = cli.build_run_config({"seed": "1"}, {"seed": "9"})
@@ -76,7 +76,7 @@ class TestConfigParsing:
             train_steps_per_iter=3, batch_size=32, buffer_capacity=500, warmup_transitions=100, gamma=0.95,
             tau=0.1 + 0.2, actor_lr=3e-4, critic_lr=2e-3, hidden_sizes=(32, 16), ou_theta=0.2, ou_sigma=0.3,
             per_alpha=0.7, per_beta0=0.5, per_epsilon=1e-3, rank_refresh_interval=10, ero_lr=1e-3,
-            replay_updating_steps=2, ero_batch_size=16, reward_window=10, lazy_refresh=True, trace_interval=100,
+            replay_updating_steps=2, ero_batch_size=16, reward_window=10, trace_interval=100,
             eval_every=5, early_stop_window=20, early_stop_threshold=-150.25, out_dir="runs/a b=c",
             config_id="x = y",
         )
@@ -236,6 +236,19 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(cfg), "--set", "env=point_reacher", "--out", str(out)]) == 0
         assert "env = point_reacher" in (out / "config.txt").read_text()
+
+    def test_effective_config_has_no_lazy_refresh_line(self, tmp_path):
+        cfg = write_config(tmp_path, sampler="ero", total_timesteps=0)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        keys = [line.split(" = ")[0] for line in (out / "config.txt").read_text().splitlines()]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)] and "lazy_refresh" not in keys
+
+    def test_lazy_refresh_is_an_unknown_key(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["run", "--set", "lazy_refresh=true", "--out", str(out)]) == 2
+        assert "unknown config key 'lazy_refresh'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_sampler_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, sampler="magic")

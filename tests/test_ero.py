@@ -14,7 +14,7 @@ from replay_opt.ero import (
     draw_mask,
     mask_surrogate,
 )
-from replay_opt.harness import EpisodeRecord, RunConfig, replay_reward, run, window_mean
+from replay_opt.harness import EpisodeRecord, replay_reward, window_mean
 from replay_opt.nn import BLOCK, grad_check, mlp_init
 from replay_opt.replay import ReplayBuffer, SubsetSampler
 
@@ -116,7 +116,7 @@ class TestFeatures:
                 done=False,
                 insert_timestep=i + 1,
             )
-            policy.observe_store(buf, idx, i + 1)
+            policy.observe_store(buf, idx)
         feats = policy.features(buf, np.arange(10), current_step=10)
         assert np.allclose(feats[:, 0], 0.0)
 
@@ -158,7 +158,7 @@ class TestScore:
 
 
 class TestStoreScoring:
-    """Cached scores are kept only in lazy mode, the only mode that reads them."""
+    """Only the episode-end rescore scores slots: neither a store nor a replayed batch does."""
 
     @staticmethod
     def no_scoring(monkeypatch, policy):
@@ -174,69 +174,35 @@ class TestStoreScoring:
         expected = RunningNorm(2)
         for i in range(12):
             expected.update(np.array([buf.rewards[i], buf.td_errors[i]]))
-            policy.observe_store(buf, i, i + 1)
+            policy.observe_store(buf, i)
         assert policy.normalizer.count == expected.count == 12
         assert np.array_equal(policy.normalizer.mean, expected.mean)
         assert np.array_equal(policy.normalizer.variance, expected.variance)
-        assert policy.priority_scores is None
 
-    def test_eager_refresh_scores_and_subset_leave_cache(self, monkeypatch):
+    def test_replayed_batch_writes_td_errors_without_scoring(self, monkeypatch):
         buf = make_buffer(20)
         policy = fresh_policy()
         policy.refresh_subset(buf, 20)
         self.no_scoring(monkeypatch, policy)
-        policy.refresh_scores(buf, np.arange(20), current_step=20)
-        assert policy.priority_scores is None
-
-    def test_lazy_store_scores_the_new_slot(self):
-        buf = make_buffer(5)
-        policy = fresh_policy(lazy_refresh=True)
-        policy.observe_store(buf, 4, current_step=5)
-        expected = policy.score(policy.features(buf, np.array([4]), current_step=5))[0]
-        assert policy.priority_scores[4] == expected
-        assert np.all(policy.priority_scores[:4] == 0.5)
-
-    def test_lazy_refresh_scores_writes_exactly_the_live_replayed_slots(self):
-        buf = make_buffer(20)
-        policy = fresh_policy(lazy_refresh=True)
-        for i in range(20):
-            policy.observe_store(buf, i, i + 1)
-        policy.priority_scores[:] = -1.0
-        policy.refresh_scores(buf, np.array([7, 3, 7, 25]), current_step=20)  # 25 is not live
-        replayed = np.array([3, 7])
-        fresh = policy.score(policy.features(buf, replayed, current_step=20))
-        assert np.array_equal(policy.priority_scores[replayed], fresh)
-        others = np.setdiff1d(np.arange(buf.capacity), replayed)
-        assert np.all(policy.priority_scores[others] == -1.0)
-
-    def test_lazy_harness_run_is_deterministic(self):
-        def once():
-            return run(RunConfig(sampler="ero", lazy_refresh=True, total_timesteps=1500))
-
-        a, b = once(), once()
-        assert a.total_steps == 1500 and a.train_steps > 0
-        assert a.episodes and all(e.subset_size is not None for e in a.episodes)
-        assert a.episodes == b.episodes
-        assert a.traces == b.traces
+        subset_of(policy, buf).update_priorities(np.array([7, 3]), np.array([0.5, -2.0]), 20)
+        assert buf.td_errors[7] == 0.5 and buf.td_errors[3] == -2.0
 
 
 class TestPerSlotArrays:
-    """The mask and lazy mode's scores are mapped for one buffer capacity."""
+    """The mask is mapped for one buffer capacity."""
 
     @pytest.mark.parametrize("capacity", [128, 512])
     def test_a_buffer_of_another_capacity_is_rejected(self, capacity):
         buf = make_buffer(20)  # 256 slots
-        policy = fresh_policy(lazy_refresh=True)
-        policy.observe_store(buf, 19, 20)
-        assert len(policy.mask_drawn) == len(policy.priority_scores) == 256
+        policy = fresh_policy()
+        policy.observe_store(buf, 19)
+        assert len(policy.mask_drawn) == 256
         other = make_buffer(20, capacity=capacity)
         match = f"policy mapped for 256 slots, buffer has {capacity}"
         for call in (
-            lambda: policy.observe_store(other, 19, 20),
+            lambda: policy.observe_store(other, 19),
             lambda: policy.refresh_subset(other, 20),
             lambda: policy.update_policy(other, 1.0, 20),
-            lambda: policy.refresh_scores(other, np.arange(4), 20),
-            lambda: policy.cached_scores(other),
         ):
             with pytest.raises(ContractViolation, match=match):
                 call()
@@ -251,10 +217,10 @@ class TestPerSlotArrays:
 
 
 class TestMaskDraws:
-    def test_saturated_scores_select_everything(self):
+    def test_saturated_scores_select_everything(self, monkeypatch):
         buf = make_buffer(50)
-        policy = fresh_policy(lazy_refresh=True)
-        policy.cached_scores(buf)[:50] = 1.0 - 1e-15
+        policy = fresh_policy()
+        monkeypatch.setattr(policy, "score", lambda features: np.full(len(features), 1.0 - 1e-15))
         size = policy.refresh_subset(buf, 50)
         assert size == 50
         assert len(policy.subset_indices(buf)) == 50
@@ -420,7 +386,7 @@ class TestUpdatePolicy:
             done=False,
             insert_timestep=7,
         )
-        policy.observe_store(buf, idx, 7)
+        policy.observe_store(buf, idx)
         featured = []  # the slots each update step reads features for
         features = policy.features
 

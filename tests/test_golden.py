@@ -1,11 +1,10 @@
 """Golden-output gate: fixed-seed runs must keep writing the same bytes.
 
 Each case is a 3k-step run (seed 0, ``trace_interval=50``, every other
-setting at its ``RunConfig`` default) of each sampler on each env, and of
-ERO with ``lazy_refresh``, plus a proportional-PER and an ERO case with a
-1500-slot buffer, so that half of their stores evict, and a uniform case
-that runs an eval episode every second episode and stops early after
-training has begun. The gate compares the sha256 of a case's
+setting at its ``RunConfig`` default) of each sampler on each env, plus a
+proportional-PER and an ERO case with a 1500-slot buffer, so that half of
+their stores evict, and a uniform case that runs an eval episode every
+second episode and stops early after training has begun. The gate compares the sha256 of a case's
 ``episodes.csv``, ``trace.csv`` and, when the run wrote evals,
 ``evals.csv`` with the digests in ``golden_digests.json``.
 
@@ -36,10 +35,6 @@ CASES = {
     **{
         f"{sampler}-{env}": dict(sampler=sampler, env=env)
         for sampler in ("uniform", "per_prop", "per_rank", "ero")
-        for env in ("pendulum", "point_reacher")
-    },
-    **{
-        f"ero_lazy-{env}": dict(sampler="ero", env=env, lazy_refresh=True)
         for env in ("pendulum", "point_reacher")
     },
     # a 1500-slot buffer: the second half of each run overwrites the oldest slots

@@ -20,7 +20,7 @@ def test_differences_name_each_file_and_each_case_on_one_side():
 def test_read_changes_skips_comments_and_blanks():
     text = "# header\n\na: the Adam epsilon changed  # why\nb : reason: with a colon\n"
     assert golden_ab.read_changes(text) == {"a": "the Adam epsilon changed", "b": "reason: with a colon"}
-    assert golden_ab.read_changes(golden_ab.CHANGES_PATH.read_text()) == {}  # the committed list
+    golden_ab.read_changes(golden_ab.CHANGES_PATH.read_text())  # the committed list reads, empty or not
 
 
 @pytest.mark.parametrize("text", ["a\n", "a:\n", ": why\n", "a: one\na: two\n"])

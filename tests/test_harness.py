@@ -16,6 +16,7 @@ import pytest
 from replay_opt import replay
 from replay_opt.errors import ConfigError, DegeneratePriorityError
 from replay_opt.harness import (
+    SAMPLER_KINDS,
     EpisodeRecord,
     EvalRecord,
     RunConfig,
@@ -139,7 +140,7 @@ class TestRun:
             ({"per_alpha": True}, "per_alpha must be a number, got True"),
             ({"gamma": "0.9"}, "gamma must be a number, got '0.9'"),
             ({"early_stop_threshold": "-100"}, "early_stop_threshold must be a number, got '-100'"),
-            ({"lazy_refresh": 2}, "lazy_refresh must be a bool, got 2"),
+            ({"config_id": True}, "config_id must be a string, got True"),
             ({"out_dir": 5}, "out_dir must be a string, got 5"),
             ({"hidden_sizes": 64}, "hidden_sizes must be integers >= 1, got 64"),
             # a string the effective config file's ``key = value`` lines cannot carry
@@ -153,6 +154,13 @@ class TestRun:
     def test_invalid_learning_settings_rejected(self, setting, message):
         with pytest.raises(ConfigError, match=message):
             quick_config(sampler="ero", **setting).validate()
+
+    def test_lazy_refresh_is_accepted_only_as_false(self):
+        # ``bench/workload.py`` still passes it; it is not a field
+        assert RunConfig(lazy_refresh=False) == RunConfig()
+        assert "lazy_refresh" not in {f.name for f in dataclasses.fields(RunConfig)}
+        with pytest.raises(ConfigError, match="lazy_refresh is gone"):
+            RunConfig(lazy_refresh=True)
 
     def test_learning_setting_bounds_accepted(self):
         quick_config(tau=1.0).validate()
@@ -362,16 +370,12 @@ class TestTrainer:
         assert [part() for part in parts] == [None] * 4
         assert summary.total_steps == 100
 
-    @pytest.mark.parametrize(
-        "sampler, lazy",
-        [("uniform", False), ("per_prop", False), ("per_rank", False), ("ero", False), ("ero", True)],
-    )
-    def test_td_write_back_lands_on_the_slots_it_drew(self, sampler, lazy):
+    @pytest.mark.parametrize("sampler", SAMPLER_KINDS)
+    def test_td_write_back_lands_on_the_slots_it_drew(self, sampler):
         # the write-back has no eviction check: a 64-slot buffer is overwritten
         # by every 100-store rollout phase, so a store between a draw and its
         # write-back would change the insert step of a drawn slot
-        config = quick_config(sampler=sampler, lazy_refresh=lazy, buffer_capacity=64,
-                              warmup_transitions=64, total_timesteps=1000)
+        config = quick_config(sampler=sampler, buffer_capacity=64, warmup_transitions=64, total_timesteps=1000)
         trainer = Trainer(config)
         buffer, hooks = trainer.buffer, trainer.sampler
         sample, update_priorities = hooks.sample, hooks.update_priorities
@@ -393,13 +397,10 @@ class TestTrainer:
             trainer.train_phase()
         assert trainer.summary.train_steps == 100 and not drawn
 
-    @pytest.mark.parametrize(
-        "sampler, lazy",
-        [("uniform", False), ("per_prop", False), ("per_rank", False), ("ero", False), ("ero", True)],
-    )
-    def test_every_forward_fits_the_workspace(self, monkeypatch, sampler, lazy):
+    @pytest.mark.parametrize("sampler", SAMPLER_KINDS)
+    def test_every_forward_fits_the_workspace(self, monkeypatch, sampler):
         # ``Mlp.forward`` runs any input as one block; a run keeps each call
-        # within the workspace's ``BLOCK + 1`` rows (eager ERO rescores its
+        # within the workspace's ``BLOCK + 1`` rows (ERO rescores its
         # 1500 rows in ``row_blocks``)
         rows, forward = [], Mlp.forward
 
@@ -408,9 +409,9 @@ class TestTrainer:
             return forward(net, x)
 
         monkeypatch.setattr(Mlp, "forward", counted_forward)
-        run(quick_config(sampler=sampler, lazy_refresh=lazy, total_timesteps=1500))
+        run(quick_config(sampler=sampler, total_timesteps=1500))
         assert rows and max(rows) <= BLOCK + 1
-        assert (max(rows) >= BLOCK) == (sampler == "ero" and not lazy)
+        assert (max(rows) >= BLOCK) == (sampler == "ero")
 
 
 def episodes_csv(summary) -> str:

@@ -924,15 +924,19 @@ class TestImportanceWeights:
 
 
 def subset_sampler(buf: ReplayBuffer, seed: int = 0) -> SubsetSampler:
-    """The learned sampler over ``buf``, with a lazy policy of its own, so that ``draw`` can set its scores."""
-    policy = EroPolicy(lazy_refresh=True, init_seed=seed, draw_rng=np.random.default_rng(seed + 1))
+    """The learned sampler over ``buf``, with a policy of its own."""
+    policy = EroPolicy(init_seed=seed, draw_rng=np.random.default_rng(seed + 1))
     return SubsetSampler(buf, np.random.default_rng(seed), policy)
 
 
 def draw(sampler: SubsetSampler, bits) -> None:
-    """Have the sampler's policy draw ``bits`` over the live slots: a score of 1 or 0 draws its bit for certain."""
-    sampler.policy.cached_scores(sampler.buffer)[: len(bits)] = bits
-    sampler.policy.refresh_subset(sampler.buffer, 1)
+    """Have the sampler's policy draw ``bits`` over the live slots: a score of 1 or 0 draws its bit for certain.
+
+    The buffers here hold less than one rescore block, so the policy scores them in one call.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler.policy, "score", lambda features: np.asarray(bits, dtype=np.float64))
+        sampler.policy.refresh_subset(sampler.buffer, 1)
 
 
 class TestSubsetSampler:
@@ -1157,40 +1161,3 @@ def test_eager_rescore_of_a_full_buffer_barely_raises_peak_rss():
         growth_kib[fill] = int(_fresh_interpreter(str(script), "--rescore-peak", str(fill)))
         assert growth_kib[fill] < 1024, f"one rescore at {fill} rows raised the peak RSS by {growth_kib[fill]} KiB"
     assert growth_kib[20 * BLOCK + 1] <= growth_kib[20 * BLOCK] + 64, growth_kib
-
-
-# One lazy-ERO store into a 2-slot buffer (it runs the store's code once),
-# then one into a 100k-slot buffer; prints the KiB by which the second
-# raised the peak RSS (VmHWM, as above).
-_LAZY_STORE = textwrap.dedent(
-    """
-    import numpy as np
-    from replay_opt.ero import EroPolicy
-    from replay_opt.replay import ReplayBuffer, SubsetSampler
-
-    def peak_kib():
-        with open("/proc/self/status") as status:
-            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
-    def lazy_store(capacity):
-        buf = ReplayBuffer(capacity, obs_dim=3, action_dim=1)
-        policy = EroPolicy(lazy_refresh=True, init_seed=0, draw_rng=1)
-        sampler = SubsetSampler(buf, np.random.default_rng(0), policy)
-        sampler.on_store(buf.store(np.zeros(3), np.zeros(1), 0.0, np.zeros(3), False, 1), 1)
-        return buf, sampler
-
-    kept = lazy_store(2)
-    before = peak_kib()
-    kept = lazy_store(100_000)
-    print(peak_kib() - before)
-    """
-)
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_first_lazy_store_touches_only_the_live_scores():
-    """Lazy ERO's score cache is mapped and only its live slots are set at
-    first use, so a store into a large, nearly empty buffer does not make
-    the whole cache resident."""
-    growth_kib = int(_fresh_interpreter("-c", _LAZY_STORE))
-    assert growth_kib < 256, f"one lazy store into a 100k-slot buffer raised the peak RSS by {growth_kib} KiB"
